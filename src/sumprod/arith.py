@@ -2,8 +2,10 @@
 
 The multiplicative dimension of a set of positive rationals is the affine
 rank of its prime-exponent vectors: the dimension of the span of the
-differences from any fixed member.  Rank is computed by fraction-free
-integer elimination, so results are exact for arbitrarily large exponents.
+differences from any fixed member.  Rank is computed by Echelon, the
+package's one exact eliminator: a sparse, fraction-free row echelon form on
+{column: int} rows, exact for arbitrarily large exponents.  Progression
+membership (progressions.contains) runs on the same eliminator.
 """
 
 from __future__ import annotations
@@ -11,6 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from heapq import heapify, heappop, heappush
 from math import gcd, isqrt, prod
 
 from .exactset import FinSet
@@ -196,82 +199,113 @@ class MultDim:
     projection: tuple[int, ...]
 
 
+def _factored(a: FinSet) -> tuple[tuple[int, ...], list[dict[int, int]]]:
+    """The ascending primes occurring in a, and each element's exponents."""
+    if not a.is_positive:
+        raise ValueError("exponent vectors need strictly positive elements")
+    factored = [factor_fraction(e) for e in a]
+    return tuple(sorted({p for f in factored for p in f})), factored
+
+
 def exponent_matrix(a: FinSet) -> ExponentMatrix:
     """Exponent vectors for a set of positive rationals.
 
     Column order follows the ascending primes that occur in any element.
     """
-    if not a.is_positive:
-        raise ValueError("exponent vectors need strictly positive elements")
-    factored = [factor_fraction(e) for e in a]
-    primes = tuple(sorted({p for f in factored for p in f}))
+    primes, factored = _factored(a)
     rows = tuple(tuple(f.get(p, 0) for p in primes) for f in factored)
     return ExponentMatrix(primes=primes, rows=rows, source=a)
 
 
-def _exact_div(num: int, den: int) -> int:
-    q, r = divmod(num, den)
-    if r:
-        raise ArithmeticError("fraction-free elimination produced a non-exact division")
-    return q
+class Echelon:
+    """Sparse fraction-free row echelon form over the integers.
 
-
-def _row_reduce(rows: list[list[int]]) -> tuple[int, list[int], list[int]]:
-    """Fraction-free (Bareiss) elimination with column pivoting.
-
-    Returns (rank, pivot column indices, pivot row indices), the row indices
-    referring to the input order.
+    Rows are {column: int} dicts.  Each pivot row is stored with content 1
+    and a positive leading entry, keyed by its leading (smallest) column,
+    so the keys are the pivot columns of the row space for the ascending
+    column order.  Elimination is fraction-free in the spirit of Bareiss:
+    it cross-multiplies by gcd-reduced leading entries, so every value
+    stays an integer, and only columns that hold a pivot are visited.
     """
-    m = len(rows)
-    ncols = len(rows[0]) if m else 0
-    origin = list(range(m))
-    pivot_cols: list[int] = []
-    pivot_rows: list[int] = []
-    r = 0
-    prev = 1
-    for col in range(ncols):
-        sel = next((i for i in range(r, m) if rows[i][col] != 0), None)
-        if sel is None:
-            continue
-        rows[r], rows[sel] = rows[sel], rows[r]
-        origin[r], origin[sel] = origin[sel], origin[r]
-        piv = rows[r][col]
-        for i in range(r + 1, m):
-            fac = rows[i][col]
-            for j in range(col, ncols):
-                rows[i][j] = _exact_div(rows[i][j] * piv - fac * rows[r][j], prev)
-        pivot_cols.append(col)
-        pivot_rows.append(origin[r])
-        prev = piv
-        r += 1
-        if r == m:
-            break
-    return r, pivot_cols, pivot_rows
+
+    def __init__(self) -> None:
+        self.pivots: dict[int, dict[int, int]] = {}
+
+    def reduce(self, row: dict[int, int]) -> tuple[int, dict[int, int]]:
+        """(scale, residual): residual = scale * row minus a rational
+        combination of the pivot rows, zero in every pivot column; scale > 0.
+        """
+        pivots = self.pivots
+        residual = {c: v for c, v in row.items() if v}
+        todo = [c for c in residual if c in pivots]
+        heapify(todo)
+        scale = 1
+        while todo:
+            col = heappop(todo)
+            entry = residual.get(col)
+            if entry is None:
+                continue
+            pivot = pivots[col]
+            g = gcd(pivot[col], entry)
+            mult, entry = pivot[col] // g, entry // g
+            if mult != 1:
+                scale *= mult
+                for c in residual:
+                    residual[c] *= mult
+            for c, v in pivot.items():
+                if c in residual:
+                    w = residual[c] - entry * v
+                    if w:
+                        residual[c] = w
+                    else:
+                        del residual[c]
+                else:
+                    residual[c] = -entry * v
+                    if c in pivots:
+                        heappush(todo, c)
+        return scale, residual
+
+    def add(self, row: dict[int, int]) -> int | None:
+        """Insert a row; its new leading column, or None if it is dependent."""
+        _, residual = self.reduce(row)
+        if not residual:
+            return None
+        lead = min(residual)
+        g = gcd(*residual.values())
+        if residual[lead] < 0:
+            g = -g
+        if g != 1:
+            residual = {c: v // g for c, v in residual.items()}
+        self.pivots[lead] = residual
+        return lead
 
 
 def mult_dim(a: FinSet) -> MultDim:
     """Multiplicative dimension of a set of positive rationals.
 
     Zero for singletons; in general the rank of the differences of the
-    exponent rows from the smallest element's row.  The projection onto the
-    returned pivot coordinates is injective on the set.
+    exponent rows from the smallest element's row.  The differences are
+    inserted in ascending element order, and the basis keeps those that
+    were independent of the earlier ones.  The projection onto the pivot
+    coordinates is injective on the set.
     """
     if a.size == 0:
         raise ValueError("multiplicative dimension needs a nonempty set")
-    em = exponent_matrix(a)
-    base = em.rows[0]
-    diffs = [
-        [row[j] - base[j] for j in range(len(em.primes))] for row in em.rows[1:]
-    ]
-    if not diffs:
-        return MultDim(dimension=0, basepoint=a.elements[0], basis=(), projection=())
-    rank, pivot_cols, pivot_rows = _row_reduce([list(d) for d in diffs])
-    basis = tuple(tuple(diffs[i]) for i in sorted(pivot_rows))
+    primes, factored = _factored(a)
+    base = factored[0]
+    echelon = Echelon()
+    basis = []
+    for f in factored[1:]:
+        diff = dict(f)
+        for p, e in base.items():
+            diff[p] = diff.get(p, 0) - e
+        if echelon.add(diff) is not None:
+            basis.append(tuple([diff.get(p, 0) for p in primes]))
     return MultDim(
-        dimension=rank,
+        dimension=len(basis),
         basepoint=a.elements[0],
-        basis=basis,
-        projection=tuple(pivot_cols),
+        basis=tuple(basis),
+        projection=tuple(i for i, p in enumerate(primes) if p in echelon.pivots),
     )
 
 

@@ -14,7 +14,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from fractions import Fraction
 from itertools import combinations
 from pathlib import Path
 
@@ -28,7 +27,7 @@ from .exactset import FinSet, PairGraph, parse_set, parse_token
 from . import exactset
 from .arith import exponent_matrix, mult_dim
 from .energy import energy as energy_fn
-from .progressions import contains, dim_chain_check, enumerate_progression, is_proper, parse_progression
+from .progressions import contains, dim_chain_check, enumerate_progression, parse_progression
 from .theorems import (
     verify_intro_suite,
     verify_lemma3,
@@ -40,25 +39,12 @@ from .theorems import (
     verify_theorem3_chain,
 )
 from .extremal import (
-    _OBJECTIVES,
+    OBJECTIVES,
     es_example,
     search_min,
     verify_section3,
 )
 from .verdicts import Verdict, format_value, format_verdict_line, verdict_to_json
-
-VERIFY_SUITES = (
-    "theorem1",
-    "lemma3",
-    "prop10",
-    "prop11",
-    "prop13",
-    "ruzsa",
-    "intro",
-    "theorem3",
-    "section3",
-)
-
 
 class _Parser(argparse.ArgumentParser):
     """argparse with usage failures mapped to exit status 1."""
@@ -82,10 +68,6 @@ def _load_set(path: str) -> FinSet:
             file=sys.stderr,
         )
     return fs
-
-
-def _parse_rational(text: str) -> Fraction:
-    return parse_token(text)
 
 
 def _load_pairs(path: str, ground: FinSet) -> PairGraph:
@@ -302,52 +284,50 @@ def _cmd_example(args) -> int:
 
 
 def _cmd_section3(args) -> int:
-    verdicts = verify_section3(args.j, _parse_rational(args.eps3))
-    return _emit_verdicts(args, verdicts)
+    return _emit_verdicts(args, _section3(args))
 
 
-def _require_flag(args, attr: str, flag: str) -> None:
-    if getattr(args, attr, None) is None:
-        raise ValueError(f"suite {args.suite!r} needs {flag}")
+def _section3(args) -> list[Verdict]:
+    return verify_section3(args.j, parse_token(args.eps3))
+
+
+def _theorem3(args) -> list[Verdict]:
+    a = _load_set(args.set)
+    return [verify_theorem3_chain(a, _graph_from_args(args, a))]
+
+
+# suite -> (flags it needs, verdict builder); the order is the CLI's choices
+_VERIFY = {
+    "theorem1": (("set",), lambda args: verify_theorem1(_load_set(args.set), args.h)),
+    "lemma3": (("set",), lambda args: [verify_lemma3(_load_set(args.set), args.h)]),
+    "prop10": (("set",), lambda args: [verify_prop10(_load_set(args.set), args.h)]),
+    "prop11": (("set",), lambda args: [verify_prop11(_load_set(args.set))]),
+    "prop13": (("set",), lambda args: [verify_prop13(_load_set(args.set), args.h1)]),
+    "ruzsa": (
+        ("m", "n"),
+        lambda args: [verify_ruzsa(_load_set(args.m), _load_set(args.n), args.h, args.l)],
+    ),
+    "intro": (("set",), lambda args: verify_intro_suite(_load_set(args.set))),
+    "theorem3": (("set",), _theorem3),
+    "section3": ((), _section3),
+}
+VERIFY_SUITES = tuple(_VERIFY)
 
 
 def _cmd_verify(args) -> int:
-    suite = args.suite
-    if suite == "ruzsa":
-        _require_flag(args, "m", "--m")
-        _require_flag(args, "n", "--n")
-    elif suite != "section3":
-        _require_flag(args, "set", "--set")
+    flags, build = _VERIFY[args.suite]
+    for attr in flags:
+        if getattr(args, attr, None) is None:
+            raise ValueError(f"suite {args.suite!r} needs --{attr}")
+    verdicts = build(args)
     prelude: list[str] = []
-    if suite == "lemma3":
-        verdicts = [verify_lemma3(_load_set(args.set), args.h)]
-    elif suite == "theorem1":
-        verdicts = verify_theorem1(_load_set(args.set), args.h)
+    if args.suite == "theorem1":
         prelude.append(f"# alpha {format_value(verdicts[0].witness['alpha'])}")
-    elif suite == "prop10":
-        verdicts = [verify_prop10(_load_set(args.set), args.h)]
-    elif suite == "prop11":
-        verdicts = [verify_prop11(_load_set(args.set))]
-    elif suite == "prop13":
-        verdicts = [verify_prop13(_load_set(args.set), args.h1)]
-    elif suite == "ruzsa":
-        verdicts = [
-            verify_ruzsa(_load_set(args.m), _load_set(args.n), args.h, args.l)
-        ]
-    elif suite == "intro":
-        verdicts = verify_intro_suite(_load_set(args.set))
-    elif suite == "theorem3":
-        a = _load_set(args.set)
-        verdicts = [verify_theorem3_chain(a, _graph_from_args(args, a))]
-    elif suite == "section3":
-        verdicts = verify_section3(args.j, _parse_rational(args.eps3))
-    else:  # pragma: no cover - argparse restricts choices
-        raise ValueError(f"unknown suite {suite!r}")
     return _emit_verdicts(args, verdicts, prelude)
 
 
 def _oracle_search(objective: str, k: int, universe: int):
-    obj_fn = _OBJECTIVES[objective]
+    obj_fn = OBJECTIVES[objective]
     best = None
     certs: list[tuple[int, ...]] = []
     for tup in combinations(range(1, universe + 1), k):

@@ -143,6 +143,11 @@ def _require_nonzero(*sets: FinSet) -> None:
             raise ValueError("product operation needs every element nonzero")
 
 
+def _require_positive_integers(a: FinSet, who: str) -> None:
+    if not (a.is_integer and a.is_positive):
+        raise ValueError(f"{who} needs a set of positive integers")
+
+
 def combine(a: FinSet, b: FinSet, op: Op) -> FinSet:
     """Pairwise sum set or product set of two sets."""
     _check_op(op)

@@ -17,7 +17,7 @@ from fractions import Fraction
 from itertools import product as iproduct
 from math import comb, prod
 
-from .exactset import FinSet, simple_closure
+from .exactset import FinSet, _require_positive_integers, simple_closure
 from .limits import CapExceeded, FactorizationBudgetExceeded, check_size, size_cap
 from .arith import first_primes, mult_dim, vector_simple_sum_count
 from .verdicts import (
@@ -25,6 +25,7 @@ from .verdicts import (
     compare,
     log_of,
     power_of,
+    unmet,
     verdict_from_compare,
 )
 
@@ -58,11 +59,6 @@ def es_example(j: int) -> FinSet:
     return FinSet(values)
 
 
-def _require_positive_integers(a: FinSet, who: str) -> None:
-    if not (a.is_integer and a.is_positive):
-        raise ValueError(f"{who} needs a set of positive integers")
-
-
 def f_value(a: FinSet) -> int:
     """|2A u A*A| exactly."""
     _require_positive_integers(a, "the f objective")
@@ -85,6 +81,7 @@ def g_value(a: FinSet) -> int:
 
 
 def _f_tuple(elems: tuple[int, ...]) -> int:
+    """|2A u A*A| for a tuple of distinct positive ints."""
     sums = {x + y for x in elems for y in elems}
     prods = {x * y for x in elems for y in elems}
     return len(sums | prods)
@@ -100,7 +97,8 @@ def _g_tuple(elems: tuple[int, ...]) -> int:
     return bits.bit_count() + len(frontier)
 
 
-_OBJECTIVES = {"f": _f_tuple, "g": _g_tuple}
+# The objectives on ascending tuples of distinct positive ints, by name.
+OBJECTIVES = {"f": _f_tuple, "g": _g_tuple}
 
 
 @dataclass(frozen=True)
@@ -227,7 +225,7 @@ def search_min(
     budget yields complete=False with the partial minimum, never a silent
     answer.
     """
-    if objective not in _OBJECTIVES:
+    if objective not in OBJECTIVES:
         raise ValueError(f"objective must be 'f' or 'g', got {objective!r}")
     if k < 1:
         raise ValueError(f"subset size must be >= 1, got {k}")
@@ -241,7 +239,7 @@ def search_min(
         raise CapExceeded(
             f"search space C({universe},{k}) exceeds the size cap; pass a node budget"
         )
-    obj_fn = _OBJECTIVES[objective]
+    obj_fn = OBJECTIVES[objective]
 
     start_first = 1
     nodes = 0
@@ -318,26 +316,11 @@ def search_min(
 
 
 def _gated(name: str, gate_met: bool, lhs, rhs, relation: str, witness: dict) -> Verdict:
-    raw = compare(lhs, rhs, relation)
-    witness = dict(witness)
-    witness["raw"] = raw
+    """A verdict on the gate; the comparison is kept in the witness as raw."""
+    witness = dict(witness, raw=compare(lhs, rhs, relation))
     if gate_met:
-        return Verdict(
-            name=name,
-            hypothesis_met=True,
-            lhs=lhs,
-            rhs=rhs,
-            holds=raw,
-            witness=witness,
-        )
-    return Verdict(
-        name=name,
-        hypothesis_met=False,
-        lhs=lhs,
-        rhs=rhs,
-        holds="hypothesis-not-met",
-        witness=witness,
-    )
+        return verdict_from_compare(name, lhs, rhs, relation, witness)
+    return unmet(name, lhs, rhs, witness)
 
 
 def verify_section3(j: int, eps3: Fraction | int = Fraction(1, 10)) -> list[Verdict]:

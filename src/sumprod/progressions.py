@@ -2,9 +2,10 @@
 
 A progression is a base point times products of ratio powers with bounded
 exponents: base * r_1^j_1 * ... * r_s^j_s, 0 <= j_i < J_i.  Membership is
-decided exactly through prime-exponent linear algebra, with a bounded grid
-enumeration as fallback when the ratios are multiplicatively dependent and
-the linear system alone cannot pin down the exponents.
+decided exactly on prime-exponent rows by arith.Echelon, the same sparse
+fraction-free eliminator behind mult_dim, with a bounded grid enumeration
+as fallback when the ratios are multiplicatively dependent and the linear
+system alone cannot pin down the exponents.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from typing import NamedTuple
 
 from .exactset import FinSet, parse_token
 from .limits import SetParseError, check_size
-from .arith import exponent_matrix, mult_dim
+from .arith import Echelon, factor_fraction, mult_dim
 from .verdicts import Verdict, unmet
 
 
@@ -112,79 +113,44 @@ def is_proper(p: ProgressionDesc) -> bool:
     return enumerate_progression(p).size == p.nominal_size
 
 
-def _solve_rational(matrix: list[list[int]], rhs: list[int]):
-    """Solve matrix @ x = rhs over Q.
-
-    Returns ('unique', x), ('none', None), or ('many', None).
-    """
-    m = len(matrix)
-    n = len(matrix[0]) if m else 0
-    aug = [[Fraction(v) for v in row] + [Fraction(b)] for row, b in zip(matrix, rhs)]
-    pivots: list[tuple[int, int]] = []
-    r = 0
-    for col in range(n):
-        sel = next((i for i in range(r, m) if aug[i][col] != 0), None)
-        if sel is None:
-            continue
-        aug[r], aug[sel] = aug[sel], aug[r]
-        piv = aug[r][col]
-        aug[r] = [v / piv for v in aug[r]]
-        for i in range(m):
-            if i != r and aug[i][col] != 0:
-                f = aug[i][col]
-                aug[i] = [a - f * b for a, b in zip(aug[i], aug[r])]
-        pivots.append((r, col))
-        r += 1
-        if r == m:
-            break
-    for i in range(r, m):
-        if aug[i][n] != 0:
-            return "none", None
-    if r < n:
-        return "many", None
-    x = [Fraction(0)] * n
-    for row, col in pivots:
-        x[col] = aug[row][n]
-    return "unique", x
-
-
-def _exponent_rows(values: list[Fraction]) -> tuple[tuple[int, ...], dict[Fraction, tuple[int, ...]]]:
-    fs = FinSet(values)
-    em = exponent_matrix(fs)
-    table = dict(zip(em.source.elements, em.rows))
-    return em.primes, table
-
-
 def contains(p: ProgressionDesc, a: FinSet) -> ContainsResult:
     """Whether every element of a is hit by some in-range exponent tuple.
 
     witnesses[i] is one exponent tuple producing a's i-th element, or None.
-    When the ratio exponent vectors are independent the witness comes from
-    a linear solve; otherwise a capped enumeration of the exponent grid
-    finds the lexicographically first witness.
+    The ratio exponent rows are eliminated once, each with a tag column
+    after the prime columns recording its combination.  An element whose
+    exponent difference from the base leaves a residual in a prime column
+    is outside the progression.  Otherwise, with independent ratios, the
+    tag columns of the residual give the unique rational solution; with
+    dependent ratios a capped enumeration of the exponent grid finds the
+    lexicographically first witness.
     """
     if not a.is_positive:
         raise ValueError("membership needs strictly positive elements")
     if a.size == 0:
         return ContainsResult(True, ())
-    needed = list(a.elements) + [p.base] + list(p.ratios)
-    _, table = _exponent_rows(needed)
-    base_row = table[p.base]
-    ratio_rows = [table[r] for r in p.ratios]
-    ncols = len(base_row)
-    matrix = [[ratio_rows[s][c] for s in range(p.rank)] for c in range(ncols)]
+    factored = {v: factor_fraction(v) for v in {*a.elements, p.base, *p.ratios}}
+    base = factored[p.base]
+    tag = 1 + max((q for f in factored.values() for q in f), default=1)
+    echelon = Echelon()
+    independent = True
+    for i, r in enumerate(p.ratios):
+        lead = echelon.add({**factored[r], tag + i: 1})
+        independent = independent and lead < tag
     grid: dict[Fraction, tuple[int, ...]] | None = None
     witnesses: list[tuple[int, ...] | None] = []
-    ok = True
     for elem in a.elements:
-        target = [table[elem][c] - base_row[c] for c in range(ncols)]
-        kind, x = _solve_rational(matrix, target)
+        f = factored[elem]
+        target = {q: f.get(q, 0) - base.get(q, 0) for q in f.keys() | base.keys()}
+        scale, residual = echelon.reduce(target)
         found: tuple[int, ...] | None = None
-        if kind == "unique":
-            assert x is not None
+        if any(c < tag for c in residual):
+            pass  # the exponent difference is outside the ratios' span
+        elif independent:
+            x = [Fraction(-residual.get(tag + i, 0), scale) for i in range(p.rank)]
             if all(v.denominator == 1 and 0 <= v < j for v, j in zip(x, p.lengths)):
                 found = tuple(int(v) for v in x)
-        elif kind == "many":
+        else:
             if grid is None:
                 check_size(p.nominal_size, "progression membership fallback")
                 grid = {}
@@ -193,9 +159,7 @@ def contains(p: ProgressionDesc, a: FinSet) -> ContainsResult:
                     grid.setdefault(v, tup)
             found = grid.get(elem)
         witnesses.append(found)
-        if found is None:
-            ok = False
-    return ContainsResult(ok, tuple(witnesses))
+    return ContainsResult(None not in witnesses, tuple(witnesses))
 
 
 def dim_chain_check(p: ProgressionDesc, a: FinSet) -> Verdict:

@@ -15,6 +15,7 @@ from itertools import product as iproduct
 from .exactset import (
     FinSet,
     PairGraph,
+    _require_positive_integers,
     combine,
     iterate,
     restricted_combine,
@@ -24,6 +25,7 @@ from .exactset import (
 from .limits import check_size
 from .arith import mult_dim
 from .energy import WeightVector, energy, weighted_energy
+from .extremal import f_value
 from .verdicts import Verdict, log_of, power_of, unmet, verdict_from_compare
 
 
@@ -32,11 +34,6 @@ def fold_constant(h: int) -> int:
     if h < 1:
         raise ValueError(f"fold count must be >= 1, got {h}")
     return 2 * h * h - h
-
-
-def _require_positive_integers(a: FinSet, who: str) -> None:
-    if not (a.is_integer and a.is_positive):
-        raise ValueError(f"{who} needs a set of positive integers")
 
 
 def verify_lemma3(a: FinSet, h: int) -> Verdict:
@@ -216,7 +213,7 @@ def verify_intro_suite(a: FinSet) -> list[Verdict]:
     k = a.size
     double = iterate(a, 2, "sum").size
     prod_size = combine(a, a, "product").size
-    union_size = f_union_size(a)
+    union_size = f_value(a)
     ln_k = log_of(k)
     out: list[Verdict] = []
 
@@ -307,14 +304,6 @@ def verify_theorem3_chain(a: FinSet, g: PairGraph) -> Verdict:
         "delta": delta,
     }
     return verdict_from_compare("theorem3", restricted_sum, rhs, ">=", witness)
-
-
-def f_union_size(a: FinSet) -> int:
-    """|2A u A*A| for positive integers, the f-objective core."""
-    _require_positive_integers(a, "the union objective")
-    sums = {x + y for x in a.elements for y in a.elements}
-    prods = {x * y for x in a.elements for y in a.elements}
-    return len(sums | prods)
 
 
 def dim_budget_diagnostic(k: int, eps1: Fraction, m: int) -> dict:

@@ -92,7 +92,8 @@ def o_beta(a):
     return count
 
 
-def o_mult_dim(a):
+def _o_exponent_differences(a):
+    """Sorted primes, and each later element's exponent row minus the first's."""
     import sympy
 
     elems = sorted(Fraction(e) for e in a)
@@ -110,9 +111,41 @@ def o_mult_dim(a):
     diffs = [
         [r[i] - rows[0][i] for i in range(len(primes))] for r in rows[1:]
     ]
+    return primes, diffs
+
+
+def o_mult_dim(a):
+    import sympy
+
+    _, diffs = _o_exponent_differences(a)
     if not diffs:
         return 0
     return sympy.Matrix(diffs).rank()
+
+
+def o_mult_basis(a):
+    """The differences, in ascending element order, that raise the sympy rank
+    of the differences kept before them."""
+    import sympy
+
+    _, diffs = _o_exponent_differences(a)
+    kept = []
+    for d in diffs:
+        if sympy.Matrix(kept + [d]).rank() > len(kept):
+            kept.append(d)
+    return [tuple(d) for d in kept]
+
+
+def o_contains(base, ratios, lengths, elems):
+    """Per element, the lexicographically first exponent tuple hitting it, or
+    None; every tuple of the grid is evaluated."""
+    first = {}
+    for tup in product(*(range(j) for j in lengths)):
+        v = Fraction(base)
+        for r, j in zip(ratios, tup):
+            v *= Fraction(r) ** j
+        first.setdefault(v, tup)
+    return [first.get(Fraction(e)) for e in elems]
 
 
 def o_f(a):

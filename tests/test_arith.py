@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 import oracles
 from sumprod.arith import (
+    Echelon,
     exponent_matrix,
     factor_fraction,
     factor_int,
@@ -200,6 +201,83 @@ def test_mult_dim_upper_bounds(values):
     md = mult_dim(a)
     primes = exponent_matrix(a).primes
     assert md.dimension <= min(len(a) - 1, len(primes)) if primes else True
+
+
+@given(
+    st.sets(
+        st.one_of(
+            st.integers(min_value=1, max_value=300),
+            st.fractions(min_value=Fraction(1, 12), max_value=12, max_denominator=12),
+        ),
+        min_size=1,
+        max_size=8,
+    )
+)
+@settings(max_examples=60, deadline=None)
+def test_mult_dim_basis_is_earliest_independent_differences(values):
+    a = FinSet(Fraction(v) for v in values)
+    md = mult_dim(a)
+    assert list(md.basis) == oracles.o_mult_basis(a.elements)
+    assert md.dimension == len(md.basis)
+
+
+def test_mult_dim_interval_to_3000_is_prime_count():
+    # every prime up to 3000 appears alone in its own difference row
+    assert mult_dim(FinSet(range(1, 3001))).dimension == 430
+
+
+# --- the sparse echelon ---------------------------------------------------------------
+
+
+rows_strategy = st.lists(
+    st.dictionaries(
+        st.integers(min_value=0, max_value=7),
+        st.integers(min_value=-6, max_value=6),
+        max_size=5,
+    ),
+    max_size=8,
+)
+
+
+def _dense(row, ncols=8):
+    return [row.get(c, 0) for c in range(ncols)]
+
+
+@given(rows_strategy)
+@settings(max_examples=80, deadline=None)
+def test_echelon_rank_and_pivot_columns_match_sympy(rows):
+    echelon = Echelon()
+    leads = [echelon.add(row) for row in rows]
+    independent = [lead is not None for lead in leads]
+    matrix = sympy.Matrix([_dense(r) for r in rows]) if rows else sympy.zeros(0, 8)
+    assert sum(independent) == matrix.rank()
+    assert sorted(echelon.pivots) == sorted(l for l in leads if l is not None)
+    if rows:
+        assert tuple(sorted(echelon.pivots)) == matrix.rref()[1]
+    for lead, pivot in echelon.pivots.items():
+        assert min(pivot) == lead and pivot[lead] > 0
+        assert sympy.gcd(list(pivot.values())) == 1
+
+
+@given(rows_strategy, st.dictionaries(
+    st.integers(min_value=0, max_value=7), st.integers(min_value=-6, max_value=6), max_size=6
+))
+@settings(max_examples=80, deadline=None)
+def test_echelon_reduce_stays_in_the_row_space(rows, row):
+    echelon = Echelon()
+    for r in rows:
+        echelon.add(r)
+    scale, residual = echelon.reduce(row)
+    assert scale > 0
+    assert not set(residual) & set(echelon.pivots)
+    assert all(residual.values())
+    # scale * row - residual is a combination of the inserted rows
+    span = [_dense(r) for r in rows]
+    moved = [scale * v - w for v, w in zip(_dense(row), _dense(residual))]
+    base_rank = sympy.Matrix(span).rank() if span else 0
+    assert sympy.Matrix(span + [moved]).rank() == base_rank
+    # and the residual is zero exactly when the row was in the span
+    assert (not residual) == (sympy.Matrix(span + [_dense(row)]).rank() == base_rank)
 
 
 # --- simple sums of exponent vectors ---------------------------------------------

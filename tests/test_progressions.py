@@ -3,7 +3,10 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import oracles
 from sumprod.exactset import FinSet
 from sumprod.limits import SetParseError
 from sumprod.progressions import (
@@ -130,6 +133,49 @@ def test_contains_dependent_ratios_negative_case():
     p = desc(1, (2, 4), (2, 2))
     res = contains(p, fs(32))
     assert not res.contained  # max value is 2*4 = 8
+
+
+def test_contains_all_ones_witness_has_one_exponent_per_ratio():
+    # no prime occurs anywhere, so the exponent system has no rows at all;
+    # the witness must still carry one exponent for the ratio
+    p = desc(1, (1,), (3,))
+    res = contains(p, fs(1))
+    assert res.contained
+    assert res.witnesses == ((0,),)
+
+
+# a pool with repeated primes and the ratio 1, so that dependent ratio sets
+# and the all-ones case come up often
+_POOL = [F(1), F(2), F(3), F(4), F(6), F(9), F(1, 2), F(3, 2), F(2, 3), F(9, 4), F(5)]
+
+
+@st.composite
+def progression_and_set(draw):
+    rank = draw(st.integers(min_value=0, max_value=3))
+    ratios = tuple(draw(st.sampled_from(_POOL)) for _ in range(rank))
+    lengths = tuple(draw(st.integers(min_value=1, max_value=4)) for _ in range(rank))
+    base = draw(st.sampled_from(_POOL))
+    values = set()
+    for _ in range(draw(st.integers(min_value=1, max_value=6))):
+        if draw(st.booleans()):
+            # on the grid, or one step past its end
+            v = base
+            for r, j in zip(ratios, lengths):
+                v *= r ** draw(st.integers(min_value=0, max_value=j))
+        else:
+            v = draw(st.sampled_from(_POOL)) * draw(st.sampled_from(_POOL))
+        values.add(v)
+    return desc(base, ratios, lengths), fs(*values)
+
+
+@given(progression_and_set())
+@settings(max_examples=200, deadline=None)
+def test_contains_matches_grid_oracle(case):
+    p, a = case
+    res = contains(p, a)
+    want = oracles.o_contains(p.base, p.ratios, p.lengths, a.elements)
+    assert list(res.witnesses) == want
+    assert res.contained == (None not in want)
 
 
 def test_contains_rational_base_and_ratio():

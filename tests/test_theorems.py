@@ -11,7 +11,6 @@ from sumprod.exactset import FinSet, PairGraph
 from sumprod.theorems import (
     beta,
     dim_budget_diagnostic,
-    f_union_size,
     fold_constant,
     verify_intro_suite,
     verify_lemma3,
@@ -300,13 +299,6 @@ def test_theorem3_exhaustive_tiny():
         g = PairGraph(ground=a, pairs=pairs)
         v = verify_theorem3_chain(a, g)
         assert v.holds == "true", (mask, v)
-
-
-def test_f_union_size():
-    assert f_union_size(fs(1, 2, 3)) == 7
-    assert f_union_size(fs(2, 4, 8)) == 8
-    assert f_union_size(fs(1)) == 2
-    assert f_union_size(fs(2)) == 1
 
 
 # --- dimension budget diagnostic ----------------------------------------------------------
