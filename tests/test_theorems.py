@@ -23,6 +23,7 @@ from sumprod.theorems import (
     verify_theorem3_chain,
 )
 from sumprod.energy import WeightVector, energy
+from sumprod.extremal import f_value
 
 F = Fraction
 
@@ -299,6 +300,14 @@ def test_theorem3_exhaustive_tiny():
         g = PairGraph(ground=a, pairs=pairs)
         v = verify_theorem3_chain(a, g)
         assert v.holds == "true", (mask, v)
+
+
+def test_f_union_size():
+    # |2A u A*A|, the size the intro suite bounds, now read from extremal.f_value
+    assert f_value(fs(1, 2, 3)) == 7
+    assert f_value(fs(2, 4, 8)) == 8
+    assert f_value(fs(1)) == 2
+    assert f_value(fs(2)) == 1
 
 
 # --- dimension budget diagnostic ----------------------------------------------------------
