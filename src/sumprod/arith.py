@@ -28,20 +28,15 @@ _MR_LIMIT = 3_317_044_064_679_887_385_961_981
 
 
 def is_prime(n: int) -> bool:
-    """Deterministic primality test for n below about 3.3e24.
-
-    Larger inputs raise FactorizationBudgetExceeded instead of returning a
-    probabilistic answer.
+    """Miller-Rabin on the first twelve prime bases, deterministic below
+    about 3.3e24.  A composite answer is always a proof; a probable prime
+    at or above that bound raises FactorizationBudgetExceeded.
     """
     if n < 2:
         return False
-    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+    for p in _MR_BASES:
         if n % p == 0:
             return n == p
-    if n >= _MR_LIMIT:
-        raise FactorizationBudgetExceeded(
-            f"primality of {n} is outside the deterministic witness range"
-        )
     d = n - 1
     r = 0
     while d % 2 == 0:
@@ -57,6 +52,10 @@ def is_prime(n: int) -> bool:
                 break
         else:
             return False
+    if n >= _MR_LIMIT:
+        raise FactorizationBudgetExceeded(
+            f"{n} is a probable prime outside the deterministic witness range"
+        )
     return True
 
 
@@ -187,7 +186,8 @@ class ExponentMatrix:
 class MultDim:
     """Affine rank of a set's exponent vectors, with supporting data.
 
-    basis holds difference vectors (relative to the smallest element's row)
+    primes are the ascending primes occurring in the set; basis holds
+    difference vectors over them (relative to the smallest element's row)
     spanning the direction space; projection lists the coordinates, as
     indices into primes, on which the exponent vectors are already
     injective.
@@ -195,6 +195,7 @@ class MultDim:
 
     dimension: int
     basepoint: Fraction
+    primes: tuple[int, ...]
     basis: tuple[tuple[int, ...], ...]
     projection: tuple[int, ...]
 
@@ -304,6 +305,7 @@ def mult_dim(a: FinSet) -> MultDim:
     return MultDim(
         dimension=len(basis),
         basepoint=a.elements[0],
+        primes=primes,
         basis=tuple(basis),
         projection=tuple(i for i, p in enumerate(primes) if p in echelon.pivots),
     )

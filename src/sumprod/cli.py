@@ -25,7 +25,7 @@ from .limits import (
 )
 from .exactset import FinSet, PairGraph, parse_set, parse_token
 from . import exactset
-from .arith import exponent_matrix, mult_dim
+from .arith import mult_dim
 from .energy import energy as energy_fn
 from .progressions import contains, dim_chain_check, enumerate_progression, parse_progression
 from .theorems import (
@@ -210,11 +210,10 @@ def _cmd_energy(args) -> int:
 
 def _cmd_multdim(args) -> int:
     a = _load_set(args.set)
-    em = exponent_matrix(a)
     md = mult_dim(a)
     print(f"dimension {md.dimension}")
     print(f"basepoint {md.basepoint}")
-    print("primes " + " ".join(str(p) for p in em.primes))
+    print("primes " + " ".join(str(p) for p in md.primes))
     print("projection " + " ".join(str(c) for c in md.projection))
     for row in md.basis:
         print("basis " + " ".join(str(v) for v in row))
@@ -226,7 +225,7 @@ def _cmd_multdim(args) -> int:
                     "kind": "multdim",
                     "dimension": md.dimension,
                     "basepoint": str(md.basepoint),
-                    "primes": list(em.primes),
+                    "primes": list(md.primes),
                     "projection": list(md.projection),
                     "basis": [list(row) for row in md.basis],
                 }

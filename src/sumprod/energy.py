@@ -14,9 +14,9 @@ import cmath
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
-from math import fsum, lcm
+from math import fsum
 
-from .exactset import FinSet
+from .exactset import FinSet, _scaled_values
 from .limits import check_size
 from .arith import is_prime
 from .verdicts import (
@@ -71,12 +71,6 @@ class WeightVector:
         return len(self.weights)
 
 
-def _scaled_values(a: FinSet) -> tuple[list[int], int]:
-    """Clear denominators: integer values v with element = v / scale."""
-    scale = lcm(*(e.denominator for e in a)) if a.size else 1
-    return [int(e * scale) for e in a], scale
-
-
 def _convolve_sparse(p: dict[int, object], q: dict[int, object]) -> dict:
     out: dict = {}
     for u, cu in p.items():
@@ -120,8 +114,6 @@ def rep_counts(a: FinSet, h: int) -> RepCounts:
     """Exact h-fold representation counts by polynomial self-convolution."""
     if h < 1:
         raise ValueError(f"fold count must be >= 1, got {h}")
-    if a.size == 0:
-        return RepCounts(base=a, h=h, counts=())
     values, scale = _scaled_values(a)
     conv = _self_convolve(values, [1] * len(values), h)
     counts = tuple(
@@ -139,8 +131,6 @@ def energy(a: FinSet, h: int, path: str = "convolve") -> int:
     if h < 1:
         raise ValueError(f"fold count must be >= 1, got {h}")
     if path == "convolve":
-        if a.size == 0:
-            return 0
         values, _ = _scaled_values(a)
         conv = _self_convolve(values, [1] * len(values), h)
         return sum(c * c for c in conv.values())
@@ -161,8 +151,6 @@ def weighted_energy(a: FinSet, d: WeightVector, h: int) -> Fraction:
         raise ValueError(f"fold count must be >= 1, got {h}")
     if len(d) != a.size:
         raise ValueError(f"{len(d)} weights for a set of size {a.size}")
-    if a.size == 0:
-        return Fraction(0)
     values, _ = _scaled_values(a)
     conv = _self_convolve(values, list(d.weights), h)
     return sum((c * c for c in conv.values()), Fraction(0))

@@ -10,9 +10,12 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import count
+from math import lcm
+from struct import iter_unpack
 from typing import Iterable, Iterator, Literal
 
-from .limits import CapExceeded, SetParseError, check_size
+from .limits import SetParseError, check_size, size_cap
 
 Rat = Fraction
 
@@ -181,18 +184,56 @@ def dilate(q: Fraction | int, a: FinSet) -> FinSet:
     return FinSet(q * x for x in a)
 
 
-def _bits_to_finset(bits: int, scale: int = 1) -> FinSet:
-    values = []
-    index = 0
-    while bits:
-        low = bits & 0xFFFFFFFFFFFFFFFF
-        while low:
-            lsb = low & -low
-            values.append((index + lsb.bit_length() - 1) * scale)
-            low ^= lsb
-        bits >>= 64
-        index += 64
-    return FinSet(values)
+def _scaled_values(a: FinSet) -> tuple[list[int], int]:
+    """Clear denominators: integer values v with element = v / scale."""
+    scale = lcm(*(e.denominator for e in a))
+    return [e.numerator * (scale // e.denominator) for e in a], scale
+
+
+def _bit_positions(bits: int) -> Iterator[int]:
+    """Indices of the set bits, ascending, in one pass over 64-bit words."""
+    raw = bits.to_bytes(8 * ((bits.bit_length() + 63) // 64), "little")
+    for base, (word,) in zip(count(0, 64), iter_unpack("<Q", raw)):
+        while word:
+            low = word & -word
+            yield base + low.bit_length() - 1
+            word ^= low
+
+
+def _box_sums(a: FinSet, h: int, what: str) -> FinSet:
+    """All sums of c_i * a_i with every c_i in 0..h, on integers.
+
+    Denominators are cleared by one scale and a negative v enters as
+    h*v + c*|v|, leaving an offset plus sums of non-negative steps.  These
+    are kept as a big-int bitmask (bit s set iff s is reachable) when it
+    needs at most 64 bits per value the coefficients and the cap allow,
+    else as a set of ints.  The cap is checked after every element.
+    """
+    values, scale = _scaled_values(a)
+    offset = h * sum(v for v in values if v < 0)
+    steps = [abs(v) for v in values]
+    cap = size_cap()
+    # (h+1)^k > cap once k reaches cap's bit length, so k stays small
+    most = min((h + 1) ** min(len(steps), cap.bit_length()), cap)
+    if h * sum(steps) <= 64 * most:
+        bits = 1
+        for step in steps:
+            # {0..left} = {0..left-take} + {0, take}: O(log h) shifts
+            left = h
+            while left:
+                take = (left + 1) // 2
+                bits |= bits << take * step
+                left -= take
+            check_size(bits.bit_count(), what)
+        sums: Iterable[int] = _bit_positions(bits)
+    else:
+        sums = {0}
+        for step in steps:
+            sums = {s + j * step for s in sums for j in range(h + 1)}
+            check_size(len(sums), what)
+    if scale == 1:
+        return FinSet(offset + s for s in sums)
+    return FinSet(Fraction(offset + s, scale) for s in sums)
 
 
 def simple_closure(a: FinSet, op: Op) -> FinSet:
@@ -202,24 +243,12 @@ def simple_closure(a: FinSet, op: Op) -> FinSet:
     result can reach 2^|a| values, so the size cap applies.
     """
     _check_op(op)
-    if op == "sum" and a.is_integer and (not a.elements or a.min() >= 0):
-        # subset sums of nonnegative integers: one big-int bitmask, bit v
-        # set iff v is reachable
-        bits = 1
-        for e in a:
-            bits |= bits << int(e)
-        check_size(bits.bit_count(), "simple sum closure")
-        return _bits_to_finset(bits)
-    if op == "product":
-        _require_nonzero(a)
-        frontier = {Fraction(1)}
-    else:
-        frontier = {Fraction(0)}
+    if op == "sum":
+        return _box_sums(a, 1, "simple sum closure")
+    _require_nonzero(a)
+    frontier = {Fraction(1)}
     for e in a:
-        if op == "product":
-            frontier |= {v * e for v in frontier}
-        else:
-            frontier |= {v + e for v in frontier}
+        frontier |= {v * e for v in frontier}
         check_size(len(frontier), "simple closure")
     return FinSet(frontier)
 
@@ -228,21 +257,7 @@ def box_sum(a: FinSet, h: int) -> FinSet:
     """Sums with per-element coefficients drawn from {0, 1, ..., h}."""
     if h < 0:
         raise ValueError(f"coefficient bound must be >= 0, got {h}")
-    if a.is_integer and (not a.elements or a.min() >= 0):
-        bits = 1
-        for e in a:
-            step = int(e)
-            acc = bits
-            for _ in range(h):
-                acc <<= step
-                bits |= acc
-            check_size(bits.bit_count(), "box sum")
-        return _bits_to_finset(bits)
-    frontier = {Fraction(0)}
-    for e in a:
-        frontier = {v + j * e for v in frontier for j in range(h + 1)}
-        check_size(len(frontier), "box sum")
-    return FinSet(frontier)
+    return _box_sums(a, h, "box sum")
 
 
 def sum_diff(n: FinSet, h: int, l: int) -> FinSet:

@@ -18,8 +18,8 @@ from itertools import product as iproduct
 from math import comb, prod
 
 from .exactset import FinSet, _require_positive_integers, simple_closure
-from .limits import CapExceeded, FactorizationBudgetExceeded, check_size, size_cap
-from .arith import first_primes, mult_dim, vector_simple_sum_count
+from .limits import CapExceeded, check_size, size_cap
+from .arith import first_primes, mult_dim
 from .verdicts import (
     Verdict,
     compare,
@@ -66,18 +66,9 @@ def f_value(a: FinSet) -> int:
 
 
 def g_value(a: FinSet) -> int:
-    """|A[1]| + |A{1}| exactly.
-
-    The product term uses the exponent-vector subset-sum count when the
-    elements factor within budget, falling back to direct value products.
-    """
+    """|A[1]| + |A{1}| exactly: subset sums plus subset products."""
     _require_positive_integers(a, "the g objective")
-    sum_count = simple_closure(a, "sum").size
-    try:
-        prod_count = vector_simple_sum_count(a)
-    except FactorizationBudgetExceeded:
-        prod_count = simple_closure(a, "product").size
-    return sum_count + prod_count
+    return simple_closure(a, "sum").size + simple_closure(a, "product").size
 
 
 def _f_tuple(elems: tuple[int, ...]) -> int:

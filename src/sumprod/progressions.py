@@ -166,11 +166,14 @@ def dim_chain_check(p: ProgressionDesc, a: FinSet) -> Verdict:
     """Check dim(a) <= dim(progression values) <= rank, given containment.
 
     Containment of a in the progression is the hypothesis; without it the
-    verdict is 'hypothesis-not-met'.
+    verdict is 'hypothesis-not-met'.  The progression's dimension is the
+    rank of the exponent rows of its ratios with length >= 2, so no value
+    is enumerated.
     """
     inside = contains(p, a)
-    values = enumerate_progression(p)
-    m_p = mult_dim(values).dimension
+    echelon = Echelon()
+    rows = [factor_fraction(r) for r, j in zip(p.ratios, p.lengths) if j >= 2]
+    m_p = sum(echelon.add(row) is not None for row in rows)
     s = p.rank
     if not inside.contained:
         missing = tuple(

@@ -77,6 +77,15 @@ def test_factor_int_budget_exhaustion():
         factor_int(p * q, trial_bound=100, rho_budget=3)
 
 
+def test_factor_int_splits_composites_beyond_deterministic_range():
+    # the product, near 2^92 > 3.3e24, is shown composite by a Miller-Rabin
+    # witness and split by rho
+    assert factor_int((2**61 - 1) * (2**31 - 1)) == ((2147483647, 1), (2305843009213693951, 1))
+    # a probable prime beyond the range is still refused
+    with pytest.raises(FactorizationBudgetExceeded):
+        factor_int(2**89 - 1)
+
+
 def test_factor_int_rejects_nonpositive():
     with pytest.raises(ValueError):
         factor_int(0)
@@ -167,6 +176,7 @@ def test_mult_dim_projection_is_injective():
     }
     assert len(projected) == len(a)
     assert len(md.projection) == md.dimension or md.dimension == 0
+    assert md.primes == m.primes
 
 
 def test_mult_dim_basis_spans_differences():

@@ -2,6 +2,7 @@
 
 import io
 import json
+from pathlib import Path
 
 import pytest
 
@@ -288,3 +289,22 @@ def test_search_report_thread_independent(tmp_path, capsys):
     assert rc1 == rc8 == 0
     assert out1 == out8
     assert r1.read_bytes() == r2.read_bytes()
+
+
+# --- frozen output bytes -------------------------------------------------------------------
+
+# Each case lists its input files, its argv with {dir} standing for the
+# directory holding them, and the exit code, stdout and --report bytes that
+# the command printed before the subset-sum kernel was unified.  Any change
+# to these bytes is a change of the CLI's output format.
+GOLDEN = json.loads((Path(__file__).with_name("cli_golden.json")).read_text())["cases"]
+
+
+@pytest.mark.parametrize("case", GOLDEN, ids=[c["name"] for c in GOLDEN])
+def test_output_bytes_match_golden(case, tmp_path, capsys):
+    for name, text in case["files"].items():
+        (tmp_path / name).write_text(text, encoding="utf-8")
+    argv = [arg.replace("{dir}", str(tmp_path)) for arg in case["argv"]]
+    rc, out, _ = run(capsys, *argv)
+    assert (rc, out) == (case["rc"], case["stdout"])
+    assert (tmp_path / "report.jsonl").read_bytes() == case["report"].encode("utf-8")

@@ -60,6 +60,10 @@ def test_energy_frozen_values():
     assert energy(fs(1, 2, 3), 2) == 19
     assert energy(fs(1, 2, 3, 6), 2) == 32
     assert energy(fs(2, 4, 8), 2) == 15
+    for h in (1, 2, 3):
+        assert energy(fs(), h) == energy(fs(), h, path="enumerate") == 0
+        assert rep_counts(fs(), h).counts == ()
+        assert weighted_energy(fs(), WeightVector(()), h) == 0
 
 
 def test_energy_paths_agree_with_oracle():

@@ -1,5 +1,6 @@
 """Set parsing, combination, closures, and restricted operations."""
 
+import time
 from fractions import Fraction
 
 import pytest
@@ -167,7 +168,10 @@ def test_sum_diff_examples():
 
 
 def test_small_universe_sweep_all_ops():
-    universe = [Fraction(n) for n in range(1, 11)]
+    # negatives, rationals and wide spans, so that subset and box sums run
+    # both as a bitmask and as a set of ints
+    universe = [Fraction(n) for n in (-7, -1, 1, 2, 3, 9, 10**6, -(10**12))]
+    universe += [Fraction(1, 3), Fraction(-5, 2)]
     for tup in oracles.subsets(universe, 3):
         a = FinSet(tup)
         assert set(combine(a, a, "sum").elements) == oracles.o_combine(tup, tup, "sum")
@@ -175,7 +179,8 @@ def test_small_universe_sweep_all_ops():
             tup, tup, "product"
         )
         assert set(simple_closure(a, "sum").elements) == oracles.o_simple(tup, "sum")
-        assert set(box_sum(a, 2).elements) == oracles.o_box(tup, 2)
+        for h in range(4):
+            assert set(box_sum(a, h).elements) == oracles.o_box(tup, h)
         assert set(sum_diff(a, 2, 1).elements) == oracles.o_sumdiff(tup, 2, 1)
 
 
@@ -280,9 +285,48 @@ def test_simple_sum_closure_contains_box_levels(a):
         assert e in closure
 
 
-@given(st.sets(st.integers(min_value=1, max_value=30), min_size=1, max_size=6))
-@settings(max_examples=40)
-def test_integer_simple_sum_matches_oracle(values):
-    a = FinSet(Fraction(v) for v in values)
-    got = set(simple_closure(a, "sum").elements)
-    assert got == oracles.o_simple(a.elements, "sum")
+mixed_values = st.one_of(
+    st.integers(min_value=-40, max_value=40),
+    st.fractions(min_value=-20, max_value=20, max_denominator=12),
+    st.integers(min_value=-(10**12), max_value=10**12),
+)
+
+
+@given(st.sets(mixed_values, max_size=6), st.integers(min_value=0, max_value=3))
+@settings(max_examples=60)
+def test_subset_and_box_sums_match_oracle(values, h):
+    a = FinSet(values)
+    assert set(simple_closure(a, "sum").elements) == oracles.o_simple(a.elements, "sum")
+    assert set(box_sum(a, h).elements) == oracles.o_box(a.elements, h)
+
+
+def test_subset_sums_of_a_wide_span_are_fast():
+    start = time.perf_counter()
+    assert simple_closure(fs(1, 10**7), "sum") == fs(0, 1, 10**7, 10**7 + 1)
+    assert box_sum(fs(1, 10**12), 2).size == 9
+    assert time.perf_counter() - start < 1
+
+
+@pytest.mark.parametrize(
+    "values, h",
+    [
+        ((1, 2, 4, 8), 1),  # 16 sums in a 16-bit mask
+        ((-3, Fraction(1, 2), 5), 2),  # a narrow mask after scaling and folding
+        ((1, 10**6, 10**12), 1),  # too wide for a mask: a set of ints
+        ((Fraction(1, 7), -(10**9)), 3),  # wide after scaling: a set of ints
+    ],
+)
+def test_sum_kernels_raise_exactly_above_the_cap(monkeypatch, values, h):
+    a = fs(*values)
+    size = len(oracles.o_box(a.elements, h))
+    for budget, raises in ((size - 1, True), (size, False)):
+        monkeypatch.setenv("SUMPROD_BUDGET", str(budget))
+        kernels = [lambda: box_sum(a, h)]
+        if h == 1:
+            kernels.append(lambda: simple_closure(a, "sum"))
+        for kernel in kernels:
+            if raises:
+                with pytest.raises(CapExceeded):
+                    kernel()
+            else:
+                assert kernel().size == size

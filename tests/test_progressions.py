@@ -1,5 +1,6 @@
 """Generalized geometric progressions: parsing, membership, dimension chain."""
 
+import time
 from fractions import Fraction
 
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
+from sumprod.arith import mult_dim
 from sumprod.exactset import FinSet
 from sumprod.limits import SetParseError
 from sumprod.progressions import (
@@ -216,3 +218,21 @@ def test_dim_chain_degenerate_progression():
     assert v.witness["set_dim"] == 1
     assert v.witness["progression_dim"] == 1
     assert v.witness["rank"] == 2
+
+
+@given(progression_and_set())
+@settings(max_examples=100, deadline=None)
+def test_dim_chain_progression_dim_matches_enumeration(case):
+    p, a = case
+    v = dim_chain_check(p, a)
+    assert v.witness["progression_dim"] == mult_dim(enumerate_progression(p)).dimension
+
+
+def test_dim_chain_does_not_enumerate_the_progression():
+    # 30^4 nominal values; the ratio rows alone give the dimension
+    p = desc(7, (2, 3, F(5, 2), 7), (30,) * 4)
+    start = time.perf_counter()
+    v = dim_chain_check(p, fs(7, 14))
+    assert time.perf_counter() - start < 1
+    assert v.holds == "true"
+    assert (v.witness["set_dim"], v.witness["progression_dim"], v.witness["rank"]) == (1, 4, 4)
