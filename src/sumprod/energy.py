@@ -2,10 +2,10 @@
 
 The h-fold representation count of n is the number of ordered h-tuples from
 a set summing to n; the energy is the sum of its squares.  Two independent
-exact paths are provided (direct enumeration and polynomial
-self-convolution) plus a floating-point quadrature identity that is exact
-for trigonometric polynomials up to rounding, and the p-adic layer
-decompositions used by the norm inequalities.
+exact paths are provided (direct enumeration, and one integer convolution,
+packed into a big int or kept as a dict) plus a floating-point quadrature
+identity that is exact for trigonometric polynomials up to rounding, and the
+p-adic layer decompositions used by the norm inequalities.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from fractions import Fraction
 from itertools import product
 from math import fsum
 
-from .exactset import FinSet, _scaled_values
+from .exactset import FinSet, _convolve, _scaled_values
 from .limits import check_size
 from .arith import is_prime
 from .verdicts import (
@@ -26,9 +26,6 @@ from .verdicts import (
     power_of,
     verdict_from_compare,
 )
-
-DENSE_RANGE_LIMIT = 2**24
-
 
 @dataclass(frozen=True)
 class RepCounts:
@@ -71,51 +68,12 @@ class WeightVector:
         return len(self.weights)
 
 
-def _convolve_sparse(p: dict[int, object], q: dict[int, object]) -> dict:
-    out: dict = {}
-    for u, cu in p.items():
-        for v, cv in q.items():
-            w = u + v
-            prev = out.get(w)
-            out[w] = cu * cv if prev is None else prev + cu * cv
-    return out
-
-
-def _convolve_dense(p: dict[int, object], q: dict[int, object], zero) -> dict:
-    pmin, pmax = min(p), max(p)
-    qmin, qmax = min(q), max(q)
-    out = [zero] * (pmax + qmax - pmin - qmin + 1)
-    base = pmin + qmin
-    for u, cu in p.items():
-        ou = u - pmin
-        for v, cv in q.items():
-            out[ou + v - qmin] += cu * cv
-    return {base + i: c for i, c in enumerate(out) if c}
-
-
-def _self_convolve(values: list[int], weights: list, h: int) -> dict:
-    """Coefficients of (sum_i w_i X^{v_i})^h keyed by exponent."""
-    zero = weights[0] * 0 if weights else 0
-    poly: dict[int, object] = {}
-    for v, w in zip(values, weights):
-        poly[v] = poly.get(v, zero) + w
-    result = poly
-    span = max(values) - min(values) if values else 0
-    dense = span * h <= DENSE_RANGE_LIMIT
-    for _ in range(h - 1):
-        if dense and span:
-            result = _convolve_dense(result, poly, zero)
-        else:
-            result = _convolve_sparse(result, poly)
-    return result
-
-
 def rep_counts(a: FinSet, h: int) -> RepCounts:
     """Exact h-fold representation counts by polynomial self-convolution."""
     if h < 1:
         raise ValueError(f"fold count must be >= 1, got {h}")
-    values, scale = _scaled_values(a)
-    conv = _self_convolve(values, [1] * len(values), h)
+    (values,), scale = _scaled_values(a)
+    conv = _convolve([dict.fromkeys(values, 1)] * h, "representation counts")
     counts = tuple(
         (Fraction(v, scale), c) for v, c in sorted(conv.items())
     )
@@ -131,8 +89,8 @@ def energy(a: FinSet, h: int, path: str = "convolve") -> int:
     if h < 1:
         raise ValueError(f"fold count must be >= 1, got {h}")
     if path == "convolve":
-        values, _ = _scaled_values(a)
-        conv = _self_convolve(values, [1] * len(values), h)
+        (values,), _ = _scaled_values(a)
+        conv = _convolve([dict.fromkeys(values, 1)] * h, "energy convolution")
         return sum(c * c for c in conv.values())
     if path == "enumerate":
         if a.size:
@@ -151,9 +109,10 @@ def weighted_energy(a: FinSet, d: WeightVector, h: int) -> Fraction:
         raise ValueError(f"fold count must be >= 1, got {h}")
     if len(d) != a.size:
         raise ValueError(f"{len(d)} weights for a set of size {a.size}")
-    values, _ = _scaled_values(a)
-    conv = _self_convolve(values, list(d.weights), h)
-    return sum((c * c for c in conv.values()), Fraction(0))
+    (values,), _ = _scaled_values(a)
+    (ints,), den = _scaled_values(d.weights)
+    conv = _convolve([{v: w for v, w in zip(values, ints) if w}] * h, "weighted energy")
+    return Fraction(sum(c * c for c in conv.values()), den ** (2 * h))
 
 
 def quadrature_energy(a: FinSet, h: int, d: WeightVector | None = None) -> float:

@@ -11,7 +11,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import count
-from math import lcm
+from math import lcm, prod
 from struct import iter_unpack
 from typing import Iterable, Iterator, Literal
 
@@ -154,11 +154,10 @@ def _require_positive_integers(a: FinSet, who: str) -> None:
 def combine(a: FinSet, b: FinSet, op: Op) -> FinSet:
     """Pairwise sum set or product set of two sets."""
     _check_op(op)
-    if op == "product":
-        _require_nonzero(a, b)
-        values = {x * y for x in a for y in b}
-    else:
-        values = {x + y for x in a for y in b}
+    if op == "sum":
+        return _sumset([a, b], "combine result")
+    _require_nonzero(a, b)
+    values = {x * y for x in a for y in b}
     check_size(len(values), "combine result")
     return FinSet(values)
 
@@ -170,6 +169,8 @@ def iterate(a: FinSet, h: int, op: Op) -> FinSet:
         raise ValueError(f"fold count must be >= 1, got {h}")
     if op == "product":
         _require_nonzero(a)
+    elif h > 1:  # h = 1 returns a itself, never checked against the cap
+        return _sumset([a] * h, "combine result")
     current = a
     for _ in range(h - 1):
         current = combine(current, a, op)
@@ -184,10 +185,10 @@ def dilate(q: Fraction | int, a: FinSet) -> FinSet:
     return FinSet(q * x for x in a)
 
 
-def _scaled_values(a: FinSet) -> tuple[list[int], int]:
-    """Clear denominators: integer values v with element = v / scale."""
-    scale = lcm(*(e.denominator for e in a))
-    return [e.numerator * (scale // e.denominator) for e in a], scale
+def _scaled_values(*groups: Iterable[Fraction]) -> tuple[list[list[int]], int]:
+    """Clear denominators by one scale: per group, the ints v = element * scale."""
+    scale = lcm(*(e.denominator for g in groups for e in g))
+    return [[e.numerator * (scale // e.denominator) for e in g] for g in groups], scale
 
 
 def _bit_positions(bits: int) -> Iterator[int]:
@@ -200,6 +201,63 @@ def _bit_positions(bits: int) -> Iterator[int]:
             word ^= low
 
 
+def _from_scaled(values: Iterable[int], scale: int) -> FinSet:
+    """The set of v / scale; sorting the ints first leaves FinSet one pass."""
+    ordered = sorted(values)
+    return FinSet(ordered if scale == 1 else (Fraction(v, scale) for v in ordered))
+
+
+def _packs(cost: int, values: int) -> bool:
+    """Whether big-int work of `cost` bits, or word products, is at most 64 per
+    value that a result can hold, or per value the cap allows if that is fewer."""
+    return cost <= 64 * min(values, size_cap())
+
+
+def _convolve(factors: list[dict[int, int]], what: str) -> dict[int, int]:
+    """The product of polynomials given as {exponent: positive count}.
+
+    Packed by Kronecker substitution, each factor one big int with a 1, 2, 4 or
+    8 byte little-endian slot per exponent, when `_packs` passes the cost of
+    multiplying them; else convolved as dicts.  The cap bounds the nonzero
+    coefficients of the product, and of each partial product of the dicts.
+    """
+    if not all(factors):
+        return {}
+    lows = [min(f) for f in factors]
+    slots = 1 + sum(max(f) - low for f, low in zip(factors, lows))
+    # 2**k bytes per slot hold the largest count: every term in one slot
+    k = ((prod(sum(f.values()) for f in factors).bit_length() - 1) // 8).bit_length()
+    size = 1 << k
+    # Karatsuba triples the word products each time it halves a product
+    cost = 3 ** (slots * size // 8).bit_length()
+    if k > 3 or not _packs(cost, prod(map(len, factors))):
+        result = {0: 1}
+        for f in factors:
+            out: dict[int, int] = {}
+            for u, cu in result.items():
+                for v, cv in f.items():
+                    out[u + v] = out.get(u + v, 0) + cu * cv
+            result = out
+            check_size(len(result), what)
+        return result
+    packed = 1
+    for f, low in zip(factors, lows):
+        buf = bytearray(size * (max(f) - low + 1))
+        for e, c in f.items():
+            buf[size * (e - low) : size * (e - low + 1)] = c.to_bytes(size, "little")
+        packed *= int.from_bytes(buf, "little")
+    slot_values = iter_unpack("<" + "BHIQ"[k], packed.to_bytes(size * slots, "little"))
+    result = {sum(lows) + i: c for i, (c,) in enumerate(slot_values) if c}
+    check_size(len(result), what)
+    return result
+
+
+def _sumset(sets: list[FinSet], what: str) -> FinSet:
+    """All x_1 + ... + x_m with each x_i in sets[i]; no sets give {0}."""
+    scaled, scale = _scaled_values(*sets)
+    return _from_scaled(_convolve([dict.fromkeys(v, 1) for v in scaled], what), scale)
+
+
 def _box_sums(a: FinSet, h: int, what: str) -> FinSet:
     """All sums of c_i * a_i with every c_i in 0..h, on integers.
 
@@ -209,13 +267,11 @@ def _box_sums(a: FinSet, h: int, what: str) -> FinSet:
     needs at most 64 bits per value the coefficients and the cap allow,
     else as a set of ints.  The cap is checked after every element.
     """
-    values, scale = _scaled_values(a)
+    (values,), scale = _scaled_values(a)
     offset = h * sum(v for v in values if v < 0)
     steps = [abs(v) for v in values]
-    cap = size_cap()
     # (h+1)^k > cap once k reaches cap's bit length, so k stays small
-    most = min((h + 1) ** min(len(steps), cap.bit_length()), cap)
-    if h * sum(steps) <= 64 * most:
+    if _packs(h * sum(steps), (h + 1) ** min(len(steps), size_cap().bit_length())):
         bits = 1
         for step in steps:
             # {0..left} = {0..left-take} + {0, take}: O(log h) shifts
@@ -231,9 +287,7 @@ def _box_sums(a: FinSet, h: int, what: str) -> FinSet:
         for step in steps:
             sums = {s + j * step for s in sums for j in range(h + 1)}
             check_size(len(sums), what)
-    if scale == 1:
-        return FinSet(offset + s for s in sums)
-    return FinSet(Fraction(offset + s, scale) for s in sums)
+    return _from_scaled((offset + s for s in sums), scale)
 
 
 def simple_closure(a: FinSet, op: Op) -> FinSet:
@@ -267,13 +321,7 @@ def sum_diff(n: FinSet, h: int, l: int) -> FinSet:
     """
     if h < 0 or l < 0:
         raise ValueError("fold counts must be >= 0")
-    if h == 0 and l == 0:
-        return FinSet([0])
-    plus = iterate(n, h, "sum") if h > 0 else FinSet([0])
-    minus = iterate(n, l, "sum") if l > 0 else FinSet([0])
-    values = {p - m for p in plus for m in minus}
-    check_size(len(values), "signed sumset")
-    return FinSet(values)
+    return _sumset([n] * h + [dilate(-1, n)] * l, "signed sumset")
 
 
 @dataclass(frozen=True)

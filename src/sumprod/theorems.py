@@ -26,7 +26,7 @@ from .limits import check_size
 from .arith import mult_dim
 from .energy import WeightVector, energy, weighted_energy
 from .extremal import f_value
-from .verdicts import Verdict, log_of, power_of, unmet, verdict_from_compare
+from .verdicts import Verdict, compare, log_of, power_of, unmet, verdict_from_compare
 
 
 def fold_constant(h: int) -> int:
@@ -325,14 +325,6 @@ def dim_budget_diagnostic(k: int, eps1: Fraction, m: int) -> dict:
     ln_k = log_of(k)
     ln_ln_k = log_of(ln_k)
     budget = (Fraction(1, 4) - eps1 / 2) * (ln_k / ln_ln_k)
-    dim_side = m + 1
-    margin = budget - dim_side
-    if margin.lo > 0:
-        condition = "true"
-    elif margin.hi < 0:
-        condition = "false"
-    else:
-        condition = "inconclusive"
     sqrt2 = power_of(2, Fraction(1, 2))
     ratio = ln_k / sqrt2
     floor_lo = ratio.lo.__floor__()
@@ -342,9 +334,9 @@ def dim_budget_diagnostic(k: int, eps1: Fraction, m: int) -> dict:
     exponent = eps1 * floor_lo
     growth_floor = power_of(k, exponent)
     return {
-        "dim_side": dim_side,
+        "dim_side": m + 1,
         "dim_budget": budget,
-        "dim_condition": condition,
+        "dim_condition": compare(budget, m + 1, ">", band=Fraction(0)),
         "growth_floor": growth_floor,
         "growth_exponent": exponent,
     }

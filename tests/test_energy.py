@@ -1,6 +1,9 @@
 """Representation counts, additive energy, and layer decompositions."""
 
+import random
+import time
 from fractions import Fraction
+from math import comb
 
 import pytest
 from hypothesis import given, settings
@@ -18,6 +21,7 @@ from sumprod.energy import (
     weighted_energy,
 )
 from sumprod.exactset import FinSet, dilate
+from sumprod.limits import CapExceeded
 
 
 def fs(*values) -> FinSet:
@@ -77,6 +81,22 @@ def test_energy_paths_agree_with_oracle():
 def test_energy_rational_elements():
     a = fs(Fraction(1, 2), Fraction(3, 2), 2)
     assert energy(a, 2, path="convolve") == energy(a, 2, path="enumerate")
+
+
+def test_counts_past_64_bits():
+    # every count of (X + X^2)^70 is a binomial coefficient, the middle one > 2^64
+    assert energy(fs(1, 2), 70) == comb(140, 70)
+    row = rep_counts(fs(0, 1), 70).as_dict()
+    assert row == {Fraction(k): comb(70, k) for k in range(71)}
+
+
+def test_energy_of_a_wide_set_fails_fast_over_the_cap(monkeypatch):
+    monkeypatch.setenv("SUMPROD_BUDGET", "1000")
+    a = FinSet(random.Random(4).sample(range(1, 10**12), 3000))
+    start = time.perf_counter()
+    with pytest.raises(CapExceeded):
+        energy(a, 2)
+    assert time.perf_counter() - start < 1
 
 
 def test_energy_rejects_bad_arguments():

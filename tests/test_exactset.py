@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
+from sumprod.energy import WeightVector, energy, rep_counts, weighted_energy
 from sumprod.exactset import (
     FinSet,
     PairGraph,
@@ -182,6 +183,16 @@ def test_small_universe_sweep_all_ops():
         for h in range(4):
             assert set(box_sum(a, h).elements) == oracles.o_box(tup, h)
         assert set(sum_diff(a, 2, 1).elements) == oracles.o_sumdiff(tup, 2, 1)
+        # spans up to 10^12 send the convolution to dicts, the rest packs it
+        weights = [Fraction(j + 1, 3 - j % 2) for j in range(a.size)]
+        by_elem = dict(zip(a.elements, weights))
+        for h in range(1, 4):
+            assert set(iterate(a, h, "sum").elements) == oracles.o_iterate(tup, h, "sum")
+            assert rep_counts(a, h).as_dict() == oracles.o_rep_counts(tup, h)
+            assert energy(a, h) == oracles.o_energy(tup, h)
+            assert weighted_energy(a, WeightVector(weights), h) == (
+                oracles.o_weighted_energy(tup, by_elem, h)
+            )
 
 
 # --- caps ---------------------------------------------------------------------
@@ -314,19 +325,27 @@ def test_subset_sums_of_a_wide_span_are_fast():
         ((-3, Fraction(1, 2), 5), 2),  # a narrow mask after scaling and folding
         ((1, 10**6, 10**12), 1),  # too wide for a mask: a set of ints
         ((Fraction(1, 7), -(10**9)), 3),  # wide after scaling: a set of ints
+        ((-(10**400), 1, 3), 2),  # a span no float can hold
     ],
 )
 def test_sum_kernels_raise_exactly_above_the_cap(monkeypatch, values, h):
     a = fs(*values)
-    size = len(oracles.o_box(a.elements, h))
-    for budget, raises in ((size - 1, True), (size, False)):
-        monkeypatch.setenv("SUMPROD_BUDGET", str(budget))
-        kernels = [lambda: box_sum(a, h)]
-        if h == 1:
-            kernels.append(lambda: simple_closure(a, "sum"))
-        for kernel in kernels:
+    e = a.elements
+    # iterate is asked for h + 1 >= 2 folds: one fold returns the set unchecked
+    kernels = [
+        (lambda: box_sum(a, h).size, oracles.o_box(e, h)),
+        (lambda: combine(a, a, "sum").size, oracles.o_combine(e, e, "sum")),
+        (lambda: iterate(a, h + 1, "sum").size, oracles.o_iterate(e, h + 1, "sum")),
+        (lambda: sum_diff(a, h, 1).size, oracles.o_sumdiff(e, h, 1)),
+        (lambda: len(rep_counts(a, h + 1).counts), oracles.o_iterate(e, h + 1, "sum")),
+    ]
+    if h == 1:
+        kernels.append((lambda: simple_closure(a, "sum").size, oracles.o_simple(e, "sum")))
+    for kernel, want in kernels:
+        for budget, raises in ((len(want) - 1, True), (len(want), False)):
+            monkeypatch.setenv("SUMPROD_BUDGET", str(budget))
             if raises:
                 with pytest.raises(CapExceeded):
                     kernel()
             else:
-                assert kernel().size == size
+                assert kernel() == len(want)

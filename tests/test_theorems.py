@@ -325,6 +325,19 @@ def test_dim_budget_diagnostic_shape():
     assert out["dim_condition"] in ("true", "false", "inconclusive")
 
 
+def test_dim_budget_conditions_frozen():
+    # first letters of dim_condition for m = 0..5, per (k, eps1)
+    got = [
+        "".join(dim_budget_diagnostic(k, e, m)["dim_condition"][0] for m in range(6))
+        for k in (3, 10, 100, 10**6, 10**30, 10**300)
+        for e in (F(1, 100), F(1, 4), F(1, 2))
+    ]
+    assert " ".join(got) == (
+        "ttffff tfffff ffffff ffffff ffffff ffffff ffffff ffffff ffffff "
+        "tfffff ffffff ffffff tttfff ttffff ffffff tttttt tttttt ffffff"
+    )
+
+
 def test_dim_budget_diagnostic_monotone_in_m():
     # the budget side depends only on k and eps1, the dim side only on m
     lo = dim_budget_diagnostic(1000, F(1, 10), 2)
