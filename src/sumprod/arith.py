@@ -304,7 +304,7 @@ def mult_dim(a: FinSet) -> MultDim:
             basis.append(tuple([diff.get(p, 0) for p in primes]))
     return MultDim(
         dimension=len(basis),
-        basepoint=a.elements[0],
+        basepoint=a.min(),
         primes=primes,
         basis=tuple(basis),
         projection=tuple(i for i, p in enumerate(primes) if p in echelon.pivots),

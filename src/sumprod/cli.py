@@ -99,7 +99,7 @@ def _write_report(path: str, objects: list[dict]) -> None:
 
 
 def _set_report(kind: str, fs: FinSet, **extra) -> dict:
-    obj = {"kind": kind, "size": fs.size, "elements": [str(e) for e in fs]}
+    obj = {"kind": kind, "size": fs.size, "elements": list(fs._strings())}
     obj.update(extra)
     return obj
 

@@ -14,9 +14,9 @@ import cmath
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
-from math import fsum
+from math import fsum, lcm
 
-from .exactset import FinSet, _convolve, _scaled_values
+from .exactset import FinSet, _convolve
 from .limits import check_size
 from .arith import is_prime
 from .verdicts import (
@@ -72,11 +72,8 @@ def rep_counts(a: FinSet, h: int) -> RepCounts:
     """Exact h-fold representation counts by polynomial self-convolution."""
     if h < 1:
         raise ValueError(f"fold count must be >= 1, got {h}")
-    (values,), scale = _scaled_values(a)
-    conv = _convolve([dict.fromkeys(values, 1)] * h, "representation counts")
-    counts = tuple(
-        (Fraction(v, scale), c) for v, c in sorted(conv.items())
-    )
+    conv = _convolve([dict.fromkeys(a._ints, 1)] * h, "representation counts")
+    counts = tuple((Fraction(v, a._scale), c) for v, c in sorted(conv.items()))
     return RepCounts(base=a, h=h, counts=counts)
 
 
@@ -89,8 +86,7 @@ def energy(a: FinSet, h: int, path: str = "convolve") -> int:
     if h < 1:
         raise ValueError(f"fold count must be >= 1, got {h}")
     if path == "convolve":
-        (values,), _ = _scaled_values(a)
-        conv = _convolve([dict.fromkeys(values, 1)] * h, "energy convolution")
+        conv = _convolve([dict.fromkeys(a._ints, 1)] * h, "energy convolution")
         return sum(c * c for c in conv.values())
     if path == "enumerate":
         if a.size:
@@ -109,9 +105,9 @@ def weighted_energy(a: FinSet, d: WeightVector, h: int) -> Fraction:
         raise ValueError(f"fold count must be >= 1, got {h}")
     if len(d) != a.size:
         raise ValueError(f"{len(d)} weights for a set of size {a.size}")
-    (values,), _ = _scaled_values(a)
-    (ints,), den = _scaled_values(d.weights)
-    conv = _convolve([{v: w for v, w in zip(values, ints) if w}] * h, "weighted energy")
+    den = lcm(*(w.denominator for w in d.weights))
+    scaled = {v: w.numerator * (den // w.denominator) for v, w in zip(a._ints, d.weights) if w}
+    conv = _convolve([scaled] * h, "weighted energy")
     return Fraction(sum(c * c for c in conv.values()), den ** (2 * h))
 
 
@@ -133,7 +129,7 @@ def quadrature_energy(a: FinSet, h: int, d: WeightVector | None = None) -> float
         d = WeightVector.ones(a.size)
     if len(d) != a.size:
         raise ValueError(f"{len(d)} weights for a set of size {a.size}")
-    values = [int(e) for e in a]
+    values = a._ints
     weights = [float(w) for w in d.weights]
     m = 2 * h * max(values) + 1
     roots = [cmath.exp(2j * cmath.pi * t / m) for t in range(m)]
@@ -178,8 +174,7 @@ def layer_partition(a: FinSet, primes: tuple[int, ...] | list[int]) -> LayerDeco
         if not is_prime(p):
             raise ValueError(f"{p} is not prime")
     buckets: dict[tuple[int, ...], list[int]] = {}
-    for e in a:
-        n = int(e)
+    for n in a._ints:
         key = tuple(_valuation(n, p) for p in primes)
         buckets.setdefault(key, []).append(n)
     layers = tuple(

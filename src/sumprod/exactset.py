@@ -1,8 +1,8 @@
 """Exact finite-set arithmetic over the rationals.
 
 Sum sets, product sets, iterated and restricted versions, dilations,
-subset-sum/product closures, and bounded-coefficient box sums.  Every value
-is a `fractions.Fraction`; no floating point enters at any stage.
+subset-sum/product closures, and bounded-coefficient box sums, computed on
+integers over one common denominator; no floating point enters at any stage.
 """
 
 from __future__ import annotations
@@ -10,8 +10,8 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import count
-from math import lcm, prod
+from itertools import count, repeat
+from math import gcd, lcm, prod
 from struct import iter_unpack
 from typing import Iterable, Iterator, Literal
 
@@ -43,77 +43,93 @@ def parse_token(token: str) -> Fraction:
 class FinSet:
     """Immutable finite set of rationals, kept sorted ascending.
 
-    Construction deduplicates.  Equality and hashing follow the element
-    tuple, so two FinSets built from the same values in any order compare
-    equal.
+    Stored as `_scale`, the least common denominator, and `_ints`, the sorted
+    integers element * scale; equality and hashing follow that pair, and the
+    elements are Fractions derived on access.
     """
 
-    __slots__ = ("_elements",)
+    __slots__ = ("_scale", "_ints")
 
     def __init__(self, elements: Iterable[Fraction | int]) -> None:
-        collected = set()
+        values = set()
         for e in elements:
             if isinstance(e, float):
                 raise TypeError("floats are not exact; pass Fraction or int")
-            collected.add(Fraction(e))
-        object.__setattr__(self, "_elements", tuple(sorted(collected)))
+            values.add(e if isinstance(e, (int, Fraction)) else Fraction(e))
+        scale = lcm(*(v.denominator for v in values))
+        ints = tuple(sorted(v.numerator * (scale // v.denominator) for v in values))
+        object.__setattr__(self, "_scale", scale)
+        object.__setattr__(self, "_ints", ints)
 
     @property
     def elements(self) -> tuple[Fraction, ...]:
-        return self._elements
+        return tuple(self)
 
     @property
     def size(self) -> int:
-        return len(self._elements)
+        return len(self._ints)
 
     @property
     def is_positive(self) -> bool:
-        return all(e > 0 for e in self._elements)
+        return not self._ints or self._ints[0] > 0
 
     @property
     def is_integer(self) -> bool:
-        return all(e.denominator == 1 for e in self._elements)
+        return self._scale == 1
 
     def __len__(self) -> int:
-        return len(self._elements)
+        return len(self._ints)
 
     def __iter__(self) -> Iterator[Fraction]:
-        return iter(self._elements)
+        return map(Fraction, self._ints, repeat(self._scale))
 
     def __contains__(self, value: object) -> bool:
         try:
-            return Fraction(value) in self._elements  # type: ignore[arg-type]
+            return Fraction(value) * self._scale in self._ints  # type: ignore[arg-type]
         except (TypeError, ValueError):
             return False
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, FinSet):
             return NotImplemented
-        return self._elements == other._elements
+        return self._scale == other._scale and self._ints == other._ints
 
     def __hash__(self) -> int:
-        return hash(self._elements)
+        return hash((self._scale, self._ints))
 
     def __repr__(self) -> str:
-        inner = ", ".join(str(e) for e in self._elements)
-        return f"FinSet({{{inner}}})"
+        return f"FinSet({{{', '.join(self._strings())}}})"
 
     def __setattr__(self, name: str, value) -> None:
         raise AttributeError("FinSet is immutable")
 
     def min(self) -> Fraction:
-        if not self._elements:
+        if not self._ints:
             raise ValueError("empty set has no minimum")
-        return self._elements[0]
+        return Fraction(self._ints[0], self._scale)
 
     def max(self) -> Fraction:
-        if not self._elements:
+        if not self._ints:
             raise ValueError("empty set has no maximum")
-        return self._elements[-1]
+        return Fraction(self._ints[-1], self._scale)
 
     def to_lines(self) -> str:
         """One element per line, the same format parse_set accepts."""
-        return "\n".join(str(e) for e in self._elements)
+        return "\n".join(self._strings())
+
+    def _strings(self) -> Iterator[str]:
+        """The elements as printed; an integer set prints its ints directly."""
+        return map(str, self._ints if self._scale == 1 else self)
+
+
+def _from_ints(values: Iterable[int], scale: int) -> FinSet:
+    """The set of v / scale for distinct ints v, with gcd(scale, *v) divided out."""
+    ints = sorted(values)
+    g = gcd(scale, *ints) if scale > 1 else 1
+    fs = object.__new__(FinSet)
+    object.__setattr__(fs, "_scale", scale // g)
+    object.__setattr__(fs, "_ints", tuple(ints) if g == 1 else tuple(v // g for v in ints))
+    return fs
 
 
 def parse_set(text: str) -> tuple[FinSet, int]:
@@ -157,9 +173,9 @@ def combine(a: FinSet, b: FinSet, op: Op) -> FinSet:
     if op == "sum":
         return _sumset([a, b], "combine result")
     _require_nonzero(a, b)
-    values = {x * y for x in a for y in b}
+    values = {x * y for x in a._ints for y in b._ints}
     check_size(len(values), "combine result")
-    return FinSet(values)
+    return _from_ints(values, a._scale * b._scale)
 
 
 def iterate(a: FinSet, h: int, op: Op) -> FinSet:
@@ -182,13 +198,7 @@ def dilate(q: Fraction | int, a: FinSet) -> FinSet:
     q = Fraction(q)
     if q == 0:
         raise ValueError("dilation factor must be nonzero")
-    return FinSet(q * x for x in a)
-
-
-def _scaled_values(*groups: Iterable[Fraction]) -> tuple[list[list[int]], int]:
-    """Clear denominators by one scale: per group, the ints v = element * scale."""
-    scale = lcm(*(e.denominator for g in groups for e in g))
-    return [[e.numerator * (scale // e.denominator) for e in g] for g in groups], scale
+    return _from_ints((v * q.numerator for v in a._ints), a._scale * q.denominator)
 
 
 def _bit_positions(bits: int) -> Iterator[int]:
@@ -199,12 +209,6 @@ def _bit_positions(bits: int) -> Iterator[int]:
             low = word & -word
             yield base + low.bit_length() - 1
             word ^= low
-
-
-def _from_scaled(values: Iterable[int], scale: int) -> FinSet:
-    """The set of v / scale; sorting the ints first leaves FinSet one pass."""
-    ordered = sorted(values)
-    return FinSet(ordered if scale == 1 else (Fraction(v, scale) for v in ordered))
 
 
 def _packs(cost: int, values: int) -> bool:
@@ -225,8 +229,10 @@ def _convolve(factors: list[dict[int, int]], what: str) -> dict[int, int]:
         return {}
     lows = [min(f) for f in factors]
     slots = 1 + sum(max(f) - low for f, low in zip(factors, lows))
-    # 2**k bytes per slot hold the largest count: every term in one slot
-    k = ((prod(sum(f.values()) for f in factors).bit_length() - 1) // 8).bit_length()
+    # 2**k bytes per slot hold the largest count, at most max(f_j) * other totals
+    totals = [sum(f.values()) for f in factors]
+    top = min((max(f.values()) * prod(totals) // t for f, t in zip(factors, totals)), default=1)
+    k = ((top.bit_length() - 1) // 8).bit_length()
     size = 1 << k
     # Karatsuba triples the word products each time it halves a product
     cost = 3 ** (slots * size // 8).bit_length()
@@ -254,22 +260,22 @@ def _convolve(factors: list[dict[int, int]], what: str) -> dict[int, int]:
 
 def _sumset(sets: list[FinSet], what: str) -> FinSet:
     """All x_1 + ... + x_m with each x_i in sets[i]; no sets give {0}."""
-    scaled, scale = _scaled_values(*sets)
-    return _from_scaled(_convolve([dict.fromkeys(v, 1) for v in scaled], what), scale)
+    scale = lcm(*(s._scale for s in sets))
+    factors = [dict.fromkeys((v * (scale // s._scale) for v in s._ints), 1) for s in sets]
+    return _from_ints(_convolve(factors, what), scale)
 
 
 def _box_sums(a: FinSet, h: int, what: str) -> FinSet:
     """All sums of c_i * a_i with every c_i in 0..h, on integers.
 
-    Denominators are cleared by one scale and a negative v enters as
+    The set's ints v over its scale are summed, and a negative v enters as
     h*v + c*|v|, leaving an offset plus sums of non-negative steps.  These
     are kept as a big-int bitmask (bit s set iff s is reachable) when it
     needs at most 64 bits per value the coefficients and the cap allow,
     else as a set of ints.  The cap is checked after every element.
     """
-    (values,), scale = _scaled_values(a)
-    offset = h * sum(v for v in values if v < 0)
-    steps = [abs(v) for v in values]
+    offset = h * sum(v for v in a._ints if v < 0)
+    steps = [abs(v) for v in a._ints]
     # (h+1)^k > cap once k reaches cap's bit length, so k stays small
     if _packs(h * sum(steps), (h + 1) ** min(len(steps), size_cap().bit_length())):
         bits = 1
@@ -287,7 +293,7 @@ def _box_sums(a: FinSet, h: int, what: str) -> FinSet:
         for step in steps:
             sums = {s + j * step for s in sums for j in range(h + 1)}
             check_size(len(sums), what)
-    return _from_scaled((offset + s for s in sums), scale)
+    return _from_ints((offset + s for s in sums), a._scale)
 
 
 def simple_closure(a: FinSet, op: Op) -> FinSet:
@@ -300,11 +306,13 @@ def simple_closure(a: FinSet, op: Op) -> FinSet:
     if op == "sum":
         return _box_sums(a, 1, "simple sum closure")
     _require_nonzero(a)
-    frontier = {Fraction(1)}
-    for e in a:
-        frontier |= {v * e for v in frontier}
+    # a left-out element contributes the scale: all products are over scale^|a|
+    scale = a._scale
+    frontier = {1}
+    for v in a._ints:
+        frontier = {u * t for u in frontier for t in (scale, v)}
         check_size(len(frontier), "simple closure")
-    return FinSet(frontier)
+    return _from_ints(frontier, scale ** a.size)
 
 
 def box_sum(a: FinSet, h: int) -> FinSet:
@@ -377,11 +385,12 @@ def restricted_combine(a: FinSet, graph: PairGraph, op: Op) -> FinSet:
     _check_op(op)
     if graph.ground != a:
         raise ValueError("graph ground set differs from the operand set")
-    elems = a.elements
+    ints, scale = a._ints, a._scale
     if op == "product":
         _require_nonzero(a)
-        values = {elems[i] * elems[j] for i, j in graph.pairs}
+        values = {ints[i] * ints[j] for i, j in graph.pairs}
+        scale *= scale
     else:
-        values = {elems[i] + elems[j] for i, j in graph.pairs}
+        values = {ints[i] + ints[j] for i, j in graph.pairs}
     check_size(len(values), "restricted combine")
-    return FinSet(values)
+    return _from_ints(values, scale)

@@ -62,7 +62,7 @@ def es_example(j: int) -> FinSet:
 def f_value(a: FinSet) -> int:
     """|2A u A*A| exactly."""
     _require_positive_integers(a, "the f objective")
-    return _f_tuple(tuple(int(e) for e in a))
+    return _f_tuple(a._ints)
 
 
 def g_value(a: FinSet) -> int:

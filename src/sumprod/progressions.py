@@ -190,7 +190,6 @@ def dim_chain_check(p: ProgressionDesc, a: FinSet) -> Verdict:
     witness = {"set_dim": m_a, "progression_dim": m_p, "rank": s}
     return Verdict(
         name="progression.dim_chain",
-        hypothesis_met=True,
         lhs=m_a,
         rhs=s,
         holds="true" if chain_ok else "false",

@@ -223,13 +223,12 @@ class Verdict:
     """Outcome of one checked claim.
 
     holds is one of "true", "false", "inconclusive", "hypothesis-not-met";
-    the last is forced whenever hypothesis_met is False.  lhs and rhs are
+    hypothesis_met is False exactly for the last.  lhs and rhs are
     the compared quantities (exact values or enclosures); witness carries
     whatever supporting data the checker chose to expose.
     """
 
     name: str
-    hypothesis_met: bool
     lhs: Any
     rhs: Any
     holds: str
@@ -238,10 +237,10 @@ class Verdict:
     def __post_init__(self) -> None:
         if self.holds not in _STATUSES:
             raise ValueError(f"bad holds value {self.holds!r}")
-        if not self.hypothesis_met and self.holds != HYPOTHESIS_NOT_MET:
-            raise ValueError("an unmet hypothesis forces holds='hypothesis-not-met'")
-        if self.hypothesis_met and self.holds == HYPOTHESIS_NOT_MET:
-            raise ValueError("holds='hypothesis-not-met' needs hypothesis_met=False")
+
+    @property
+    def hypothesis_met(self) -> bool:
+        return self.holds != HYPOTHESIS_NOT_MET
 
 
 def verdict_from_compare(
@@ -254,7 +253,6 @@ def verdict_from_compare(
 ) -> Verdict:
     return Verdict(
         name=name,
-        hypothesis_met=True,
         lhs=lhs,
         rhs=rhs,
         holds=compare(lhs, rhs, relation, band),
@@ -265,7 +263,6 @@ def verdict_from_compare(
 def unmet(name: str, lhs, rhs, witness: Mapping[str, Any] | None = None) -> Verdict:
     return Verdict(
         name=name,
-        hypothesis_met=False,
         lhs=lhs,
         rhs=rhs,
         holds=HYPOTHESIS_NOT_MET,

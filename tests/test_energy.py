@@ -90,6 +90,16 @@ def test_counts_past_64_bits():
     assert row == {Fraction(k): comb(70, k) for k in range(71)}
 
 
+@pytest.mark.parametrize("n", [255, 256])
+def test_counts_at_the_byte_boundary(n):
+    # the largest count of {0..n-1} at h = 2 is n: one byte holds 255, not 256
+    a = FinSet(range(n))
+    counts = rep_counts(a, 2).as_dict()
+    assert max(counts.values()) == n
+    assert counts == oracles.o_rep_counts(a.elements, 2)
+    assert energy(a, 2) == oracles.o_energy(a.elements, 2)
+
+
 def test_energy_of_a_wide_set_fails_fast_over_the_cap(monkeypatch):
     monkeypatch.setenv("SUMPROD_BUDGET", "1000")
     a = FinSet(random.Random(4).sample(range(1, 10**12), 3000))

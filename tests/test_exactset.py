@@ -4,7 +4,7 @@ import time
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
@@ -87,7 +87,7 @@ def test_finset_coerces_ints_rejects_floats():
 def test_finset_immutable():
     s = fs(1)
     with pytest.raises(AttributeError):
-        s._elements = ()
+        s._ints = ()
 
 
 def test_finset_membership_and_minmax():
@@ -309,6 +309,65 @@ def test_subset_and_box_sums_match_oracle(values, h):
     a = FinSet(values)
     assert set(simple_closure(a, "sum").elements) == oracles.o_simple(a.elements, "sum")
     assert set(box_sum(a, h).elements) == oracles.o_box(a.elements, h)
+
+
+def assert_canonical(result, want):
+    """result holds exactly the values in want, in the form FinSet gives them."""
+    again = FinSet(result.elements)
+    assert result == again and hash(result) == hash(again)
+    assert result.is_integer == all(e.denominator == 1 for e in result.elements)
+    assert set(result.elements) == want and result.size == len(want)
+
+
+signed_values = st.fractions(min_value=-6, max_value=6, max_denominator=6)
+index_pairs = st.lists(st.tuples(st.integers(0, 5), st.integers(0, 5)), max_size=6)
+
+
+def modular_graph(a, pairs):
+    """A graph over a with the given index pairs taken modulo |a|."""
+    n = a.size
+    return PairGraph(a, frozenset((i % n, j % n) for i, j in pairs) if n else frozenset())
+
+
+@given(
+    st.sets(signed_values, max_size=4),
+    st.sets(signed_values, max_size=3),
+    signed_values.filter(bool),
+    st.integers(min_value=1, max_value=3),
+    index_pairs,
+)
+# {1/2, 3/2} + {1/2} = {1, 2} and 2 * {1/2, 3/2} = {1, 3} cancel the scale
+@example({Fraction(1, 2), Fraction(3, 2)}, {Fraction(1, 2)}, Fraction(2), 1, [(0, 1), (1, 0)])
+@settings(max_examples=60, deadline=None)
+def test_every_set_result_is_canonical(values, other, q, h, pairs):
+    a, b = FinSet(values), FinSet(other)
+    e, f = a.elements, b.elements
+    graph = modular_graph(a, pairs)
+    text = "\n".join(f"{3 * x.numerator}/{3 * x.denominator}" for x in values)
+    # products need nonzero elements
+    na, nb = FinSet(x for x in values if x), FinSet(x for x in other if x)
+    ne, nf = na.elements, nb.elements
+    n_graph = modular_graph(na, pairs)
+    results = [
+        (combine(a, b, "sum"), oracles.o_combine(e, f, "sum")),
+        (combine(na, nb, "product"), oracles.o_combine(ne, nf, "product")),
+        (iterate(a, h, "sum"), oracles.o_iterate(e, h, "sum")),
+        (iterate(na, h, "product"), oracles.o_iterate(ne, h, "product")),
+        (simple_closure(a, "sum"), oracles.o_simple(e, "sum")),
+        (simple_closure(na, "product"), oracles.o_simple(ne, "product")),
+        (box_sum(a, h), oracles.o_box(e, h)),
+        (box_sum(a, 0), {Fraction(0)}),
+        (sum_diff(a, h, 1), oracles.o_sumdiff(e, h, 1)),
+        (dilate(q, a), {q * x for x in e}),
+        (restricted_combine(a, graph, "sum"), oracles.o_restricted(e, graph.pairs, "sum")),
+        (
+            restricted_combine(na, n_graph, "product"),
+            oracles.o_restricted(ne, n_graph.pairs, "product"),
+        ),
+        (parse_set(text)[0], set(values)),
+    ]
+    for result, want in results:
+        assert_canonical(result, want)
 
 
 def test_subset_sums_of_a_wide_span_are_fast():

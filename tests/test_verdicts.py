@@ -170,24 +170,15 @@ def test_compare_rejects_unknown_relation():
 
 
 def test_verdict_status_consistency():
+    for holds, met in (
+        ("true", True),
+        ("false", True),
+        ("inconclusive", True),
+        ("hypothesis-not-met", False),
+    ):
+        assert Verdict(name="x", lhs=F(1), rhs=F(2), holds=holds).hypothesis_met is met
     with pytest.raises(ValueError):
-        Verdict(
-            name="x",
-            hypothesis_met=False,
-            lhs=F(1),
-            rhs=F(2),
-            holds="true",
-            witness={},
-        )
-    with pytest.raises(ValueError):
-        Verdict(
-            name="x",
-            hypothesis_met=True,
-            lhs=F(1),
-            rhs=F(2),
-            holds="hypothesis-not-met",
-            witness={},
-        )
+        Verdict(name="x", lhs=F(1), rhs=F(2), holds="maybe", witness={})
 
 
 def test_verdict_from_compare_and_unmet():
