@@ -10,6 +10,7 @@ membership (progressions.contains) runs on the same eliminator.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -162,10 +163,16 @@ def factor_fraction(
     """Signed prime exponents of a positive rational."""
     if q <= 0:
         raise ValueError(f"need a positive rational, got {q}")
-    exps: dict[int, int] = {}
-    for p, e in factor_int(q.numerator, trial_bound, rho_budget):
-        exps[p] = exps.get(p, 0) + e
-    for p, e in factor_int(q.denominator, trial_bound, rho_budget):
+    return _quotient_exponents(
+        factor_int(q.numerator, trial_bound, rho_budget),
+        factor_int(q.denominator, trial_bound, rho_budget),
+    )
+
+
+def _quotient_exponents(num, den) -> dict[int, int]:
+    """Signed prime exponents of n / d from the factorizations of n and d."""
+    exps = dict(num)
+    for p, e in den:
         exps[p] = exps.get(p, 0) - e
     return {p: e for p, e in exps.items() if e}
 
@@ -179,7 +186,12 @@ class ExponentMatrix:
     source: FinSet
 
     def row_for(self, value: Fraction) -> tuple[int, ...]:
-        return self.rows[self.source.elements.index(Fraction(value))]
+        scaled = Fraction(value) * self.source._scale
+        ints = self.source._ints
+        i = bisect_left(ints, scaled)
+        if i == len(ints) or ints[i] != scaled:
+            raise ValueError(f"{value} is not in the source set")
+        return self.rows[i]
 
 
 @dataclass(frozen=True)
@@ -204,7 +216,8 @@ def _factored(a: FinSet) -> tuple[tuple[int, ...], list[dict[int, int]]]:
     """The ascending primes occurring in a, and each element's exponents."""
     if not a.is_positive:
         raise ValueError("exponent vectors need strictly positive elements")
-    factored = [factor_fraction(e) for e in a]
+    scale = factor_int(a._scale)
+    factored = [_quotient_exponents(factor_int(v), scale) for v in a._ints]
     return tuple(sorted({p for f in factored for p in f})), factored
 
 

@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import asdict
 from itertools import combinations
 from pathlib import Path
 
@@ -356,22 +357,7 @@ def _cmd_search(args) -> int:
     for cert in result.certificates:
         print("certificate " + " ".join(str(v) for v in cert))
     if args.report:
-        _write_report(
-            args.report,
-            [
-                {
-                    "kind": "search",
-                    "objective": result.objective,
-                    "k": result.k,
-                    "universe": result.universe,
-                    "minimum": result.minimum,
-                    "certificates": [list(c) for c in result.certificates],
-                    "nodes": result.nodes,
-                    "complete": result.complete,
-                    "cursor": result.cursor,
-                }
-            ],
-        )
+        _write_report(args.report, [{"kind": "search", **asdict(result)}])
     if not result.complete:
         print("warning: node budget exhausted, partial result", file=sys.stderr)
         return 3
@@ -504,7 +490,10 @@ def build_parser() -> _Parser:
     p.add_argument("--objective", choices=("f", "g"), required=True)
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--max", type=int, required=True, metavar="N")
-    p.add_argument("--threads", type=int, default=1)
+    p.add_argument(
+        "--threads", type=int, default=1, metavar="N",
+        help="worker processes, at most one per CPU available; same results for every N",
+    )
     p.add_argument("--node-budget", type=int, default=None, metavar="LEAVES")
     p.add_argument("--checkpoint", metavar="PATH")
     p.add_argument(

@@ -370,13 +370,14 @@ class PairGraph:
     def from_value_pairs(
         cls, ground: FinSet, value_pairs: Iterable[tuple[Fraction | int, Fraction | int]]
     ) -> "PairGraph":
-        index = {e: i for i, e in enumerate(ground.elements)}
+        index = {v: i for i, v in enumerate(ground._ints)}
         pairs = set()
         for x, y in value_pairs:
             fx, fy = Fraction(x), Fraction(y)
-            if fx not in index or fy not in index:
+            ix, iy = index.get(fx * ground._scale), index.get(fy * ground._scale)
+            if ix is None or iy is None:
                 raise SetParseError(f"pair ({fx}, {fy}) uses values outside the ground set")
-            pairs.add((index[fx], index[fy]))
+            pairs.add((ix, iy))
         return cls(ground, frozenset(pairs))
 
 

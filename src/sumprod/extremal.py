@@ -3,17 +3,18 @@ growth-rate verdict battery for the prime-grid construction.
 
 f(A) = |2A u A*A| and g(A) = |A[1]| + |A{1}| (simple sums plus simple
 products).  search_min minimizes either objective exactly over all
-k-subsets of {1,...,N} with pruning that preserves every minimizer, a
-deterministic result regardless of thread count, and an optional resumable
+k-subsets of {1,...,N} with pruning that preserves every minimizer, one
+subtree per smallest element run here or in worker processes, a result
+that is the same for every worker count, and an optional resumable
 checkpoint.
 """
 
 from __future__ import annotations
 
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from itertools import product as iproduct
 from math import comb, prod
 
@@ -30,6 +31,7 @@ from .verdicts import (
 )
 
 CHECKPOINT_HEADER = "sumprod search checkpoint v1"
+CHECKPOINT_FIELDS = ("objective", "k", "universe", "cursor", "nodes", "minimum")
 
 
 @dataclass(frozen=True)
@@ -147,31 +149,21 @@ def _explore_first(obj_fn, k: int, n: int, first: int, leaf_cap: int | None):
     return best, certs, leaves, truncated
 
 
-def _checkpoint_lines(
-    objective: str, k: int, universe: int, cursor: int, nodes: int,
-    minimum: int | None, certs: list[tuple[int, ...]],
-) -> str:
-    lines = [
-        CHECKPOINT_HEADER,
-        f"objective {objective}",
-        f"k {k}",
-        f"universe {universe}",
-        f"cursor {cursor}",
-        f"nodes {nodes}",
-        f"minimum {'-' if minimum is None else minimum}",
-    ]
+def _write_checkpoint(path: str, certs: list[tuple[int, ...]], *values) -> None:
+    """Atomically write the values of CHECKPOINT_FIELDS, then the certificates."""
+    lines = [CHECKPOINT_HEADER]
+    lines += [f"{key} {'-' if v is None else v}" for key, v in zip(CHECKPOINT_FIELDS, values)]
     lines += ["cert " + " ".join(str(v) for v in c) for c in sorted(certs)]
-    return "\n".join(lines) + "\n"
-
-
-def _write_checkpoint(path: str, content: str) -> None:
     tmp = path + ".tmp"
     with open(tmp, "w", encoding="ascii") as fh:
-        fh.write(content)
+        fh.write("\n".join(lines) + "\n")
     os.replace(tmp, path)
 
 
 def _load_checkpoint(path: str, objective: str, k: int, universe: int):
+    """(cursor, nodes, minimum, certificates) from a checkpoint file, every
+    field checked against the search it resumes and every certificate
+    re-evaluated, since the file comes from outside the program."""
     with open(path, encoding="ascii") as fh:
         lines = [ln.rstrip("\n") for ln in fh]
     if not lines or lines[0] != CHECKPOINT_HEADER:
@@ -187,14 +179,44 @@ def _load_checkpoint(path: str, objective: str, k: int, universe: int):
         else:
             fields[key] = rest
     expect = {"objective": objective, "k": str(k), "universe": str(universe)}
-    for key, want in expect.items():
-        if fields.get(key) != want:
+    for key in CHECKPOINT_FIELDS:
+        if key not in fields:
+            raise ValueError(f"checkpoint {path} has no {key} field")
+        if key in expect and fields[key] != expect[key]:
             raise ValueError(
                 f"checkpoint {path} was written for "
-                f"{fields.get(key)!r}, not {want!r} ({key})"
+                f"{fields[key]!r}, not {expect[key]!r} ({key})"
             )
+    cursor, nodes = int(fields["cursor"]), int(fields["nodes"])
     minimum = None if fields["minimum"] == "-" else int(fields["minimum"])
-    return int(fields["cursor"]), int(fields["nodes"]), minimum, certs
+    if not 1 <= cursor <= universe - k + 1 or nodes < 0:
+        raise ValueError(
+            f"checkpoint {path}: cursor {cursor} is outside 1..{universe - k + 1}"
+            f" or node count {nodes} is negative"
+        )
+    if (minimum is None) != (not certs):
+        raise ValueError(f"checkpoint {path}: a minimum needs certificates, and vice versa")
+    for cert in certs:
+        if len(cert) != k or sorted(set(cert)) != list(cert) or not (
+            1 <= cert[0] <= cursor and cert[-1] <= universe
+        ):
+            raise ValueError(
+                f"checkpoint {path}: certificate {cert} is not an increasing "
+                f"{k}-subset of 1..{universe} starting at or before the cursor"
+            )
+        if OBJECTIVES[objective](cert) != minimum:
+            raise ValueError(
+                f"checkpoint {path}: certificate {cert} has {objective} value "
+                f"{OBJECTIVES[objective](cert)}, not the minimum {minimum}"
+            )
+    return cursor, nodes, minimum, certs
+
+
+def _cpus() -> int:
+    """CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 def search_min(
@@ -209,12 +231,12 @@ def search_min(
     """Exact minimum of f or g over all k-subsets of {1,...,universe}.
 
     Finds every minimizing set.  Work splits into one subtree per smallest
-    element; each subtree is explored with subtree-local pruning only, so
-    its outcome never depends on scheduling, and the merge walks subtrees
-    in order.  The leaf budget is therefore enforced at subtree
-    granularity: results are identical for any thread count.  A breached
-    budget yields complete=False with the partial minimum, never a silent
-    answer.
+    element, explored with subtree-local pruning only and run here or, for
+    threads > 1, in min(threads, subtrees, CPUs) worker processes.  One
+    loop merges, budgets and checkpoints the results in subtree order, so
+    the leaf budget is enforced at subtree granularity and results are
+    identical for any worker count.  A breached budget yields
+    complete=False with the partial minimum, never a silent answer.
     """
     if objective not in OBJECTIVES:
         raise ValueError(f"objective must be 'f' or 'g', got {objective!r}")
@@ -230,9 +252,8 @@ def search_min(
         raise CapExceeded(
             f"search space C({universe},{k}) exceeds the size cap; pass a node budget"
         )
-    obj_fn = OBJECTIVES[objective]
 
-    start_first = 1
+    cursor = 0
     nodes = 0
     best: int | None = None
     certs: list[tuple[int, ...]] = []
@@ -240,59 +261,38 @@ def search_min(
         cursor, nodes, best, certs = _load_checkpoint(
             checkpoint_path, objective, k, universe
         )
-        start_first = cursor + 1
+    firsts = range(cursor + 1, universe - k + 2)
+    explore = partial(_explore_first, OBJECTIVES[objective], k, universe, leaf_cap=node_budget)
+    workers = min(threads, len(firsts), _cpus())
+    pool = None
+    if workers > 1:
+        from concurrent.futures import ProcessPoolExecutor
 
-    firsts = list(range(start_first, universe - k + 2))
+        pool = ProcessPoolExecutor(workers)
     complete = True
-    last_cursor: int | None = start_first - 1 if start_first > 1 else None
-
-    def merge(first: int, result) -> bool:
-        """Fold one subtree into the running answer; False stops the walk."""
-        nonlocal nodes, best, certs, complete, last_cursor
-        sub_best, sub_certs, sub_leaves, truncated = result
-        if node_budget is not None and nodes >= node_budget:
-            complete = False
-            return False
-        nodes += sub_leaves
-        if sub_best is not None:
-            if best is None or sub_best < best:
-                best, certs = sub_best, list(sub_certs)
-            elif sub_best == best:
-                certs.extend(sub_certs)
-        if truncated:
-            complete = False
-            return False
-        last_cursor = first
-        if checkpoint_path:
-            _write_checkpoint(
-                checkpoint_path,
-                _checkpoint_lines(
-                    objective, k, universe, first, nodes, best, certs
-                ),
-            )
-        return True
-
-    if threads == 1:
+    try:
+        results = (pool.map if pool else map)(explore, firsts)
         for first in firsts:
             if node_budget is not None and nodes >= node_budget:
                 complete = False
                 break
-            result = _explore_first(obj_fn, k, universe, first, node_budget)
-            if not merge(first, result):
+            sub_best, sub_certs, sub_leaves, truncated = next(results)
+            nodes += sub_leaves
+            if best is None or sub_best < best:
+                best, certs = sub_best, list(sub_certs)
+            elif sub_best == best:
+                certs.extend(sub_certs)
+            if truncated:
+                complete = False
                 break
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            futures = [
-                pool.submit(_explore_first, obj_fn, k, universe, first, node_budget)
-                for first in firsts
-            ]
-            try:
-                for first, fut in zip(firsts, futures):
-                    if not merge(first, fut.result()):
-                        break
-            finally:
-                for fut in futures:
-                    fut.cancel()
+            cursor = first
+            if checkpoint_path:
+                _write_checkpoint(
+                    checkpoint_path, certs, objective, k, universe, cursor, nodes, best
+                )
+    finally:
+        if pool:
+            pool.shutdown(cancel_futures=True)
 
     return SearchResult(
         objective=objective,
@@ -302,7 +302,7 @@ def search_min(
         certificates=tuple(sorted(set(certs))),
         nodes=nodes,
         complete=complete,
-        cursor=last_cursor,
+        cursor=cursor or None,
     )
 
 

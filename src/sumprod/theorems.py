@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import product as iproduct
+from math import lcm
 
 from .exactset import (
     FinSet,
@@ -164,8 +165,10 @@ def verify_prop13(b: FinSet, h1: int) -> Verdict:
     if h1 > b.size:
         raise ValueError(f"fold count {h1} exceeds the set size {b.size}")
     hsum = iterate(b, h1, "sum")
-    simple = set(simple_closure(b, "sum").elements)
-    lhs = sum(1 for v in hsum if v in simple)
+    simple = simple_closure(b, "sum")
+    scale = lcm(hsum._scale, simple._scale)
+    closure = {v * (scale // simple._scale) for v in simple._ints}
+    lhs = sum(v * (scale // hsum._scale) in closure for v in hsum._ints)
     m = mult_dim(b).dimension
     c = fold_constant(h1)
     rhs = (Fraction(b.size) / c ** (m + 1)) ** h1

@@ -122,16 +122,10 @@ def _from_iv(value) -> Enclosure:
     return Enclosure(_endpoint_fraction(a), _endpoint_fraction(b))
 
 
-def _iv_of_fraction(f: Fraction):
-    return _iv.mpf(f.numerator) / _iv.mpf(f.denominator)
-
-
-def _log_point(f: Fraction) -> Enclosure:
-    return _from_iv(_iv.log(_iv_of_fraction(f)))
-
-
-def _exp_point(f: Fraction) -> Enclosure:
-    return _from_iv(_iv.exp(_iv_of_fraction(f)))
+def _iv_hull(e: Enclosure):
+    """The 200-bit interval hull of e's endpoints, each rounded outward."""
+    lo, hi = (_iv.mpf(f.numerator) / _iv.mpf(f.denominator) for f in (e.lo, e.hi))
+    return _iv.mpf((lo, hi))
 
 
 def log_of(x) -> Enclosure:
@@ -139,12 +133,11 @@ def log_of(x) -> Enclosure:
     e = _as_enclosure(x)
     if e.lo <= 0:
         raise ValueError("log needs a strictly positive argument")
-    return Enclosure(_log_point(e.lo).lo, _log_point(e.hi).hi)
+    return _from_iv(_iv.log(_iv_hull(e)))
 
 
 def exp_of(x) -> Enclosure:
-    e = _as_enclosure(x)
-    return Enclosure(_exp_point(e.lo).lo, _exp_point(e.hi).hi)
+    return _from_iv(_iv.exp(_iv_hull(_as_enclosure(x))))
 
 
 def power_of(base, exponent) -> Enclosure:

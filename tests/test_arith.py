@@ -120,6 +120,12 @@ def test_exponent_matrix_example():
     assert m.primes == (2, 3)
     assert m.rows == ((1, 0), (0, 1), (1, 1))
     assert m.row_for(Fraction(6)) == (1, 1)
+    for missing in (Fraction(5), Fraction(7), Fraction(3, 2)):
+        with pytest.raises(ValueError):
+            m.row_for(missing)
+    q = exponent_matrix(fs(Fraction(1, 2), Fraction(3, 4), 5))
+    assert q.row_for(Fraction(3, 4)) == (-2, 1, 0)
+    assert q.row_for(5) == (0, 0, 1)
 
 
 def test_exponent_matrix_rational_entries():

@@ -291,6 +291,20 @@ def test_search_report_thread_independent(tmp_path, capsys):
     assert r1.read_bytes() == r2.read_bytes()
 
 
+def test_search_checkpoint_without_minimum_exits_1(tmp_path, capsys):
+    cp = tmp_path / "state.txt"
+    cp.write_text(
+        "sumprod search checkpoint v1\n"
+        "objective f\nk 3\nuniverse 12\ncursor 2\nnodes 100\ncert 1 2 3\n"
+    )
+    rc, out, err = run(
+        capsys, "search", "--objective", "f", "--k", "3", "--max", "12",
+        "--checkpoint", str(cp),
+    )
+    assert (rc, out) == (1, "")
+    assert err == f"error: checkpoint {cp} has no minimum field\n"
+
+
 # --- frozen output bytes -------------------------------------------------------------------
 
 # Each case lists its input files, its argv with {dir} standing for the

@@ -225,6 +225,10 @@ def test_pair_graph_rejects_outside_values():
     a = fs(1, 2)
     with pytest.raises(SetParseError):
         PairGraph.from_value_pairs(a, [(Fraction(1), Fraction(5))])
+    b = fs(Fraction(1, 2), Fraction(2, 3), 2)
+    assert PairGraph.from_value_pairs(b, [(2, Fraction(1, 2))]).pairs == frozenset({(2, 0)})
+    with pytest.raises(SetParseError, match=r"pair \(1/3, 2\)"):
+        PairGraph.from_value_pairs(b, [(Fraction(1, 3), 2)])
 
 
 def test_pair_graph_rejects_bad_indices():

@@ -1,10 +1,14 @@
 """Extremal example grids, objective search, and the log-scale verdict battery."""
 
+import concurrent.futures
+import multiprocessing.process
+from concurrent.futures import Future
 from fractions import Fraction
 
 import pytest
 
 import oracles
+from sumprod import extremal
 from sumprod.arith import mult_dim
 from sumprod.exactset import FinSet, simple_closure
 from sumprod.extremal import (
@@ -179,6 +183,167 @@ def test_search_checkpoint_garbage_rejected(tmp_path):
     cp.write_text("not a checkpoint\n")
     with pytest.raises(ValueError):
         search_min("f", 3, 12, checkpoint_path=str(cp))
+
+
+CHECKPOINT_F_3_12 = (
+    "sumprod search checkpoint v1\n"
+    "objective f\nk 3\nuniverse 12\ncursor 2\nnodes 100\nminimum 7\ncert 1 2 3\n"
+)
+
+
+def test_search_checkpoint_fixture_is_what_a_budgeted_run_writes(tmp_path):
+    cp = tmp_path / "state.txt"
+    search_min("f", 3, 12, node_budget=60, checkpoint_path=str(cp))
+    assert cp.read_text() == CHECKPOINT_F_3_12
+    resumed = search_min("f", 3, 12, checkpoint_path=str(cp))
+    assert resumed == search_min("f", 3, 12)
+
+
+def _resume_edited(tmp_path, old, new):
+    cp = tmp_path / "state.txt"
+    assert old in CHECKPOINT_F_3_12
+    cp.write_text(CHECKPOINT_F_3_12.replace(old, new))
+    return search_min("f", 3, 12, checkpoint_path=str(cp))
+
+
+@pytest.mark.parametrize("field", ["objective", "k", "universe", "cursor", "nodes", "minimum"])
+def test_search_checkpoint_missing_field_rejected(tmp_path, field):
+    line = next(ln for ln in CHECKPOINT_F_3_12.splitlines() if ln.startswith(field + " "))
+    with pytest.raises(ValueError, match=f"no {field} field"):
+        _resume_edited(tmp_path, line + "\n", "")
+
+
+@pytest.mark.parametrize("cursor", ["0", "-1", "11", "99"])
+def test_search_checkpoint_cursor_out_of_range_rejected(tmp_path, cursor):
+    with pytest.raises(ValueError, match="outside 1..10"):
+        _resume_edited(tmp_path, "cursor 2\n", f"cursor {cursor}\n")
+
+
+def test_search_checkpoint_negative_node_count_rejected(tmp_path):
+    with pytest.raises(ValueError, match="node count -1 is negative"):
+        _resume_edited(tmp_path, "nodes 100\n", "nodes -1\n")
+
+
+def test_search_checkpoint_minimum_without_certificates_rejected(tmp_path):
+    with pytest.raises(ValueError, match="a minimum needs certificates"):
+        _resume_edited(tmp_path, "cert 1 2 3\n", "")
+
+
+def test_search_checkpoint_certificates_without_minimum_rejected(tmp_path):
+    with pytest.raises(ValueError, match="a minimum needs certificates"):
+        _resume_edited(tmp_path, "minimum 7\n", "minimum -\n")
+
+
+@pytest.mark.parametrize(
+    "cert", ["1 3 2", "1 2", "1 2 3 4", "0 1 2", "1 2 13", "3 4 5", "1 1 2", ""]
+)
+def test_search_checkpoint_malformed_certificate_rejected(tmp_path, cert):
+    with pytest.raises(ValueError, match="not an increasing 3-subset of 1..12"):
+        _resume_edited(tmp_path, "cert 1 2 3\n", f"cert {cert}\n")
+
+
+def test_search_checkpoint_certificate_off_the_minimum_rejected(tmp_path):
+    with pytest.raises(ValueError, match="f value 8, not the minimum 7"):
+        _resume_edited(tmp_path, "cert 1 2 3\n", "cert 1 2 3\ncert 1 2 4\n")
+    with pytest.raises(ValueError, match="f value 7, not the minimum 6"):
+        _resume_edited(tmp_path, "minimum 7\n", "minimum 6\n")
+
+
+# --- the subtree walk and its worker pool ------------------------------------------------
+
+
+def _set_cpus(monkeypatch, n):
+    monkeypatch.setattr(extremal, "_cpus", lambda: n)
+
+
+def test_search_budget_and_checkpoint_agree_across_worker_counts(tmp_path, monkeypatch):
+    _set_cpus(monkeypatch, 2)
+    outcomes = []
+    for threads in (1, 2):
+        cp = tmp_path / f"state-{threads}.txt"
+        partial = search_min(
+            "f", 3, 12, threads=threads, node_budget=60, checkpoint_path=str(cp)
+        )
+        written = cp.read_bytes()
+        resumed = search_min("f", 3, 12, threads=threads, checkpoint_path=str(cp))
+        outcomes.append((partial, written, resumed, cp.read_bytes()))
+    assert outcomes[0] == outcomes[1]
+    assert outcomes[0][0].cursor == 2 and not outcomes[0][0].complete
+
+
+class FakePool:
+    """Stands in for ProcessPoolExecutor: map runs each subtree in the
+    calling process when its result is taken, through a real Future, and
+    the pool records its worker count and how it was shut down."""
+
+    def __init__(self, made, max_workers):
+        self.max_workers = max_workers
+        self.futures: list[Future] = []
+        self.cancel_futures = None
+        made.append(self)
+
+    def map(self, fn, items):
+        jobs = [(Future(), item) for item in items]
+        self.futures = [fut for fut, _ in jobs]
+
+        def results():
+            for fut, item in jobs:
+                if not fut.set_running_or_notify_cancel():
+                    return
+                fut.set_result(fn(item))
+                yield fut.result()
+
+        return results()
+
+    def shutdown(self, wait=True, *, cancel_futures=False):
+        self.cancel_futures = cancel_futures
+        if cancel_futures:
+            for fut in self.futures:
+                fut.cancel()
+
+
+@pytest.fixture
+def fake_pools(monkeypatch):
+    """Swap in FakePool and fail any process start; the pools made, in order."""
+    made: list[FakePool] = []
+
+    def no_start(self):
+        raise AssertionError("the walk started a process")
+
+    monkeypatch.setattr(multiprocessing.process.BaseProcess, "start", no_start)
+    monkeypatch.setattr(
+        concurrent.futures, "ProcessPoolExecutor", lambda n: FakePool(made, n)
+    )
+    return made
+
+
+def test_search_pool_is_capped_by_cpus_and_subtrees(fake_pools, monkeypatch):
+    want = search_min("f", 3, 12)
+    _set_cpus(monkeypatch, 3)
+    assert search_min("f", 3, 12, threads=10**6) == want
+    _set_cpus(monkeypatch, 64)
+    assert search_min("f", 3, 12, threads=10**6) == want
+    assert [pool.max_workers for pool in fake_pools] == [3, 10]
+    assert all(pool.cancel_futures for pool in fake_pools)
+
+
+def test_search_one_worker_builds_no_pool(fake_pools, monkeypatch):
+    _set_cpus(monkeypatch, 64)
+    search_min("f", 3, 12, threads=1)
+    search_min("f", 3, 3, threads=8)  # a single subtree
+    _set_cpus(monkeypatch, 1)
+    search_min("f", 3, 12, threads=8)
+    assert fake_pools == []
+
+
+def test_search_budget_stop_cancels_unstarted_subtrees(fake_pools, monkeypatch):
+    _set_cpus(monkeypatch, 4)
+    res = search_min("f", 3, 12, threads=2, node_budget=60)
+    assert (res.complete, res.cursor, res.nodes) == (False, 2, 100)
+    (pool,) = fake_pools
+    assert pool.max_workers == 2
+    assert pool.cancel_futures is True
+    assert [fut.cancelled() for fut in pool.futures] == [False] * 2 + [True] * 8
 
 
 # --- log-scale identity battery ----------------------------------------------------------

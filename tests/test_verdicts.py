@@ -1,11 +1,13 @@
 """Interval enclosures, banded comparison, and verdict serialization."""
 
 import json
+import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from mpmath.ctx_iv import MPIntervalContext
 
 from sumprod.verdicts import (
     GUARD_BAND,
@@ -105,6 +107,30 @@ def test_log_of_enclosure_monotone_hull():
     e = log_of(Enclosure(F(2), F(8)))
     assert e.lo < log_of(F(2)).hi and e.hi > log_of(F(8)).lo
     assert e.lo <= log_of(F(3)).lo and log_of(F(3)).hi <= e.hi
+
+
+_IV200 = MPIntervalContext()
+_IV200.prec = 200
+
+
+def _point_bounds(fn_name, q):
+    """The endpoints of fn(q), for an exact rational q, in a 200-bit mpmath
+    interval context of the test's own, as exact fractions."""
+    y = getattr(_IV200, fn_name)(_IV200.mpf(q.numerator) / _IV200.mpf(q.denominator))
+    return tuple((-1) ** sign * F(man) * F(2) ** exp for sign, man, exp, _ in y._mpi_)
+
+
+def test_log_exp_of_enclosure_is_hull_of_point_enclosures():
+    rng = random.Random(2004)
+    for _ in range(300):
+        lo = F(rng.randint(1, 10 ** rng.randint(1, 25)), rng.randint(1, 10**25))
+        hi = lo + F(rng.randint(0, 10**6), rng.randint(1, 10 ** rng.randint(1, 30)))
+        got = log_of(Enclosure(lo, hi))
+        assert (got.lo, got.hi) == (_point_bounds("log", lo)[0], _point_bounds("log", hi)[1])
+        lo = F(rng.randint(-300 * 10**6, 300 * 10**6), 10**6)
+        hi = lo + F(rng.randint(0, 10**3), rng.randint(1, 10 ** rng.randint(1, 20)))
+        got = exp_of(Enclosure(lo, hi))
+        assert (got.lo, got.hi) == (_point_bounds("exp", lo)[0], _point_bounds("exp", hi)[1])
 
 
 def test_power_integer_exponent_exact():
