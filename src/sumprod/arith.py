@@ -163,18 +163,16 @@ def factor_fraction(
     """Signed prime exponents of a positive rational."""
     if q <= 0:
         raise ValueError(f"need a positive rational, got {q}")
-    return _quotient_exponents(
-        factor_int(q.numerator, trial_bound, rho_budget),
-        factor_int(q.denominator, trial_bound, rho_budget),
-    )
+    return _quotient_exponents(q.numerator, q.denominator, trial_bound, rho_budget)
 
 
-def _quotient_exponents(num, den) -> dict[int, int]:
-    """Signed prime exponents of n / d from the factorizations of n and d."""
-    exps = dict(num)
-    for p, e in den:
-        exps[p] = exps.get(p, 0) - e
-    return {p: e for p, e in exps.items() if e}
+def _quotient_exponents(
+    n: int, d: int, trial_bound: int = DEFAULT_TRIAL_BOUND, rho_budget: int = DEFAULT_RHO_BUDGET
+) -> dict[int, int]:
+    """Signed prime exponents of n / d for coprime positive ints n and d."""
+    exps = dict(factor_int(n, trial_bound, rho_budget))
+    exps.update((p, -e) for p, e in factor_int(d, trial_bound, rho_budget))
+    return exps
 
 
 @dataclass(frozen=True)
@@ -216,8 +214,12 @@ def _factored(a: FinSet) -> tuple[tuple[int, ...], list[dict[int, int]]]:
     """The ascending primes occurring in a, and each element's exponents."""
     if not a.is_positive:
         raise ValueError("exponent vectors need strictly positive elements")
-    scale = factor_int(a._scale)
-    factored = [_quotient_exponents(factor_int(v), scale) for v in a._ints]
+    # Each element's own numerator and denominator, never the scale (the lcm of
+    # the denominators), which can be a product of primes too large to split.
+    factored = []
+    for v in a._ints:
+        g = gcd(v, a._scale)
+        factored.append(_quotient_exponents(v // g, a._scale // g))
     return tuple(sorted({p for f in factored for p in f})), factored
 
 

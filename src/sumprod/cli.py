@@ -492,7 +492,7 @@ def build_parser() -> _Parser:
     p.add_argument("--max", type=int, required=True, metavar="N")
     p.add_argument(
         "--threads", type=int, default=1, metavar="N",
-        help="worker processes, at most one per CPU available; same results for every N",
+        help="forked worker processes (Linux), at most one per CPU; same results for every N",
     )
     p.add_argument("--node-budget", type=int, default=None, metavar="LEAVES")
     p.add_argument("--checkpoint", metavar="PATH")

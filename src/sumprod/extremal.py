@@ -12,6 +12,7 @@ checkpoint.
 from __future__ import annotations
 
 import os
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
@@ -29,6 +30,10 @@ from .verdicts import (
     unmet,
     verdict_from_compare,
 )
+
+# Workers are forked, which only Linux does safely; a spawned worker re-imports
+# the package and the caller's __main__, so elsewhere the walk stays in-process.
+FORK_WORKERS = sys.platform.startswith("linux")
 
 CHECKPOINT_HEADER = "sumprod search checkpoint v1"
 CHECKPOINT_FIELDS = ("objective", "k", "universe", "cursor", "nodes", "minimum")
@@ -149,8 +154,9 @@ def _explore_first(obj_fn, k: int, n: int, first: int, leaf_cap: int | None):
     return best, certs, leaves, truncated
 
 
-def _write_checkpoint(path: str, certs: list[tuple[int, ...]], *values) -> None:
-    """Atomically write the values of CHECKPOINT_FIELDS, then the certificates."""
+def _write_checkpoint(path: str, certs: list[tuple[int, ...]], **fields) -> None:
+    """Atomically write CHECKPOINT_FIELDS, each given by keyword, then the certificates."""
+    values = [fields[key] for key in CHECKPOINT_FIELDS]
     lines = [CHECKPOINT_HEADER]
     lines += [f"{key} {'-' if v is None else v}" for key, v in zip(CHECKPOINT_FIELDS, values)]
     lines += ["cert " + " ".join(str(v) for v in c) for c in sorted(certs)]
@@ -161,18 +167,19 @@ def _write_checkpoint(path: str, certs: list[tuple[int, ...]], *values) -> None:
 
 
 def _load_checkpoint(path: str, objective: str, k: int, universe: int):
-    """(cursor, nodes, minimum, certificates) from a checkpoint file, every
-    field checked against the search it resumes and every certificate
-    re-evaluated, since the file comes from outside the program."""
+    """(cursor, nodes, minimum, certificates) from a checkpoint file, which comes
+    from outside the program: every field is checked, every certificate re-evaluated."""
+
+    def bad(why: str) -> ValueError:
+        return ValueError(f"checkpoint {path}: {why}")
+
     with open(path, encoding="ascii") as fh:
         lines = [ln.rstrip("\n") for ln in fh]
     if not lines or lines[0] != CHECKPOINT_HEADER:
-        raise ValueError(f"{path} is not a recognized checkpoint file")
+        raise bad("not a recognized checkpoint file")
     fields: dict[str, str] = {}
     certs: list[tuple[int, ...]] = []
-    for ln in lines[1:]:
-        if not ln:
-            continue
+    for ln in filter(None, lines[1:]):
         key, _, rest = ln.partition(" ")
         if key == "cert":
             certs.append(tuple(int(v) for v in rest.split()))
@@ -181,34 +188,25 @@ def _load_checkpoint(path: str, objective: str, k: int, universe: int):
     expect = {"objective": objective, "k": str(k), "universe": str(universe)}
     for key in CHECKPOINT_FIELDS:
         if key not in fields:
-            raise ValueError(f"checkpoint {path} has no {key} field")
+            raise bad(f"no {key} field")
         if key in expect and fields[key] != expect[key]:
-            raise ValueError(
-                f"checkpoint {path} was written for "
-                f"{fields[key]!r}, not {expect[key]!r} ({key})"
-            )
+            raise bad(f"written for {key} {fields[key]!r}, not {expect[key]!r}")
     cursor, nodes = int(fields["cursor"]), int(fields["nodes"])
     minimum = None if fields["minimum"] == "-" else int(fields["minimum"])
     if not 1 <= cursor <= universe - k + 1 or nodes < 0:
-        raise ValueError(
-            f"checkpoint {path}: cursor {cursor} is outside 1..{universe - k + 1}"
-            f" or node count {nodes} is negative"
-        )
+        raise bad(f"cursor {cursor} is outside 1..{universe - k + 1} "
+                  f"or node count {nodes} is negative")
     if (minimum is None) != (not certs):
-        raise ValueError(f"checkpoint {path}: a minimum needs certificates, and vice versa")
+        raise bad("a minimum needs certificates, and vice versa")
     for cert in certs:
-        if len(cert) != k or sorted(set(cert)) != list(cert) or not (
+        if len(cert) != k or list(cert) != sorted(set(cert)) or not (
             1 <= cert[0] <= cursor and cert[-1] <= universe
         ):
-            raise ValueError(
-                f"checkpoint {path}: certificate {cert} is not an increasing "
-                f"{k}-subset of 1..{universe} starting at or before the cursor"
-            )
-        if OBJECTIVES[objective](cert) != minimum:
-            raise ValueError(
-                f"checkpoint {path}: certificate {cert} has {objective} value "
-                f"{OBJECTIVES[objective](cert)}, not the minimum {minimum}"
-            )
+            raise bad(f"certificate {cert} is not an increasing {k}-subset of 1..{universe} "
+                      "starting at or before the cursor")
+        if (value := OBJECTIVES[objective](cert)) != minimum:
+            raise bad(f"certificate {cert} has {objective} value {value}, "
+                      f"not the minimum {minimum}")
     return cursor, nodes, minimum, certs
 
 
@@ -232,10 +230,10 @@ def search_min(
 
     Finds every minimizing set.  Work splits into one subtree per smallest
     element, explored with subtree-local pruning only and run here or, for
-    threads > 1, in min(threads, subtrees, CPUs) worker processes.  One
-    loop merges, budgets and checkpoints the results in subtree order, so
-    the leaf budget is enforced at subtree granularity and results are
-    identical for any worker count.  A breached budget yields
+    threads > 1 on Linux, in min(threads, subtrees, CPUs) forked worker
+    processes.  One loop merges, budgets and checkpoints the results in
+    subtree order, so the leaf budget is enforced at subtree granularity
+    and results are identical for any worker count.  A breached budget yields
     complete=False with the partial minimum, never a silent answer.
     """
     if objective not in OBJECTIVES:
@@ -263,12 +261,13 @@ def search_min(
         )
     firsts = range(cursor + 1, universe - k + 2)
     explore = partial(_explore_first, OBJECTIVES[objective], k, universe, leaf_cap=node_budget)
-    workers = min(threads, len(firsts), _cpus())
+    workers = min(threads, len(firsts), _cpus()) if FORK_WORKERS else 1
     pool = None
-    if workers > 1:
+    if workers > 1 and (node_budget is None or nodes < node_budget):
+        import multiprocessing
         from concurrent.futures import ProcessPoolExecutor
 
-        pool = ProcessPoolExecutor(workers)
+        pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"))
     complete = True
     try:
         results = (pool.map if pool else map)(explore, firsts)
@@ -287,9 +286,8 @@ def search_min(
                 break
             cursor = first
             if checkpoint_path:
-                _write_checkpoint(
-                    checkpoint_path, certs, objective, k, universe, cursor, nodes, best
-                )
+                _write_checkpoint(checkpoint_path, certs, objective=objective, k=k,
+                                  universe=universe, cursor=cursor, nodes=nodes, minimum=best)
     finally:
         if pool:
             pool.shutdown(cancel_futures=True)

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
+from sumprod import arith
 from sumprod.arith import (
     Echelon,
     exponent_matrix,
@@ -132,6 +133,24 @@ def test_exponent_matrix_rational_entries():
     m = exponent_matrix(fs(Fraction(4, 9)))
     assert m.primes == (2, 3)
     assert m.rows == ((2, -2),)
+
+
+P15, Q15 = 1000000000000037, 1000000000001063  # primes near 10**15
+
+
+def test_exponent_matrix_factors_each_elements_own_numerator_and_denominator(monkeypatch):
+    # The scaled ints q * P15 and the common scale P15 * Q15 are semiprimes
+    # beyond the trial bound and the Brent budget; no element needs them.
+    for values, basis in (
+        ((Fraction(1, P15), Q15), ((1, 1),)),
+        ((Fraction(1, P15), Fraction(1, Q15)), ((-1, 1),)),
+    ):
+        md = mult_dim(fs(*values))
+        assert (md.dimension, md.primes, md.basis) == (1, (P15, Q15), basis)
+    asked = []
+    monkeypatch.setattr(arith, "factor_int", lambda n, *bounds: asked.append(n) or factor_int(n))
+    exponent_matrix(fs(Fraction(1, P15), Fraction(3, 2), 5))
+    assert sorted(asked) == [1, 1, 2, 3, 5, P15]
 
 
 def test_exponent_matrix_of_ones():

@@ -302,7 +302,7 @@ def test_search_checkpoint_without_minimum_exits_1(tmp_path, capsys):
         "--checkpoint", str(cp),
     )
     assert (rc, out) == (1, "")
-    assert err == f"error: checkpoint {cp} has no minimum field\n"
+    assert err == f"error: checkpoint {cp}: no minimum field\n"
 
 
 # --- frozen output bytes -------------------------------------------------------------------

@@ -199,6 +199,16 @@ def test_search_checkpoint_fixture_is_what_a_budgeted_run_writes(tmp_path):
     assert resumed == search_min("f", 3, 12)
 
 
+def test_search_checkpoint_writer_needs_every_field(tmp_path):
+    cp = tmp_path / "state.txt"
+    fields = dict(objective="f", k=3, universe=12, cursor=2, nodes=100)
+    with pytest.raises(KeyError, match="minimum"):
+        extremal._write_checkpoint(str(cp), [(1, 2, 3)], **fields)
+    assert not cp.exists() and not (tmp_path / "state.txt.tmp").exists()
+    extremal._write_checkpoint(str(cp), [(1, 2, 3)], **fields, minimum=7)
+    assert cp.read_text() == CHECKPOINT_F_3_12
+
+
 def _resume_edited(tmp_path, old, new):
     cp = tmp_path / "state.txt"
     assert old in CHECKPOINT_F_3_12
@@ -276,8 +286,9 @@ class FakePool:
     calling process when its result is taken, through a real Future, and
     the pool records its worker count and how it was shut down."""
 
-    def __init__(self, made, max_workers):
+    def __init__(self, made, max_workers, mp_context):
         self.max_workers = max_workers
+        self.start_method = mp_context.get_start_method()
         self.futures: list[Future] = []
         self.cancel_futures = None
         made.append(self)
@@ -312,7 +323,9 @@ def fake_pools(monkeypatch):
 
     monkeypatch.setattr(multiprocessing.process.BaseProcess, "start", no_start)
     monkeypatch.setattr(
-        concurrent.futures, "ProcessPoolExecutor", lambda n: FakePool(made, n)
+        concurrent.futures,
+        "ProcessPoolExecutor",
+        lambda n, mp_context: FakePool(made, n, mp_context),
     )
     return made
 
@@ -325,6 +338,7 @@ def test_search_pool_is_capped_by_cpus_and_subtrees(fake_pools, monkeypatch):
     assert search_min("f", 3, 12, threads=10**6) == want
     assert [pool.max_workers for pool in fake_pools] == [3, 10]
     assert all(pool.cancel_futures for pool in fake_pools)
+    assert all(pool.start_method == "fork" for pool in fake_pools)
 
 
 def test_search_one_worker_builds_no_pool(fake_pools, monkeypatch):
@@ -333,6 +347,24 @@ def test_search_one_worker_builds_no_pool(fake_pools, monkeypatch):
     search_min("f", 3, 3, threads=8)  # a single subtree
     _set_cpus(monkeypatch, 1)
     search_min("f", 3, 12, threads=8)
+    assert fake_pools == []
+
+
+def test_search_without_fork_builds_no_pool(fake_pools, monkeypatch):
+    _set_cpus(monkeypatch, 64)
+    monkeypatch.setattr(extremal, "FORK_WORKERS", False)
+    assert search_min("f", 3, 12, threads=8) == search_min("f", 3, 12)
+    assert fake_pools == []
+
+
+def test_search_spent_budget_builds_no_pool(fake_pools, monkeypatch, tmp_path):
+    _set_cpus(monkeypatch, 64)
+    res = search_min("f", 3, 12, threads=4, node_budget=0)
+    assert (res.complete, res.nodes, res.minimum, res.cursor) == (False, 0, None, None)
+    cp = tmp_path / "state.txt"
+    cp.write_text(CHECKPOINT_F_3_12)  # nodes 100
+    res = search_min("f", 3, 12, threads=4, node_budget=100, checkpoint_path=str(cp))
+    assert (res.complete, res.nodes, res.cursor) == (False, 100, 2)
     assert fake_pools == []
 
 
