@@ -6,7 +6,11 @@ products).  search_min minimizes either objective exactly over all
 k-subsets of {1,...,N} with pruning that preserves every minimizer, one
 subtree per smallest element run here or in worker processes, a result
 that is the same for every worker count, and an optional resumable
-checkpoint.
+checkpoint.  The walk extends each objective's state incrementally: a
+child adds its one new element to its parent's sums and products, and a
+leaf is counted from its parent's state without a state of its own.  The
+prune rule and the nodes it is tested at are those of a walk that
+evaluates every prefix from scratch.
 """
 
 from __future__ import annotations
@@ -18,6 +22,7 @@ from fractions import Fraction
 from functools import partial
 from itertools import product as iproduct
 from math import comb, prod
+from typing import Callable, NamedTuple
 
 from .exactset import FinSet, _require_positive_integers, simple_closure
 from .limits import CapExceeded, check_size, size_cap
@@ -99,6 +104,67 @@ def _g_tuple(elems: tuple[int, ...]) -> int:
 OBJECTIVES = {"f": _f_tuple, "g": _g_tuple}
 
 
+# Incremental states for the search walk, extended one element x at a time,
+# each x above every element already in.  An f state is the prefix P and the
+# frozenset 2P u P*P; a g state is the subset-sum bitmask and the frozenset of
+# subset products.
+
+
+def _f_grow(state, x: int):
+    prefix, u = state
+    prefix += (x,)
+    return prefix, u.union([x + p for p in prefix], [x * p for p in prefix])
+
+
+def _f_size(state) -> int:
+    return len(state[1])
+
+
+def _f_leaf(state, x: int) -> int:
+    prefix, u = state
+    new = {x + x, x * x}
+    for p in prefix:
+        new.add(x + p)
+        new.add(x * p)
+    return len(u) + len(new - u)
+
+
+def _g_grow(state, x: int):
+    bits, prods = state
+    return bits | bits << x, prods.union([v * x for v in prods])
+
+
+def _g_size(state) -> int:
+    bits, prods = state
+    return bits.bit_count() + len(prods)
+
+
+def _g_leaf(state, x: int) -> int:
+    bits, prods = state
+    count = (bits | bits << x).bit_count() + len(prods)
+    for v in prods:  # the products v*x are distinct, so count each one not yet in
+        if v * x not in prods:
+            count += 1
+    return count
+
+
+class _Incremental(NamedTuple):
+    """An objective's walk state: `empty` is the state of the empty prefix,
+    grow(state, x) the child's state, size(state) the prefix's value, and
+    leaf(state, x) the value of the prefix plus x, built from no new state."""
+
+    empty: tuple
+    grow: Callable
+    size: Callable
+    leaf: Callable
+
+
+INCREMENTAL = {
+    "f": _Incremental(((), frozenset()), _f_grow, _f_size, _f_leaf),
+    "g": _Incremental((1, frozenset({1})), _g_grow, _g_size, _g_leaf),
+}
+
+
 @dataclass(frozen=True)
 class SearchResult:
     """Outcome of an exhaustive k-subset minimization over [1, universe].
@@ -118,39 +184,46 @@ class SearchResult:
     cursor: int | None
 
 
-def _explore_first(obj_fn, k: int, n: int, first: int, leaf_cap: int | None):
+def _explore_first(objective: str, k: int, n: int, first: int, leaf_cap: int | None):
     """Exhaust all k-subsets starting at `first`, smallest element fixed.
 
-    Pruning drops a branch only when the prefix value strictly exceeds the
-    subtree's best, which keeps every tied minimizer.  Returns
-    (best, certificates, leaves evaluated, truncated flag).
+    Each node carries the objective's incremental state, and each child
+    extends it by its one new element; a leaf's value is counted from its
+    parent's state.  Pruning drops a branch only when the prefix value
+    strictly exceeds the subtree's best, which keeps every tied minimizer; it
+    is tested at every prefix shorter than k.  The leaf cap is checked before
+    each leaf.  Returns (best, certificates, leaves evaluated, truncated flag).
     """
+    empty, grow, size, leaf = INCREMENTAL[objective]
     best: int | None = None
     certs: list[tuple[int, ...]] = []
     leaves = 0
     truncated = False
 
-    def rec(prefix: tuple[int, ...], start: int) -> bool:
+    def rec(state, prefix: tuple[int, ...], xs: range) -> bool:
         nonlocal best, certs, leaves, truncated
-        if len(prefix) == k:
+        if best is not None and size(state) > best:
+            return True
+        depth = len(prefix) + 1  # the length of prefix + (x,)
+        if depth < k:
+            stop = n - k + depth + 2
+            for x in xs:
+                if not rec(grow(state, x), prefix + (x,), range(x + 1, stop)):
+                    return False
+            return True
+        for x in xs:
             if leaf_cap is not None and leaves >= leaf_cap:
                 truncated = True
                 return False
             leaves += 1
-            v = obj_fn(prefix)
+            v = leaf(state, x)
             if best is None or v < best:
-                best, certs = v, [prefix]
+                best, certs = v, [prefix + (x,)]
             elif v == best:
-                certs.append(prefix)
-            return True
-        if best is not None and obj_fn(prefix) > best:
-            return True
-        for x in range(start, n - (k - len(prefix)) + 2):
-            if not rec(prefix + (x,), x + 1):
-                return False
+                certs.append(prefix + (x,))
         return True
 
-    rec((first,), first + 1)
+    rec(empty, (), range(first, first + 1))
     return best, certs, leaves, truncated
 
 
@@ -260,7 +333,7 @@ def search_min(
             checkpoint_path, objective, k, universe
         )
     firsts = range(cursor + 1, universe - k + 2)
-    explore = partial(_explore_first, OBJECTIVES[objective], k, universe, leaf_cap=node_budget)
+    explore = partial(_explore_first, objective, k, universe, leaf_cap=node_budget)
     workers = min(threads, len(firsts), _cpus()) if FORK_WORKERS else 1
     pool = None
     if workers > 1 and (node_budget is None or nodes < node_budget):

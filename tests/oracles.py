@@ -172,6 +172,33 @@ def o_search(obj, k, n):
     return best, sorted(certs)
 
 
+def o_explore_first(obj, k, n, first, leaf_cap):
+    """Depth-first walk over the k-subsets of 1..n with smallest element
+    `first`, in lexicographic order, evaluating obj on whole tuples.  A prefix
+    shorter than k is not extended when obj(prefix) strictly exceeds the best
+    leaf so far; the walk stops, truncated, at a leaf beyond leaf_cap leaves.
+    Returns (best, sorted certificates, leaves evaluated, truncated)."""
+    best = None
+    certs = []
+    leaves = 0
+    stack = [(first,)]
+    while stack:
+        prefix = stack.pop()
+        if len(prefix) < k:
+            if best is None or obj(prefix) <= best:
+                stack.extend(prefix + (x,) for x in range(n, prefix[-1], -1))
+            continue
+        if leaf_cap is not None and leaves == leaf_cap:
+            return best, sorted(certs), leaves, True
+        leaves += 1
+        v = obj(prefix)
+        if best is None or v < best:
+            best, certs = v, [prefix]
+        elif v == best:
+            certs.append(prefix)
+    return best, sorted(certs), leaves, False
+
+
 def subsets(universe, max_size, min_size=1):
     items = list(universe)
     for r in range(min_size, max_size + 1):

@@ -308,7 +308,7 @@ mixed_values = st.one_of(
 
 
 @given(st.sets(mixed_values, max_size=6), st.integers(min_value=0, max_value=3))
-@settings(max_examples=60)
+@settings(max_examples=60, deadline=None)
 def test_subset_and_box_sums_match_oracle(values, h):
     a = FinSet(values)
     assert set(simple_closure(a, "sum").elements) == oracles.o_simple(a.elements, "sum")

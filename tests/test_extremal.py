@@ -2,10 +2,17 @@
 
 import concurrent.futures
 import multiprocessing.process
+import os
+import subprocess
+import sys
 from concurrent.futures import Future
 from fractions import Fraction
+from functools import cache
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
 from sumprod import extremal
@@ -257,6 +264,59 @@ def test_search_checkpoint_certificate_off_the_minimum_rejected(tmp_path):
         _resume_edited(tmp_path, "cert 1 2 3\n", "cert 1 2 3\ncert 1 2 4\n")
     with pytest.raises(ValueError, match="f value 7, not the minimum 6"):
         _resume_edited(tmp_path, "minimum 7\n", "minimum 6\n")
+
+
+# --- the subtree walk: incremental states against whole-tuple objectives --------------------
+
+ORACLE_OBJECTIVES = {"f": oracles.o_f, "g": oracles.o_g}
+
+
+@pytest.mark.parametrize("objective", ["f", "g"])
+@given(
+    tup=st.lists(st.integers(1, 30), max_size=6, unique=True).map(sorted).map(tuple),
+    far=st.integers(1, 10**9),
+)
+@settings(max_examples=60, deadline=None)
+def test_incremental_state_matches_whole_tuple_objective(objective, tup, far):
+    inc = extremal.INCREMENTAL[objective]
+    state = inc.empty
+    for i, x in enumerate(tup):
+        state = inc.grow(state, x)
+        prefix = tup[: i + 1]
+        want = extremal.OBJECTIVES[objective](prefix)
+        assert inc.size(state) == want == ORACLE_OBJECTIVES[objective](prefix)
+    assert inc.size(state) == extremal.OBJECTIVES[objective](tup)
+    top = tup[-1] if tup else 0
+    for x in [*range(top + 1, top * top + 2), top + far]:
+        assert inc.leaf(state, x) == inc.size(inc.grow(state, x))
+
+
+@pytest.mark.parametrize("k", range(1, 6))
+@pytest.mark.parametrize("objective", ["f", "g"])
+def test_explore_first_matches_plain_walk_at_every_leaf_cap(objective, k):
+    obj = cache(ORACLE_OBJECTIVES[objective])
+    for n in range(k, 15):
+        for first in range(1, n - k + 2):
+            leaves = oracles.o_explore_first(obj, k, n, first, None)[2]
+            for cap in [None, *range(leaves + 2)]:
+                best, certs, got_leaves, truncated = extremal._explore_first(
+                    objective, k, n, first, cap
+                )
+                got = (best, sorted(certs), got_leaves, truncated)
+                assert got == oracles.o_explore_first(obj, k, n, first, cap), (n, first, cap)
+
+
+def test_import_loads_no_process_pool():
+    src = Path(extremal.__file__).resolve().parents[1]
+    code = (
+        "import sys, sumprod\n"
+        "print(sorted(m for m in ('multiprocessing', 'concurrent.futures') if m in sys.modules))"
+    )
+    env = dict(os.environ, PYTHONPATH=str(src))
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert (out.returncode, out.stdout) == (0, "[]\n"), out.stderr
 
 
 # --- the subtree walk and its worker pool ------------------------------------------------
