@@ -12,6 +12,7 @@ mismatch, 3 cap or budget exhaustion (including an incomplete search).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from dataclasses import asdict
@@ -99,19 +100,14 @@ def _write_report(path: str, objects: list[dict]) -> None:
     Path(path).write_text(content, encoding="utf-8")
 
 
-def _set_report(kind: str, fs: FinSet, **extra) -> dict:
-    obj = {"kind": kind, "size": fs.size, "elements": list(fs._strings())}
-    obj.update(extra)
-    return obj
-
-
-def _emit_set(args, fs: FinSet, summary: str, report_obj: dict) -> int:
+def _emit_set(args, fs: FinSet, summary: str, kind: str, **extra) -> int:
+    strings = list(fs._strings())
     print(f"# {summary}")
-    text = fs.to_lines()
-    if text:
-        print(text)
+    if strings:
+        print("\n".join(strings))
     if args.report:
-        _write_report(args.report, [report_obj])
+        obj = {"kind": kind, "size": fs.size, "elements": strings, **extra}
+        _write_report(args.report, [obj])
     return 0
 
 
@@ -137,7 +133,7 @@ def _cmd_combine(args) -> int:
         args,
         fs,
         f"combine op={args.op} left={a.size} right={b.size} size={fs.size}",
-        _set_report("combine", fs, op=args.op),
+        "combine", op=args.op,
     )
 
 
@@ -148,7 +144,7 @@ def _cmd_iterate(args) -> int:
         args,
         fs,
         f"iterate op={args.op} h={args.h} size={fs.size}",
-        _set_report("iterate", fs, op=args.op, h=args.h),
+        "iterate", op=args.op, h=args.h,
     )
 
 
@@ -159,7 +155,7 @@ def _cmd_simple(args) -> int:
         args,
         fs,
         f"simple op={args.op} size={fs.size}",
-        _set_report("simple", fs, op=args.op),
+        "simple", op=args.op,
     )
 
 
@@ -170,7 +166,7 @@ def _cmd_boxsum(args) -> int:
         args,
         fs,
         f"boxsum h={args.h} size={fs.size}",
-        _set_report("boxsum", fs, h=args.h),
+        "boxsum", h=args.h,
     )
 
 
@@ -181,7 +177,7 @@ def _cmd_sumdiff(args) -> int:
         args,
         fs,
         f"sumdiff h={args.h} l={args.l} size={fs.size}",
-        _set_report("sumdiff", fs, h=args.h, l=args.l),
+        "sumdiff", h=args.h, l=args.l,
     )
 
 
@@ -193,7 +189,7 @@ def _cmd_restricted(args) -> int:
         args,
         fs,
         f"restricted op={args.op} edges={graph.size} size={fs.size}",
-        _set_report("restricted", fs, op=args.op, edges=graph.size),
+        "restricted", op=args.op, edges=graph.size,
     )
 
 
@@ -214,10 +210,10 @@ def _cmd_multdim(args) -> int:
     md = mult_dim(a)
     print(f"dimension {md.dimension}")
     print(f"basepoint {md.basepoint}")
-    print("primes " + " ".join(str(p) for p in md.primes))
-    print("projection " + " ".join(str(c) for c in md.projection))
+    print("primes " + " ".join(map(str, md.primes)))
+    print("projection " + " ".join(map(str, md.projection)))
     for row in md.basis:
-        print("basis " + " ".join(str(v) for v in row))
+        print("basis " + " ".join(map(str, row)))
     if args.report:
         _write_report(
             args.report,
@@ -245,7 +241,7 @@ def _cmd_progression(args) -> int:
             fs,
             f"progression rank={desc.rank} nominal={desc.nominal_size} "
             f"proper={'true' if proper else 'false'} size={fs.size}",
-            _set_report("progression", fs, rank=desc.rank, proper=proper),
+            "progression", rank=desc.rank, proper=proper,
         )
     a = _load_set(args.set)
     result = contains(desc, a)
@@ -279,7 +275,7 @@ def _cmd_example(args) -> int:
         args,
         fs,
         f"example J={args.j} size={fs.size}",
-        _set_report("example", fs, j=args.j),
+        "example", j=args.j,
     )
 
 
@@ -399,7 +395,9 @@ def _add_graph_flags(p: argparse.ArgumentParser) -> None:
     grp.add_argument("--diagonal", action="store_true", help="pairs (a, a) only")
 
 
+@functools.cache
 def build_parser() -> _Parser:
+    """The CLI's parser, built on first use and then shared by every call."""
     parser = _Parser(prog="sumprod", description=__doc__)
     sub = parser.add_subparsers(dest="subcommand", required=True, parser_class=_Parser)
 

@@ -8,9 +8,11 @@ integers over one common denominator; no floating point enters at any stage.
 from __future__ import annotations
 
 import re
+import sys
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import count, repeat
+from itertools import compress, count, repeat
 from math import gcd, lcm, prod
 from struct import iter_unpack
 from typing import Iterable, Iterator, Literal
@@ -24,20 +26,26 @@ Op = Literal["sum", "product"]
 _TOKEN_RE = re.compile(r"^[+-]?\d+(?:/[1-9]\d*)?$")
 
 
+def _parse_pair(token: str) -> tuple[int, int]:
+    """One rational literal as a (numerator, denominator > 0) int pair, as
+    written: 4/6 gives (4, 6)."""
+    if token.isdecimal():  # digits only, each one that \d matches
+        return int(token), 1
+    if not _TOKEN_RE.match(token):
+        if re.match(r"^[+-]?\d+/(?:0\d*|[+-].*)?$", token):
+            raise SetParseError(f"bad denominator in {token!r}")
+        raise SetParseError(f"not a rational literal: {token!r}")
+    num, _, den = token.partition("/")
+    return int(num), int(den or 1)
+
+
 def parse_token(token: str) -> Fraction:
     """One rational literal: an integer or numerator/denominator pair.
 
     The sign, if any, sits on the numerator.  A zero or signed denominator
     is rejected outright rather than normalized.
     """
-    if not _TOKEN_RE.match(token):
-        if re.match(r"^[+-]?\d+/(?:0\d*|[+-].*)?$", token):
-            raise SetParseError(f"bad denominator in {token!r}")
-        raise SetParseError(f"not a rational literal: {token!r}")
-    if "/" in token:
-        num, den = token.split("/")
-        return Fraction(int(num), int(den))
-    return Fraction(int(token))
+    return Fraction(*_parse_pair(token))
 
 
 class FinSet:
@@ -85,9 +93,13 @@ class FinSet:
 
     def __contains__(self, value: object) -> bool:
         try:
-            return Fraction(value) * self._scale in self._ints  # type: ignore[arg-type]
+            v = Fraction(value) * self._scale  # type: ignore[arg-type]
         except (TypeError, ValueError):
             return False
+        if v.denominator != 1:
+            return False
+        i = bisect_left(self._ints, v.numerator)
+        return i < len(self._ints) and self._ints[i] == v.numerator
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, FinSet):
@@ -118,8 +130,17 @@ class FinSet:
         return "\n".join(self._strings())
 
     def _strings(self) -> Iterator[str]:
-        """The elements as printed; an integer set prints its ints directly."""
-        return map(str, self._ints if self._scale == 1 else self)
+        """The elements as printed, each as str(Fraction) does, formatted from
+        the ints: v / scale in lowest terms, without a denominator of 1."""
+        scale = self._scale
+        if scale == 1:
+            return map(str, self._ints)
+        return map(_ratio_str, self._ints, repeat(scale))
+
+
+def _ratio_str(v: int, scale: int) -> str:
+    g = gcd(v, scale)
+    return str(v // g) if g == scale else f"{v // g}/{scale // g}"
 
 
 def _from_ints(values: Iterable[int], scale: int) -> FinSet:
@@ -135,20 +156,24 @@ def _from_ints(values: Iterable[int], scale: int) -> FinSet:
 def parse_set(text: str) -> tuple[FinSet, int]:
     """Parse the one-element-per-line set format.
 
-    Blank lines and lines starting with '#' are skipped.  Returns the set
-    and the number of duplicate tokens that were dropped.
+    Blank lines and lines starting with '#' are skipped.  Each token is read
+    straight to an int pair and the set is built on their common
+    denominator, with no Fraction in between; equal values written
+    differently (4/6 and 2/3) meet as one int there.  Returns the set and
+    the number of duplicate tokens that were dropped.
     """
-    values: list[Fraction] = []
+    pairs: list[tuple[int, int]] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
         try:
-            values.append(parse_token(line))
+            pairs.append(_parse_pair(line))
         except SetParseError as exc:
             raise SetParseError(f"line {lineno}: {exc}") from None
-    fs = FinSet(values)
-    return fs, len(values) - fs.size
+    scale = lcm(*(d for _, d in pairs))
+    ints = {n * (scale // d) for n, d in pairs}
+    return _from_ints(ints, scale), len(pairs) - len(ints)
 
 
 def _check_op(op: str) -> None:
@@ -201,10 +226,18 @@ def dilate(q: Fraction | int, a: FinSet) -> FinSet:
     return _from_ints((v * q.numerator for v in a._ints), a._scale * q.denominator)
 
 
-def _bit_positions(bits: int) -> Iterator[int]:
-    """Indices of the set bits, ascending, in one pass over 64-bit words."""
-    raw = bits.to_bytes(8 * ((bits.bit_length() + 63) // 64), "little")
-    for base, (word,) in zip(count(0, 64), iter_unpack("<Q", raw)):
+_FULL_WORD = (1 << 64) - 1
+
+
+def _bit_positions(bits: int, start: int = 0) -> Iterator[int]:
+    """start + the index of each set bit, ascending, in one pass over the
+    nonzero 64-bit words; an all-ones word gives its 64 positions as one range."""
+    raw = bits.to_bytes(8 * ((bits.bit_length() + 63) // 64), sys.byteorder)
+    words = memoryview(raw).cast("Q")
+    for base, word in compress(zip(count(start, 64), words), words):
+        if word == _FULL_WORD:
+            yield from range(base, base + 64)
+            continue
         while word:
             low = word & -word
             yield base + low.bit_length() - 1
@@ -270,9 +303,9 @@ def _box_sums(a: FinSet, h: int, what: str) -> FinSet:
 
     The set's ints v over its scale are summed, and a negative v enters as
     h*v + c*|v|, leaving an offset plus sums of non-negative steps.  These
-    are kept as a big-int bitmask (bit s set iff s is reachable) when it
-    needs at most 64 bits per value the coefficients and the cap allow,
-    else as a set of ints.  The cap is checked after every element.
+    are kept as a big-int bitmask (bit s set iff offset + s is reachable)
+    when it needs at most 64 bits per value the coefficients and the cap
+    allow, else as a set of ints.  The cap is checked after every element.
     """
     offset = h * sum(v for v in a._ints if v < 0)
     steps = [abs(v) for v in a._ints]
@@ -287,13 +320,13 @@ def _box_sums(a: FinSet, h: int, what: str) -> FinSet:
                 bits |= bits << take * step
                 left -= take
             check_size(bits.bit_count(), what)
-        sums: Iterable[int] = _bit_positions(bits)
+        sums: Iterable[int] = _bit_positions(bits, offset)
     else:
-        sums = {0}
+        sums = {offset}
         for step in steps:
             sums = {s + j * step for s in sums for j in range(h + 1)}
             check_size(len(sums), what)
-    return _from_ints((offset + s for s in sums), a._scale)
+    return _from_ints(sums, a._scale)
 
 
 def simple_closure(a: FinSet, op: Op) -> FinSet:

@@ -2,6 +2,9 @@
 
 import io
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -314,11 +317,41 @@ def test_search_checkpoint_without_minimum_exits_1(tmp_path, capsys):
 GOLDEN = json.loads((Path(__file__).with_name("cli_golden.json")).read_text())["cases"]
 
 
+def run_golden(capsys, case, directory):
+    directory.mkdir(exist_ok=True)
+    for name, text in case["files"].items():
+        (directory / name).write_text(text, encoding="utf-8")
+    argv = [arg.replace("{dir}", str(directory)) for arg in case["argv"]]
+    rc, out, _ = run(capsys, *argv)
+    assert (rc, out) == (case["rc"], case["stdout"]), case["name"]
+    report = (directory / "report.jsonl").read_bytes()
+    assert report == case["report"].encode("utf-8"), case["name"]
+
+
 @pytest.mark.parametrize("case", GOLDEN, ids=[c["name"] for c in GOLDEN])
 def test_output_bytes_match_golden(case, tmp_path, capsys):
-    for name, text in case["files"].items():
-        (tmp_path / name).write_text(text, encoding="utf-8")
-    argv = [arg.replace("{dir}", str(tmp_path)) for arg in case["argv"]]
-    rc, out, _ = run(capsys, *argv)
-    assert (rc, out) == (case["rc"], case["stdout"])
-    assert (tmp_path / "report.jsonl").read_bytes() == case["report"].encode("utf-8")
+    run_golden(capsys, case, tmp_path)
+
+
+def test_one_process_runs_every_call_apart(tmp_path, capsys):
+    """The parser is built once per process: the golden battery forward, a
+    usage error, a call under a tiny --budget and the battery reversed still
+    give every call its own golden bytes."""
+    for i, case in enumerate(GOLDEN):
+        run_golden(capsys, case, tmp_path / f"forward-{i}")
+    a = write_set(tmp_path / "a.txt", range(1, 9))
+    assert run(capsys, "combine", "--op", "nonsense", "--a", a, "--b", a)[0] == 1
+    assert run(capsys, "iterate", "--op", "sum", "--h", "3", "--budget", "10", "--set", a)[0] == 3
+    for i, case in enumerate(reversed(GOLDEN)):
+        run_golden(capsys, case, tmp_path / f"reversed-{i}")
+    assert cli.build_parser() is cli.build_parser()
+
+
+def test_importing_the_cli_builds_no_parser():
+    src = Path(cli.__file__).resolve().parents[1]
+    code = "import sumprod.cli as c; print(c.build_parser.cache_info().currsize)"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert (out.returncode, out.stdout) == (0, "0\n"), out.stderr

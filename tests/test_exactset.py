@@ -12,6 +12,7 @@ from sumprod.energy import WeightVector, energy, rep_counts, weighted_energy
 from sumprod.exactset import (
     FinSet,
     PairGraph,
+    _bit_positions,
     box_sum,
     combine,
     dilate,
@@ -37,6 +38,8 @@ def test_parse_token_integers_and_fractions():
     assert parse_token("-7") == Fraction(-7)
     assert parse_token("3/4") == Fraction(3, 4)
     assert parse_token("-10/6") == Fraction(-5, 3)
+    assert parse_token("-0") == 0 and parse_token("+5") == 5 and parse_token("٣") == 3
+    assert type(parse_token("4/6")) is Fraction
 
 
 @pytest.mark.parametrize("bad", ["", "1.5", "3/0", "3/-2", "a", "1/2/3", "+ 1"])
@@ -56,6 +59,9 @@ def test_parse_set_counts_duplicates():
     s, dups = parse_set("2\n4/2\n1\n")
     assert s == fs(1, 2)
     assert dups == 1
+    s, dups = parse_set("-0\r\n+5\r\n\r\n# x\r\n4/6\r\n2/3\r\n0\r\n5/1\r\n")
+    assert s == fs(0, Fraction(2, 3), 5)
+    assert dups == 3
 
 
 def test_parse_set_error_carries_line_number():
@@ -67,6 +73,113 @@ def test_round_trip_through_lines():
     s = fs(-3, Fraction(1, 2), 7)
     again, dups = parse_set(s.to_lines())
     assert again == s and dups == 0
+
+
+def reference_parse(text):
+    """parse_set through one Fraction per token: the set and the dropped count."""
+    tokens = [t for t in map(str.strip, text.splitlines()) if t and not t.startswith("#")]
+    values = [Fraction(t) for t in tokens]
+    return FinSet(values), len(values) - len(set(values))
+
+
+# small numerators and denominators, so that 4/6 and 2/3 or -0 and 0 collide
+literals = st.builds(
+    lambda sign, zeros, num, den: f"{sign}{'0' * zeros}{num}{f'/{den}' if den else ''}",
+    st.sampled_from(["", "+", "-"]),
+    st.integers(0, 2),
+    st.one_of(st.integers(0, 12), st.integers(0, 10**30)),
+    st.one_of(st.none(), st.integers(1, 12), st.integers(1, 10**20)),
+)
+set_file_lines = st.one_of(
+    st.tuples(st.sampled_from(["", " ", "\t"]), literals, st.sampled_from(["", "  "])).map("".join),
+    st.sampled_from(["", "   ", "# comment", "  # 1/0 in a comment"]),
+)
+
+
+@given(st.lists(set_file_lines, max_size=30), st.sampled_from(["\n", "\r\n"]))
+@example(["-0", "+5", "# c", "4/6", "", " 2/3 ", "0", "10/15"], "\r\n")
+def test_parse_set_matches_a_fraction_reference(lines, newline):
+    text = newline.join(lines)
+    assert parse_set(text) == reference_parse(text)
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("1\n2\nx\n", "line 3: not a rational literal: 'x'"),
+        ("1\r\n\r\n3/0\r\n", "line 3: bad denominator in '3/0'"),
+        ("# c\n1/-2\n", "line 2: bad denominator in '1/-2'"),
+        ("  +1/02x\n", "line 1: not a rational literal: '+1/02x'"),
+        ("3/", "line 1: bad denominator in '3/'"),
+        ("2\n\n0/0", "line 3: bad denominator in '0/0'"),
+        ("5\n1.5", "line 2: not a rational literal: '1.5'"),
+        ("--1", "line 1: not a rational literal: '--1'"),
+        ("+ 1", "line 1: not a rational literal: '+ 1'"),
+        ("٣\n+٣/٤\n", "line 2: not a rational literal: '+٣/٤'"),
+    ],
+)
+def test_parse_set_error_text_is_exact(text, message):
+    with pytest.raises(SetParseError) as caught:
+        parse_set(text)
+    assert str(caught.value) == message
+
+
+@given(
+    st.sets(
+        st.one_of(
+            st.integers(-(10**30), 10**30),
+            st.fractions(max_denominator=10**6),
+            st.fractions(min_value=-3, max_value=3, max_denominator=12),
+        ),
+        max_size=20,
+    )
+)
+def test_printed_elements_are_fraction_strings(values):
+    a = FinSet(values)
+    assert list(a._strings()) == [str(e) for e in a.elements]
+    assert a.to_lines() == "\n".join(str(v) for v in sorted(values))
+    assert parse_set(a.to_lines()) == (a, 0)
+
+
+FULL_WORD = (1 << 64) - 1
+
+
+def naive_positions(bits, start):
+    return [start + i for i in range(bits.bit_length()) if bits >> i & 1]
+
+
+@pytest.mark.parametrize(
+    "bits",
+    [
+        0,
+        1,
+        FULL_WORD,
+        (1 << 128) - 1,
+        FULL_WORD - 1,
+        FULL_WORD << 1,
+        FULL_WORD << 64,
+        (FULL_WORD << 64) | 1,
+        ((1 << 128) - 1) ^ (1 << 64),
+        (1 << 63) | (1 << 64) | (1 << 127) | (1 << 128),
+        ((1 << 129) - 1) ^ (1 << 63),
+        int("5" * 40, 16),
+    ],
+)
+@pytest.mark.parametrize("start", [0, 7, -200])
+def test_bit_positions_match_a_naive_scan(bits, start):
+    assert list(_bit_positions(bits, start)) == naive_positions(bits, start)
+
+
+@given(
+    st.lists(
+        st.one_of(st.sampled_from([0, FULL_WORD, 1, 1 << 63, FULL_WORD - 1]), st.integers(0, FULL_WORD)),
+        max_size=6,
+    ),
+    st.integers(-100, 100),
+)
+def test_bit_positions_over_mixed_words(words, start):
+    bits = sum(w << 64 * i for i, w in enumerate(words))
+    assert list(_bit_positions(bits, start)) == naive_positions(bits, start)
 
 
 # --- FinSet basics ---------------------------------------------------------
@@ -94,6 +207,27 @@ def test_finset_membership_and_minmax():
     s = fs(5, -2, 3)
     assert Fraction(5) in s and Fraction(4) not in s
     assert s.min() == -2 and s.max() == 5
+
+
+@given(
+    st.sets(st.fractions(min_value=-10, max_value=10, max_denominator=8), max_size=8),
+    st.one_of(
+        st.integers(-12, 12),
+        st.fractions(min_value=-10, max_value=10, max_denominator=16),
+        st.floats(min_value=-10, max_value=10),
+        st.sampled_from([0.5, -2.0, 0.125]),
+    ),
+)
+def test_membership_matches_a_python_set(values, value):
+    a = FinSet(values)
+    assert (value in a) == (value in set(a.elements))
+
+
+def test_membership_of_strings_and_other_objects():
+    a = fs(0, Fraction(1, 2), 3)
+    assert "1/2" in a and " 3 " in a and 0.5 in a
+    for other in ("x", "1/3", None, [], b"3", 1j, float("nan")):
+        assert other not in a
 
 
 def test_finset_flags():
