@@ -10,7 +10,6 @@ membership (progressions.contains) runs on the same eliminator.
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -184,10 +183,8 @@ class ExponentMatrix:
     source: FinSet
 
     def row_for(self, value: Fraction) -> tuple[int, ...]:
-        scaled = Fraction(value) * self.source._scale
-        ints = self.source._ints
-        i = bisect_left(ints, scaled)
-        if i == len(ints) or ints[i] != scaled:
+        i = self.source._index(value)
+        if i is None:
             raise ValueError(f"{value} is not in the source set")
         return self.rows[i]
 

@@ -46,7 +46,15 @@ from .extremal import (
     search_min,
     verify_section3,
 )
-from .verdicts import Verdict, format_value, format_verdict_line, verdict_to_json
+from .verdicts import (
+    FALSE,
+    INCONCLUSIVE,
+    TRUE,
+    Verdict,
+    format_value,
+    format_verdict_line,
+    verdict_to_json,
+)
 
 class _Parser(argparse.ArgumentParser):
     """argparse with usage failures mapped to exit status 1."""
@@ -79,9 +87,12 @@ def _load_pairs(path: str, ground: FinSet) -> PairGraph:
         if not line or line.startswith("#"):
             continue
         parts = line.split()
-        if len(parts) != 2:
-            raise SetParseError(f"line {lineno}: expected two values per pair line")
-        value_pairs.append((parse_token(parts[0]), parse_token(parts[1])))
+        try:
+            if len(parts) != 2:
+                raise SetParseError("expected two values per pair line")
+            value_pairs.append((parse_token(parts[0]), parse_token(parts[1])))
+        except SetParseError as exc:
+            raise SetParseError(f"line {lineno}: {exc}") from None
     return PairGraph.from_value_pairs(ground, value_pairs)
 
 
@@ -119,7 +130,7 @@ def _emit_verdicts(args, verdicts: list[Verdict], prelude: list[str] = ()) -> in
     if args.report:
         _write_report(args.report, [verdict_to_json(v) for v in verdicts])
     if getattr(args, "assert_", False) and any(
-        v.holds in ("false", "inconclusive") for v in verdicts
+        v.holds in (FALSE, INCONCLUSIVE) for v in verdicts
     ):
         return 2
     return 0
@@ -264,7 +275,7 @@ def _cmd_progression(args) -> int:
             verdict_to_json(chain),
         ]
         _write_report(args.report, objects)
-    if args.assert_ and (not result.contained or chain.holds != "true"):
+    if args.assert_ and (not result.contained or chain.holds != TRUE):
         return 2
     return 0
 
@@ -277,10 +288,6 @@ def _cmd_example(args) -> int:
         f"example J={args.j} size={fs.size}",
         "example", j=args.j,
     )
-
-
-def _cmd_section3(args) -> int:
-    return _emit_verdicts(args, _section3(args))
 
 
 def _section3(args) -> list[Verdict]:
@@ -468,7 +475,7 @@ def build_parser() -> _Parser:
     p.add_argument("--J", dest="j", type=int, required=True)
     p.add_argument("--eps3", default="1/10", metavar="RAT")
     _add_common(p, assertable=True)
-    p.set_defaults(fn=_cmd_section3)
+    p.set_defaults(fn=_cmd_verify, suite="section3")
 
     p = sub.add_parser("verify", help="named verdict suites")
     p.add_argument("suite", choices=VERIFY_SUITES)

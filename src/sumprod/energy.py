@@ -19,13 +19,15 @@ from math import fsum, lcm
 from .exactset import FinSet, _convolve
 from .limits import check_size
 from .arith import is_prime
-from .verdicts import (
-    GUARD_BAND,
-    Enclosure,
-    Verdict,
-    power_of,
-    verdict_from_compare,
-)
+from .verdicts import Verdict, power_of, verdict_from_compare
+
+
+def fold_constant(h: int) -> int:
+    """The per-dimension energy growth constant 2h^2 - h."""
+    if h < 1:
+        raise ValueError(f"fold count must be >= 1, got {h}")
+    return 2 * h * h - h
+
 
 @dataclass(frozen=True)
 class RepCounts:
@@ -188,23 +190,18 @@ def layer_inequality_check(
 ) -> Verdict:
     """Check E_h(a)^(1/h) <= c_h^t * sum over layers of E_h(layer)^(1/h).
 
-    c_h = 2h^2 - h and t is the number of primes.  Roots are enclosed at
-    200-bit precision; a margin inside the guard band gives 'inconclusive'.
+    c_h = fold_constant(h) and t is the number of primes.  Roots are enclosed
+    at 200-bit precision; a margin inside the guard band gives 'inconclusive'.
     """
-    if h < 1:
-        raise ValueError(f"fold count must be >= 1, got {h}")
+    c_h = fold_constant(h)
     decomp = layer_partition(a, primes)
     t = len(decomp.primes)
-    c_h = 2 * h * h - h
     e_total = energy(a, h)
     layer_data = tuple(
         (key, energy(part, h)) for key, part in decomp.layers
     )
     lhs = power_of(e_total, Fraction(1, h))
-    zero = Enclosure(Fraction(0), Fraction(0))
-    root_sum = sum(
-        (power_of(e, Fraction(1, h)) for _, e in layer_data), start=zero
-    )
+    root_sum = sum(power_of(e, Fraction(1, h)) for _, e in layer_data)
     rhs = power_of(c_h, t) * root_sum
     witness = {
         "h": h,
@@ -213,9 +210,7 @@ def layer_inequality_check(
         "energy": e_total,
         "layers": tuple((key, e) for key, e in layer_data),
     }
-    return verdict_from_compare(
-        "energy.layer_bound", lhs, rhs, "<=", witness, band=GUARD_BAND
-    )
+    return verdict_from_compare("energy.layer_bound", lhs, rhs, "<=", witness)
 
 
 def tail_monotonicity_check(a: FinSet, p: int, j: int, h: int) -> Verdict:

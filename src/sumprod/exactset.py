@@ -92,14 +92,20 @@ class FinSet:
         return map(Fraction, self._ints, repeat(self._scale))
 
     def __contains__(self, value: object) -> bool:
+        return self._index(value) is not None
+
+    def _index(self, value: object) -> int | None:
+        """The position of value in _ints, or None when it is not a member
+        (including values that are not finite numbers)."""
         try:
             v = Fraction(value) * self._scale  # type: ignore[arg-type]
-        except (TypeError, ValueError):
-            return False
+        except (TypeError, ValueError, OverflowError):
+            return None
         if v.denominator != 1:
-            return False
-        i = bisect_left(self._ints, v.numerator)
-        return i < len(self._ints) and self._ints[i] == v.numerator
+            return None
+        n = v.numerator
+        i = bisect_left(self._ints, n)
+        return i if i < len(self._ints) and self._ints[i] == n else None
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, FinSet):
@@ -403,13 +409,11 @@ class PairGraph:
     def from_value_pairs(
         cls, ground: FinSet, value_pairs: Iterable[tuple[Fraction | int, Fraction | int]]
     ) -> "PairGraph":
-        index = {v: i for i, v in enumerate(ground._ints)}
         pairs = set()
         for x, y in value_pairs:
-            fx, fy = Fraction(x), Fraction(y)
-            ix, iy = index.get(fx * ground._scale), index.get(fy * ground._scale)
+            ix, iy = ground._index(x), ground._index(y)
             if ix is None or iy is None:
-                raise SetParseError(f"pair ({fx}, {fy}) uses values outside the ground set")
+                raise SetParseError(f"pair ({x}, {y}) uses values outside the ground set")
             pairs.add((ix, iy))
         return cls(ground, frozenset(pairs))
 

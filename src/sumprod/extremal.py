@@ -28,11 +28,12 @@ from .exactset import FinSet, _require_positive_integers, simple_closure
 from .limits import CapExceeded, check_size, size_cap
 from .arith import first_primes, mult_dim
 from .verdicts import (
+    HYPOTHESIS_NOT_MET,
+    TRUE,
     Verdict,
     compare,
     log_of,
     power_of,
-    unmet,
     verdict_from_compare,
 )
 
@@ -379,10 +380,8 @@ def search_min(
 
 def _gated(name: str, gate_met: bool, lhs, rhs, relation: str, witness: dict) -> Verdict:
     """A verdict on the gate; the comparison is kept in the witness as raw."""
-    witness = dict(witness, raw=compare(lhs, rhs, relation))
-    if gate_met:
-        return verdict_from_compare(name, lhs, rhs, relation, witness)
-    return unmet(name, lhs, rhs, witness)
+    raw = compare(lhs, rhs, relation)
+    return Verdict(name, lhs, rhs, raw if gate_met else HYPOTHESIS_NOT_MET, dict(witness, raw=raw))
 
 
 def verify_section3(j: int, eps3: Fraction | int = Fraction(1, 10)) -> list[Verdict]:
@@ -407,16 +406,11 @@ def verify_section3(j: int, eps3: Fraction | int = Fraction(1, 10)) -> list[Verd
     ln_ln_k = log_of(ln_k)
     gate_lhs = ln_j / ln_ln_j
     gate_rhs = 1 / eps3
-    gate_status = compare(gate_lhs, gate_rhs, ">")
-    gate_met = gate_status == "true"
-
-    out: list[Verdict] = []
     base_wit = {"j": j, "k": k, "eps3": eps3}
-    out.append(
-        verdict_from_compare(
-            "section3.gate", gate_lhs, gate_rhs, ">", dict(base_wit)
-        )
-    )
+    gate = verdict_from_compare("section3.gate", gate_lhs, gate_rhs, ">", dict(base_wit))
+    gate_met = gate.holds == TRUE
+
+    out = [gate]
     out.append(
         verdict_from_compare(
             "section3.logk_identity", ln_k, j * ln_j, "==", dict(base_wit)

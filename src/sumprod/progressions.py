@@ -19,7 +19,7 @@ from typing import NamedTuple
 from .exactset import FinSet, parse_token
 from .limits import SetParseError, check_size
 from .arith import Echelon, factor_fraction, mult_dim
-from .verdicts import Verdict, unmet
+from .verdicts import Verdict, compare, unmet
 
 
 @dataclass(frozen=True)
@@ -186,12 +186,7 @@ def dim_chain_check(p: ProgressionDesc, a: FinSet) -> Verdict:
             {"missing": missing, "progression_dim": m_p},
         )
     m_a = mult_dim(a).dimension
-    chain_ok = m_a <= m_p <= s
+    # m_p counts independent rows among at most s ratio rows, so m_p <= s
+    # always holds and the chain m_a <= m_p <= s is exactly m_a <= m_p.
     witness = {"set_dim": m_a, "progression_dim": m_p, "rank": s}
-    return Verdict(
-        name="progression.dim_chain",
-        lhs=m_a,
-        rhs=s,
-        holds="true" if chain_ok else "false",
-        witness=witness,
-    )
+    return Verdict("progression.dim_chain", m_a, s, compare(m_a, m_p, "<="), witness)

@@ -25,16 +25,9 @@ from .exactset import (
 )
 from .limits import check_size
 from .arith import mult_dim
-from .energy import WeightVector, energy, weighted_energy
+from .energy import WeightVector, energy, fold_constant, weighted_energy
 from .extremal import f_value
 from .verdicts import Verdict, compare, log_of, power_of, unmet, verdict_from_compare
-
-
-def fold_constant(h: int) -> int:
-    """The per-dimension energy growth constant 2h^2 - h."""
-    if h < 1:
-        raise ValueError(f"fold count must be >= 1, got {h}")
-    return 2 * h * h - h
 
 
 def verify_lemma3(a: FinSet, h: int) -> Verdict:

@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 from decimal import Context as DecimalContext
 from decimal import Decimal
 from fractions import Fraction
+from operator import eq, ge, gt, le, lt
 from typing import Any, Mapping
 
 from mpmath.ctx_iv import MPIntervalContext
@@ -156,57 +157,39 @@ def power_of(base, exponent) -> Enclosure:
     return exp_of(log_of(base) * _as_enclosure(exponent))
 
 
-def as_exact(x) -> Fraction | None:
-    if isinstance(x, bool):
-        return None
-    if isinstance(x, int):
-        return Fraction(x)
-    if isinstance(x, Fraction):
-        return x
-    return None
-
-
-def _bounds(x) -> tuple[Fraction, Fraction]:
-    e = _as_enclosure(x)
-    return e.lo, e.hi
+_EXACT = {"<": lt, "<=": le, ">": gt, ">=": ge, "==": eq}
 
 
 def compare(lhs, rhs, relation: str, band: Fraction | None = None) -> str:
-    """Decide lhs <relation> rhs, honestly.
+    """Decide lhs <relation> rhs, honestly; the one source of a verdict status.
 
-    Exact operands give an exact true/false.  If either side is an
-    enclosure, the claim holds (fails) only when it holds (fails) with a
-    margin beyond the guard band; anything tighter is inconclusive.
+    Both sides are converted once to enclosures.  When neither side is an
+    Enclosure the pair is exact and is decided exactly, with no band.
+    Otherwise the claim is true (false) only when it holds (fails) with a
+    margin beyond band (GUARD_BAND by default), and inconclusive inside it;
+    an equality claim is true when the sides provably agree to within the
+    band.  An unknown relation raises ValueError before any conversion, and
+    a bool, float, None or str raises TypeError.
     """
-    if relation not in ("<", "<=", ">", ">=", "=="):
+    if relation not in _EXACT:
         raise ValueError(f"unknown relation {relation!r}")
-    le, re_ = as_exact(lhs), as_exact(rhs)
-    if le is not None and re_ is not None:
-        return TRUE if {
-            "<": le < re_,
-            "<=": le <= re_,
-            ">": le > re_,
-            ">=": le >= re_,
-            "==": le == re_,
-        }[relation] else FALSE
+    l, r = _as_enclosure(lhs), _as_enclosure(rhs)
+    if not isinstance(lhs, Enclosure) and not isinstance(rhs, Enclosure):
+        return TRUE if _EXACT[relation](l.lo, r.lo) else FALSE
     if band is None:
         band = GUARD_BAND
-    llo, lhi = _bounds(lhs)
-    rlo, rhi = _bounds(rhs)
     if relation in (">", ">="):
-        llo, lhi, rlo, rhi = rlo, rhi, llo, lhi
-        relation = "<" if relation == ">" else "<="
-    if relation in ("<", "<="):
-        # claim: L < R (strictness is invisible at positive margin)
-        if rlo - lhi > band:
+        l, r = r, l
+    if relation != "==":
+        # claim: l < r (strictness is invisible at positive margin)
+        if r.lo - l.hi > band:
             return TRUE
-        if llo - rhi > band:
+        if l.lo - r.hi > band:
             return FALSE
         return INCONCLUSIVE
-    # equality claim: true when the sides provably agree to within the band
-    if max(llo, rlo) - min(lhi, rhi) > band:
+    if max(l.lo, r.lo) - min(l.hi, r.hi) > band:
         return FALSE
-    if lhi - rlo <= band and rhi - llo <= band:
+    if l.hi - r.lo <= band and r.hi - l.lo <= band:
         return TRUE
     return INCONCLUSIVE
 
@@ -242,13 +225,12 @@ def verdict_from_compare(
     rhs,
     relation: str,
     witness: Mapping[str, Any] | None = None,
-    band: Fraction | None = None,
 ) -> Verdict:
     return Verdict(
         name=name,
         lhs=lhs,
         rhs=rhs,
-        holds=compare(lhs, rhs, relation, band),
+        holds=compare(lhs, rhs, relation),
         witness=dict(witness or {}),
     )
 

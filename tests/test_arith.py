@@ -121,8 +121,8 @@ def test_exponent_matrix_example():
     assert m.primes == (2, 3)
     assert m.rows == ((1, 0), (0, 1), (1, 1))
     assert m.row_for(Fraction(6)) == (1, 1)
-    for missing in (Fraction(5), Fraction(7), Fraction(3, 2)):
-        with pytest.raises(ValueError):
+    for missing in (Fraction(5), Fraction(7), Fraction(3, 2), float("inf"), float("nan")):
+        with pytest.raises(ValueError, match="is not in the source set"):
             m.row_for(missing)
     q = exponent_matrix(fs(Fraction(1, 2), Fraction(3, 4), 5))
     assert q.row_for(Fraction(3, 4)) == (-2, 1, 0)

@@ -90,6 +90,19 @@ def test_restricted_command(tmp_path, capsys):
     assert [str(e) for e in parse_set(out)[0].elements] == ["3", "8"]
 
 
+def test_pair_file_errors_name_their_line(tmp_path, capsys):
+    a = write_set(tmp_path / "a.txt", [1, 2, 4])
+    pairs = tmp_path / "pairs.txt"
+    for text, message in (
+        ("1 2\n2 x\n", "line 2: not a rational literal: 'x'"),
+        ("1 2\n\n# note\n4 1/0\n", "line 4: bad denominator in '1/0'"),
+        ("1 2\n4\n", "line 2: expected two values per pair line"),
+    ):
+        pairs.write_text(text)
+        rc, _, err = run(capsys, "restricted", "--op", "sum", "--pairs", str(pairs), "--set", a)
+        assert (rc, err) == (1, f"error: {message}\n")
+
+
 def test_multdim_command(tmp_path, capsys):
     a = write_set(tmp_path / "a.txt", [2, 3, 6])
     rc, out, _ = run(capsys, "multdim", "--set", a)
@@ -186,6 +199,16 @@ def test_verify_section3(capsys):
     data = [l for l in lines if not l.startswith("#")]
     assert len(data) == 10
     assert all(" true " in l or l.endswith(" true") or " true" in l for l in data)
+
+
+def test_section3_is_the_verify_suite(tmp_path, capsys):
+    outputs = []
+    for argv in (["section3"], ["verify", "section3"]):
+        report = tmp_path / f"{len(argv)}.jsonl"
+        rc, out, _ = run(capsys, *argv, "--J", "3", "--report", str(report))
+        outputs.append((rc, out, report.read_bytes()))
+    assert outputs[0] == outputs[1]
+    assert outputs[0][0] == 0 and outputs[0][2]
 
 
 def test_example_command(capsys):
@@ -312,8 +335,9 @@ def test_search_checkpoint_without_minimum_exits_1(tmp_path, capsys):
 
 # Each case lists its input files, its argv with {dir} standing for the
 # directory holding them, and the exit code, stdout and --report bytes that
-# the command printed before the subset-sum kernel was unified.  Any change
-# to these bytes is a change of the CLI's output format.
+# the command printed before the subset-sum kernel was unified (later cases:
+# before the change that added them).  Any change to these bytes is a change
+# of the CLI's output format.
 GOLDEN = json.loads((Path(__file__).with_name("cli_golden.json")).read_text())["cases"]
 
 

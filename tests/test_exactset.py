@@ -226,7 +226,7 @@ def test_membership_matches_a_python_set(values, value):
 def test_membership_of_strings_and_other_objects():
     a = fs(0, Fraction(1, 2), 3)
     assert "1/2" in a and " 3 " in a and 0.5 in a
-    for other in ("x", "1/3", None, [], b"3", 1j, float("nan")):
+    for other in ("x", "1/3", None, [], b"3", 1j, float("nan"), float("inf"), float("-inf")):
         assert other not in a
 
 
@@ -363,6 +363,8 @@ def test_pair_graph_rejects_outside_values():
     assert PairGraph.from_value_pairs(b, [(2, Fraction(1, 2))]).pairs == frozenset({(2, 0)})
     with pytest.raises(SetParseError, match=r"pair \(1/3, 2\)"):
         PairGraph.from_value_pairs(b, [(Fraction(1, 3), 2)])
+    with pytest.raises(SetParseError, match=r"pair \(2, inf\)"):
+        PairGraph.from_value_pairs(b, [(2, float("inf"))])
 
 
 def test_pair_graph_rejects_bad_indices():

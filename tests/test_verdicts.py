@@ -190,6 +190,92 @@ def test_compare_inside_guard_band_is_inconclusive():
 def test_compare_rejects_unknown_relation():
     with pytest.raises(ValueError):
         compare(F(1), F(2), "!=")
+    # the relation is checked before either operand is converted
+    for relation in ("<>", "=", "lt", ""):
+        for lhs, rhs in ((F(1), F(2)), (None, "x"), (Enclosure(F(0), F(1)), 2.5)):
+            with pytest.raises(ValueError, match="unknown relation"):
+                compare(lhs, rhs, relation)
+
+
+# The decision table compare must follow, written out case by case.
+RELATIONS = ("<", "<=", ">", ">=", "==")
+
+# exact pairs: the status of "lhs REL rhs" by the sign of lhs - rhs
+EXACT_TABLE = {
+    "<": {-1: "true", 0: "false", 1: "false"},
+    "<=": {-1: "true", 0: "true", 1: "false"},
+    ">": {-1: "false", 0: "false", 1: "true"},
+    ">=": {-1: "false", 0: "true", 1: "true"},
+    "==": {-1: "false", 0: "true", 1: "false"},
+}
+
+# enclosures: the status of "lhs REL rhs" when the rhs interval lies above
+# the lhs interval, by the gap between them (beyond, at or inside the band)
+# and by whether both sides are points; "below" mirrors the sides
+ABOVE_TABLE = {
+    "beyond": {"<": "true", "<=": "true", ">": "false", ">=": "false", "==": "false"},
+    "at": {"<": "inconclusive", "<=": "inconclusive", ">": "inconclusive",
+           ">=": "inconclusive", "==": None},
+    "inside": {"<": "inconclusive", "<=": "inconclusive", ">": "inconclusive",
+               ">=": "inconclusive", "==": None},
+}
+# equality inside the band: proved for points, undecided for wider intervals
+EQUAL_WITHIN_BAND = {True: "true", False: "inconclusive"}
+MIRROR = {"true": "false", "false": "true", "inconclusive": "inconclusive"}
+TINY = F(1, 10**12)
+
+exact_values = st.one_of(
+    st.integers(-10**6, 10**6), st.fractions(min_value=-50, max_value=50, max_denominator=60)
+)
+bands = st.sampled_from([None, F(0), GUARD_BAND, F(1, 1000)])
+
+
+@given(exact_values, exact_values, st.sampled_from(RELATIONS), bands)
+@settings(max_examples=300, deadline=None)
+def test_compare_exact_pairs_follow_the_table(x, y, relation, band):
+    sign = (x > y) - (x < y)
+    assert compare(x, y, relation, band) == EXACT_TABLE[relation][sign]
+
+
+@given(
+    st.fractions(min_value=-100, max_value=100, max_denominator=1000),
+    st.sampled_from(["beyond", "at", "inside"]),
+    st.booleans(),
+    st.fractions(min_value=F(1, 10**6), max_value=2, max_denominator=10**6),
+    st.fractions(min_value=F(1, 10**6), max_value=2, max_denominator=10**6),
+    st.sampled_from(["above", "below"]),
+    st.sampled_from([None, "lhs", "rhs"]),
+    st.sampled_from(RELATIONS),
+    st.sampled_from([None, GUARD_BAND, F(1, 1000)]),
+)
+@settings(max_examples=400, deadline=None)
+def test_compare_enclosures_follow_the_table(
+    start, gap_kind, points, w_low, w_high, side, exact_side, relation, band
+):
+    b = GUARD_BAND if band is None else band
+    gap = {"beyond": b + TINY, "at": b, "inside": b - TINY}[gap_kind]
+    if points:
+        w_low = w_high = F(0)
+    low = Enclosure(start, start + w_low)
+    high = Enclosure(low.hi + gap, low.hi + gap + w_high)
+    lhs, rhs = (low, high) if side == "above" else (high, low)
+    if points and exact_side == "lhs":
+        lhs = lhs.lo
+    elif points and exact_side == "rhs":
+        rhs = rhs.lo
+    want = ABOVE_TABLE[gap_kind][relation] or EQUAL_WITHIN_BAND[points]
+    if side == "below" and relation != "==":
+        want = MIRROR[want]
+    assert compare(lhs, rhs, relation, band) == want
+
+
+@pytest.mark.parametrize("bad", [True, False, 1.0, float("nan"), None, "1", "x"])
+@pytest.mark.parametrize("relation", RELATIONS)
+def test_compare_rejects_non_numbers(bad, relation):
+    unit = Enclosure(F(0), F(1))
+    for lhs, rhs in ((bad, 1), (1, bad), (bad, unit), (unit, bad)):
+        with pytest.raises(TypeError):
+            compare(lhs, rhs, relation)
 
 
 # --- Verdict objects ---------------------------------------------------------------
