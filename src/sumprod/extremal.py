@@ -3,14 +3,17 @@ growth-rate verdict battery for the prime-grid construction.
 
 f(A) = |2A u A*A| and g(A) = |A[1]| + |A{1}| (simple sums plus simple
 products).  search_min minimizes either objective exactly over all
-k-subsets of {1,...,N} with pruning that preserves every minimizer, one
-subtree per smallest element run here or in worker processes, a result
-that is the same for every worker count, and an optional resumable
-checkpoint.  The walk extends each objective's state incrementally: a
-child adds its one new element to its parent's sums and products, and a
-leaf is counted from its parent's state without a state of its own.  The
-prune rule and the nodes it is tested at are those of a walk that
-evaluates every prefix from scratch.
+k-subsets of {1,...,N}, one subtree per smallest element run here or in
+worker processes, with a result that is the same for every worker count,
+and an optional resumable checkpoint.  Every subtree starts from the same
+bound, the value of (1,...,k), which no minimizer exceeds, and lowers it to
+its own best leaf.  A prefix is dropped when its completion bound, a lower
+bound on the value of every k-subset that extends it, strictly exceeds the
+bound, so every tied minimizer is kept and the leaves evaluated depend only
+on (objective, k, N).  The walk extends each objective's state
+incrementally: a child adds its one new element to its parent's sums and
+products, and a leaf is counted from its parent's state without a state of
+its own.
 """
 
 from __future__ import annotations
@@ -117,10 +120,6 @@ def _f_grow(state, x: int):
     return prefix, u.union([x + p for p in prefix], [x * p for p in prefix])
 
 
-def _f_size(state) -> int:
-    return len(state[1])
-
-
 def _f_leaf(state, x: int) -> int:
     prefix, u = state
     new = {x + x, x * x}
@@ -130,14 +129,15 @@ def _f_leaf(state, x: int) -> int:
     return len(u) + len(new - u)
 
 
+def _f_lower(state, m: int, missing: int) -> int:
+    # each x above the maximum m adds x*x and x*m (x + 1 when m = 1), both
+    # above every value of 2P u P*P
+    return len(state[1]) + 2 * missing
+
+
 def _g_grow(state, x: int):
     bits, prods = state
     return bits | bits << x, prods.union([v * x for v in prods])
-
-
-def _g_size(state) -> int:
-    bits, prods = state
-    return bits.bit_count() + len(prods)
 
 
 def _g_leaf(state, x: int) -> int:
@@ -149,20 +149,31 @@ def _g_leaf(state, x: int) -> int:
     return count
 
 
+def _g_lower(state, m: int, missing: int) -> int:
+    # subset sums pair up as s <-> total - s, so y above the maximum m adds at
+    # least #{s < y} sums above the old largest; subset products pair up as
+    # w <-> product / w, so y adds at least #{w < y} products likewise
+    bits, prods = state
+    per_element = (bits & ((2 << m) - 1)).bit_count() + sum(w <= m for w in prods)
+    return bits.bit_count() + len(prods) + missing * per_element
+
+
 class _Incremental(NamedTuple):
     """An objective's walk state: `empty` is the state of the empty prefix,
-    grow(state, x) the child's state, size(state) the prefix's value, and
-    leaf(state, x) the value of the prefix plus x, built from no new state."""
+    grow(state, x) the child's state, leaf(state, x) the value of the prefix
+    plus x, built from no new state, and lower(state, m, missing) a lower
+    bound on the value of every set made by adding `missing` elements above
+    m, the prefix's maximum; with missing = 0 it is the prefix's value."""
 
     empty: tuple
     grow: Callable
-    size: Callable
     leaf: Callable
+    lower: Callable
 
 
 INCREMENTAL = {
-    "f": _Incremental(((), frozenset()), _f_grow, _f_size, _f_leaf),
-    "g": _Incremental((1, frozenset({1})), _g_grow, _g_size, _g_leaf),
+    "f": _Incremental(((), frozenset()), _f_grow, _f_leaf, _f_lower),
+    "g": _Incremental((1, frozenset({1})), _g_grow, _g_leaf, _g_lower),
 }
 
 
@@ -190,26 +201,30 @@ def _explore_first(objective: str, k: int, n: int, first: int, leaf_cap: int | N
 
     Each node carries the objective's incremental state, and each child
     extends it by its one new element; a leaf's value is counted from its
-    parent's state.  Pruning drops a branch only when the prefix value
-    strictly exceeds the subtree's best, which keeps every tied minimizer; it
-    is tested at every prefix shorter than k.  The leaf cap is checked before
-    each leaf.  Returns (best, certificates, leaves evaluated, truncated flag).
+    parent's state.  The bound starts at the value of (1, ..., k), which no
+    minimizer exceeds, and drops to the best leaf found.  A prefix shorter than
+    k is not extended when its completion bound strictly exceeds the bound,
+    and a leaf above the bound is counted but not recorded, so every tied
+    minimizer is kept.  The leaf cap is checked before each leaf.  Returns
+    (best, certificates, leaves evaluated, truncated flag), with best None
+    when no leaf was at or below the starting bound.
     """
-    empty, grow, size, leaf = INCREMENTAL[objective]
-    best: int | None = None
+    empty, grow, leaf, lower = INCREMENTAL[objective]
+    best = OBJECTIVES[objective](tuple(range(1, k + 1)))
     certs: list[tuple[int, ...]] = []
     leaves = 0
     truncated = False
 
     def rec(state, prefix: tuple[int, ...], xs: range) -> bool:
         nonlocal best, certs, leaves, truncated
-        if best is not None and size(state) > best:
-            return True
         depth = len(prefix) + 1  # the length of prefix + (x,)
         if depth < k:
             stop = n - k + depth + 2
             for x in xs:
-                if not rec(grow(state, x), prefix + (x,), range(x + 1, stop)):
+                child = grow(state, x)
+                if lower(child, x, k - depth) <= best and not rec(
+                    child, prefix + (x,), range(x + 1, stop)
+                ):
                     return False
             return True
         for x in xs:
@@ -218,14 +233,14 @@ def _explore_first(objective: str, k: int, n: int, first: int, leaf_cap: int | N
                 return False
             leaves += 1
             v = leaf(state, x)
-            if best is None or v < best:
+            if v < best:
                 best, certs = v, [prefix + (x,)]
             elif v == best:
                 certs.append(prefix + (x,))
         return True
 
     rec(empty, (), range(first, first + 1))
-    return best, certs, leaves, truncated
+    return (best if certs else None), certs, leaves, truncated
 
 
 def _write_checkpoint(path: str, certs: list[tuple[int, ...]], **fields) -> None:
@@ -291,6 +306,11 @@ def _cpus() -> int:
     return os.cpu_count() or 1
 
 
+def _left(node_budget: int | None, nodes: int) -> int | None:
+    """The leaves a budgeted search may still evaluate, None without a budget."""
+    return None if node_budget is None else max(node_budget - nodes, 0)
+
+
 def search_min(
     objective: str,
     k: int,
@@ -303,12 +323,17 @@ def search_min(
     """Exact minimum of f or g over all k-subsets of {1,...,universe}.
 
     Finds every minimizing set.  Work splits into one subtree per smallest
-    element, explored with subtree-local pruning only and run here or, for
-    threads > 1 on Linux, in min(threads, subtrees, CPUs) forked worker
-    processes.  One loop merges, budgets and checkpoints the results in
-    subtree order, so the leaf budget is enforced at subtree granularity
-    and results are identical for any worker count.  A breached budget yields
-    complete=False with the partial minimum, never a silent answer.
+    element, each pruned against the value of (1,...,k) and its own best leaf
+    (see _explore_first), and run here or, for threads > 1 on Linux, in
+    min(threads, subtrees, CPUs) forked worker processes.  One loop merges,
+    budgets and checkpoints the results in subtree order.  nodes counts the
+    leaves evaluated.  A node budget is a cap on the leaves: here each
+    subtree is capped at the budget left when it is reached, and a worker's
+    subtree, capped at the whole budget, is walked again here with what is
+    left when it ran past that.  The search stops there, incomplete, only
+    when it needs a leaf beyond the budget.  Results are identical for any worker count.  A breached
+    budget yields complete=False with the partial minimum, never a silent
+    answer.
     """
     if objective not in OBJECTIVES:
         raise ValueError(f"objective must be 'f' or 'g', got {objective!r}")
@@ -334,7 +359,6 @@ def search_min(
             checkpoint_path, objective, k, universe
         )
     firsts = range(cursor + 1, universe - k + 2)
-    explore = partial(_explore_first, objective, k, universe, leaf_cap=node_budget)
     workers = min(threads, len(firsts), _cpus()) if FORK_WORKERS else 1
     pool = None
     if workers > 1 and (node_budget is None or nodes < node_budget):
@@ -344,14 +368,23 @@ def search_min(
         pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"))
     complete = True
     try:
-        results = (pool.map if pool else map)(explore, firsts)
+        if pool:
+            explore = partial(_explore_first, objective, k, universe, leaf_cap=node_budget)
+            results = pool.map(explore, firsts)
+        else:
+            # lazy: each subtree is capped at the budget left when it is reached
+            results = (_explore_first(objective, k, universe, first, _left(node_budget, nodes))
+                       for first in firsts)
         for first in firsts:
-            if node_budget is not None and nodes >= node_budget:
-                complete = False
-                break
             sub_best, sub_certs, sub_leaves, truncated = next(results)
+            left = _left(node_budget, nodes)
+            if left is not None and sub_leaves > left:
+                # a worker capped it at the whole budget: walk it again with what is left
+                sub_best, sub_certs, sub_leaves, truncated = _explore_first(
+                    objective, k, universe, first, left
+                )
             nodes += sub_leaves
-            if best is None or sub_best < best:
+            if sub_best is not None and (best is None or sub_best < best):
                 best, certs = sub_best, list(sub_certs)
             elif sub_best == best:
                 certs.extend(sub_certs)

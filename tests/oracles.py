@@ -10,6 +10,7 @@ package's factorizer and eliminator.
 from collections import Counter, defaultdict
 from fractions import Fraction
 from itertools import combinations, product
+from math import prod
 
 
 def o_combine(a, b, op):
@@ -172,31 +173,53 @@ def o_search(obj, k, n):
     return best, sorted(certs)
 
 
-def o_explore_first(obj, k, n, first, leaf_cap):
+def o_f_lower(prefix, missing):
+    """f(prefix) plus 2 per element still missing."""
+    return o_f(prefix) + 2 * missing
+
+
+def o_g_lower(prefix, missing):
+    """g(prefix) plus, per element still missing, the subset sums and the
+    subset products of the prefix that are at most its maximum; both sets are
+    enumerated subset by subset."""
+    subs = [s for r in range(len(prefix) + 1) for s in combinations(prefix, r)]
+    sums = {sum(s) for s in subs}
+    prods = {prod(s) for s in subs}
+    m = max(prefix)
+    per_element = sum(v <= m for v in sums) + sum(v <= m for v in prods)
+    return len(sums) + len(prods) + missing * per_element
+
+
+def o_explore_first(obj, lower, k, n, first, leaf_cap):
     """Depth-first walk over the k-subsets of 1..n with smallest element
-    `first`, in lexicographic order, evaluating obj on whole tuples.  A prefix
-    shorter than k is not extended when obj(prefix) strictly exceeds the best
-    leaf so far; the walk stops, truncated, at a leaf beyond leaf_cap leaves.
-    Returns (best, sorted certificates, leaves evaluated, truncated)."""
-    best = None
+    `first`, in lexicographic order, evaluating obj on whole tuples.  The
+    bound starts at obj((1, ..., k)) and drops to the best leaf so far.  A
+    prefix shorter than k is not extended when lower(prefix, elements still
+    missing) strictly exceeds the bound, and a leaf above the bound is counted
+    but not recorded; the walk stops, truncated, at a leaf beyond leaf_cap
+    leaves.  Returns (best or None when no leaf was recorded, sorted
+    certificates, leaves evaluated, truncated)."""
+    best = obj(tuple(range(1, k + 1)))
     certs = []
     leaves = 0
     stack = [(first,)]
+    truncated = False
     while stack:
         prefix = stack.pop()
         if len(prefix) < k:
-            if best is None or obj(prefix) <= best:
+            if lower(prefix, k - len(prefix)) <= best:
                 stack.extend(prefix + (x,) for x in range(n, prefix[-1], -1))
             continue
         if leaf_cap is not None and leaves == leaf_cap:
-            return best, sorted(certs), leaves, True
+            truncated = True
+            break
         leaves += 1
         v = obj(prefix)
-        if best is None or v < best:
+        if v < best:
             best, certs = v, [prefix]
         elif v == best:
             certs.append(prefix)
-    return best, sorted(certs), leaves, False
+    return (best if certs else None), sorted(certs), leaves, truncated
 
 
 def subsets(universe, max_size, min_size=1):

@@ -8,6 +8,7 @@ import sys
 from concurrent.futures import Future
 from fractions import Fraction
 from functools import cache
+from itertools import combinations
 from pathlib import Path
 
 import pytest
@@ -194,7 +195,7 @@ def test_search_checkpoint_garbage_rejected(tmp_path):
 
 CHECKPOINT_F_3_12 = (
     "sumprod search checkpoint v1\n"
-    "objective f\nk 3\nuniverse 12\ncursor 2\nnodes 100\nminimum 7\ncert 1 2 3\n"
+    "objective f\nk 3\nuniverse 12\ncursor 2\nnodes 55\nminimum 7\ncert 1 2 3\n"
 )
 
 
@@ -208,7 +209,7 @@ def test_search_checkpoint_fixture_is_what_a_budgeted_run_writes(tmp_path):
 
 def test_search_checkpoint_writer_needs_every_field(tmp_path):
     cp = tmp_path / "state.txt"
-    fields = dict(objective="f", k=3, universe=12, cursor=2, nodes=100)
+    fields = dict(objective="f", k=3, universe=12, cursor=2, nodes=55)
     with pytest.raises(KeyError, match="minimum"):
         extremal._write_checkpoint(str(cp), [(1, 2, 3)], **fields)
     assert not cp.exists() and not (tmp_path / "state.txt.tmp").exists()
@@ -238,7 +239,7 @@ def test_search_checkpoint_cursor_out_of_range_rejected(tmp_path, cursor):
 
 def test_search_checkpoint_negative_node_count_rejected(tmp_path):
     with pytest.raises(ValueError, match="node count -1 is negative"):
-        _resume_edited(tmp_path, "nodes 100\n", "nodes -1\n")
+        _resume_edited(tmp_path, "nodes 55\n", "nodes -1\n")
 
 
 def test_search_checkpoint_minimum_without_certificates_rejected(tmp_path):
@@ -269,6 +270,7 @@ def test_search_checkpoint_certificate_off_the_minimum_rejected(tmp_path):
 # --- the subtree walk: incremental states against whole-tuple objectives --------------------
 
 ORACLE_OBJECTIVES = {"f": oracles.o_f, "g": oracles.o_g}
+ORACLE_LOWER = {"f": oracles.o_f_lower, "g": oracles.o_g_lower}
 
 
 @pytest.mark.parametrize("objective", ["f", "g"])
@@ -284,26 +286,54 @@ def test_incremental_state_matches_whole_tuple_objective(objective, tup, far):
         state = inc.grow(state, x)
         prefix = tup[: i + 1]
         want = extremal.OBJECTIVES[objective](prefix)
-        assert inc.size(state) == want == ORACLE_OBJECTIVES[objective](prefix)
-    assert inc.size(state) == extremal.OBJECTIVES[objective](tup)
+        assert inc.lower(state, x, 0) == want == ORACLE_OBJECTIVES[objective](prefix)
     top = tup[-1] if tup else 0
+    assert inc.lower(state, top, 0) == extremal.OBJECTIVES[objective](tup)
     for x in [*range(top + 1, top * top + 2), top + far]:
-        assert inc.leaf(state, x) == inc.size(inc.grow(state, x))
+        assert inc.leaf(state, x) == inc.lower(inc.grow(state, x), x, 0)
 
 
 @pytest.mark.parametrize("k", range(1, 6))
 @pytest.mark.parametrize("objective", ["f", "g"])
 def test_explore_first_matches_plain_walk_at_every_leaf_cap(objective, k):
     obj = cache(ORACLE_OBJECTIVES[objective])
+    lower = cache(ORACLE_LOWER[objective])
     for n in range(k, 15):
         for first in range(1, n - k + 2):
-            leaves = oracles.o_explore_first(obj, k, n, first, None)[2]
+            leaves = oracles.o_explore_first(obj, lower, k, n, first, None)[2]
             for cap in [None, *range(leaves + 2)]:
                 best, certs, got_leaves, truncated = extremal._explore_first(
                     objective, k, n, first, cap
                 )
                 got = (best, sorted(certs), got_leaves, truncated)
-                assert got == oracles.o_explore_first(obj, k, n, first, cap), (n, first, cap)
+                want = oracles.o_explore_first(obj, lower, k, n, first, cap)
+                assert got == want, (n, first, cap)
+
+
+@pytest.mark.parametrize("objective", ["f", "g"])
+def test_completion_bounds_never_exceed_a_completion(objective):
+    inc = extremal.INCREMENTAL[objective]
+    obj = cache(ORACLE_OBJECTIVES[objective])
+    lower = cache(ORACLE_LOWER[objective])
+    for k in range(2, 6):
+        for tup in combinations(range(1, 14), k):
+            state = inc.empty
+            for d, x in enumerate(tup[:-1], start=1):
+                state = inc.grow(state, x)
+                bound = inc.lower(state, x, k - d)
+                assert bound == lower(tup[:d], k - d), (tup, d)
+                assert bound <= obj(tup), (tup, d)
+
+
+@pytest.mark.parametrize("objective", ["f", "g"])
+def test_pruned_search_matches_plain_loop(objective):
+    obj = cache(ORACLE_OBJECTIVES[objective])
+    for k in range(1, 6):
+        for n in range(k, 17):
+            res = search_min(objective, k, n)
+            assert res.complete
+            assert (res.minimum, list(res.certificates)) == oracles.o_search(obj, k, n), (k, n)
+        assert {search_min(objective, k, 16, threads=t) for t in (2, 8)} == {res}
 
 
 def test_import_loads_no_process_pool():
@@ -422,20 +452,49 @@ def test_search_spent_budget_builds_no_pool(fake_pools, monkeypatch, tmp_path):
     res = search_min("f", 3, 12, threads=4, node_budget=0)
     assert (res.complete, res.nodes, res.minimum, res.cursor) == (False, 0, None, None)
     cp = tmp_path / "state.txt"
-    cp.write_text(CHECKPOINT_F_3_12)  # nodes 100
-    res = search_min("f", 3, 12, threads=4, node_budget=100, checkpoint_path=str(cp))
-    assert (res.complete, res.nodes, res.cursor) == (False, 100, 2)
+    cp.write_text(CHECKPOINT_F_3_12)  # nodes 55
+    res = search_min("f", 3, 12, threads=4, node_budget=55, checkpoint_path=str(cp))
+    assert (res.complete, res.nodes, res.cursor) == (False, 55, 2)
     assert fake_pools == []
 
 
 def test_search_budget_stop_cancels_unstarted_subtrees(fake_pools, monkeypatch):
     _set_cpus(monkeypatch, 4)
     res = search_min("f", 3, 12, threads=2, node_budget=60)
-    assert (res.complete, res.cursor, res.nodes) == (False, 2, 100)
+    assert (res.complete, res.cursor, res.nodes) == (False, 2, 60)
     (pool,) = fake_pools
     assert pool.max_workers == 2
     assert pool.cancel_futures is True
-    assert [fut.cancelled() for fut in pool.futures] == [False] * 2 + [True] * 8
+    # subtree 3 ran to read its leaf count, then was walked again within the budget left
+    assert [fut.cancelled() for fut in pool.futures] == [False] * 3 + [True] * 7
+
+
+def test_search_budget_caps_nodes_for_every_worker_count(fake_pools, monkeypatch):
+    _set_cpus(monkeypatch, 4)
+    total = search_min("f", 3, 12).nodes
+    for budget in range(total + 2):
+        one, two = (search_min("f", 3, 12, threads=t, node_budget=budget) for t in (1, 2))
+        assert one == two
+        assert (one.nodes, one.complete) == (min(budget, total), budget >= total), budget
+
+
+def test_search_in_process_walks_each_subtree_once(monkeypatch):
+    walked: list[tuple[int, int]] = []
+    explore = extremal._explore_first
+
+    def counted(*args):
+        result = explore(*args)
+        walked.append((args[3], result[2]))  # (first, leaves evaluated)
+        return result
+
+    monkeypatch.setattr(extremal, "_explore_first", counted)
+    for budget in (0, 60, 5000):
+        walked.clear()
+        res = search_min("f", 4, 40, node_budget=budget)
+        firsts = [first for first, _ in walked]
+        assert firsts == list(range(1, len(firsts) + 1)), budget
+        assert sum(leaves for _, leaves in walked) == res.nodes == budget
+        assert not res.complete
 
 
 # --- log-scale identity battery ----------------------------------------------------------
