@@ -497,7 +497,7 @@ def build_parser() -> _Parser:
     p.add_argument("--max", type=int, required=True, metavar="N")
     p.add_argument(
         "--threads", type=int, default=1, metavar="N",
-        help="forked worker processes (Linux), at most one per CPU; same results for every N",
+        help="must be >= 1; every N runs the same in-process walk, with the same results",
     )
     p.add_argument("--node-budget", type=int, default=None, metavar="LEAVES")
     p.add_argument("--checkpoint", metavar="PATH")

@@ -3,26 +3,23 @@ growth-rate verdict battery for the prime-grid construction.
 
 f(A) = |2A u A*A| and g(A) = |A[1]| + |A{1}| (simple sums plus simple
 products).  search_min minimizes either objective exactly over all
-k-subsets of {1,...,N}, one subtree per smallest element run here or in
-worker processes, with a result that is the same for every worker count,
-and an optional resumable checkpoint.  Every subtree starts from the same
-bound, the value of (1,...,k), which no minimizer exceeds, and lowers it to
-its own best leaf.  A prefix is dropped when its completion bound, a lower
-bound on the value of every k-subset that extends it, strictly exceeds the
-bound, so every tied minimizer is kept and the leaves evaluated depend only
-on (objective, k, N).  The walk extends each objective's state
-incrementally: a child adds its one new element to its parent's sums and
-products, and a leaf is counted from its parent's state without a state of
-its own.
+k-subsets of {1,...,N}, one subtree per smallest element walked in order in
+the calling process, with an optional resumable checkpoint.  Every subtree
+starts from the same bound, the value of (1,...,k), which no minimizer
+exceeds, and lowers it to its own best leaf.  A prefix is dropped when its
+completion bound, a lower bound on the value of every k-subset that extends
+it, strictly exceeds the bound, so every tied minimizer is kept and the
+leaves evaluated depend only on (objective, k, N).  The walk extends each
+objective's state incrementally: a child adds its one new element to its
+parent's sums and products, and a leaf is counted from its parent's state
+without a state of its own.
 """
 
 from __future__ import annotations
 
 import os
-import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import partial
 from itertools import product as iproduct
 from math import comb, prod
 from typing import Callable, NamedTuple
@@ -39,10 +36,6 @@ from .verdicts import (
     power_of,
     verdict_from_compare,
 )
-
-# Workers are forked, which only Linux does safely; a spawned worker re-imports
-# the package and the caller's __main__, so elsewhere the walk stays in-process.
-FORK_WORKERS = sys.platform.startswith("linux")
 
 CHECKPOINT_HEADER = "sumprod search checkpoint v1"
 CHECKPOINT_FIELDS = ("objective", "k", "universe", "cursor", "nodes", "minimum")
@@ -299,13 +292,6 @@ def _load_checkpoint(path: str, objective: str, k: int, universe: int):
     return cursor, nodes, minimum, certs
 
 
-def _cpus() -> int:
-    """CPUs this process may run on."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
 def _left(node_budget: int | None, nodes: int) -> int | None:
     """The leaves a budgeted search may still evaluate, None without a budget."""
     return None if node_budget is None else max(node_budget - nodes, 0)
@@ -322,18 +308,15 @@ def search_min(
 ) -> SearchResult:
     """Exact minimum of f or g over all k-subsets of {1,...,universe}.
 
-    Finds every minimizing set.  Work splits into one subtree per smallest
+    Finds every minimizing set.  The work is one subtree per smallest
     element, each pruned against the value of (1,...,k) and its own best leaf
-    (see _explore_first), and run here or, for threads > 1 on Linux, in
-    min(threads, subtrees, CPUs) forked worker processes.  One loop merges,
-    budgets and checkpoints the results in subtree order.  nodes counts the
-    leaves evaluated.  A node budget is a cap on the leaves: here each
-    subtree is capped at the budget left when it is reached, and a worker's
-    subtree, capped at the whole budget, is walked again here with what is
-    left when it ran past that.  The search stops there, incomplete, only
-    when it needs a leaf beyond the budget.  Results are identical for any worker count.  A breached
+    (see _explore_first), walked in this process in order by one loop that
+    merges, budgets and checkpoints each result.  nodes counts the leaves
+    evaluated.  A node budget is a cap on the leaves: each subtree is capped
+    at the budget left when it is reached, and the search stops there,
+    incomplete, only when it needs a leaf beyond the budget.  A breached
     budget yields complete=False with the partial minimum, never a silent
-    answer.
+    answer.  threads must be >= 1 and does not change the walk or its result.
     """
     if objective not in OBJECTIVES:
         raise ValueError(f"objective must be 'f' or 'g', got {objective!r}")
@@ -358,46 +341,23 @@ def search_min(
         cursor, nodes, best, certs = _load_checkpoint(
             checkpoint_path, objective, k, universe
         )
-    firsts = range(cursor + 1, universe - k + 2)
-    workers = min(threads, len(firsts), _cpus()) if FORK_WORKERS else 1
-    pool = None
-    if workers > 1 and (node_budget is None or nodes < node_budget):
-        import multiprocessing
-        from concurrent.futures import ProcessPoolExecutor
-
-        pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"))
     complete = True
-    try:
-        if pool:
-            explore = partial(_explore_first, objective, k, universe, leaf_cap=node_budget)
-            results = pool.map(explore, firsts)
-        else:
-            # lazy: each subtree is capped at the budget left when it is reached
-            results = (_explore_first(objective, k, universe, first, _left(node_budget, nodes))
-                       for first in firsts)
-        for first in firsts:
-            sub_best, sub_certs, sub_leaves, truncated = next(results)
-            left = _left(node_budget, nodes)
-            if left is not None and sub_leaves > left:
-                # a worker capped it at the whole budget: walk it again with what is left
-                sub_best, sub_certs, sub_leaves, truncated = _explore_first(
-                    objective, k, universe, first, left
-                )
-            nodes += sub_leaves
-            if sub_best is not None and (best is None or sub_best < best):
-                best, certs = sub_best, list(sub_certs)
-            elif sub_best == best:
-                certs.extend(sub_certs)
-            if truncated:
-                complete = False
-                break
-            cursor = first
-            if checkpoint_path:
-                _write_checkpoint(checkpoint_path, certs, objective=objective, k=k,
-                                  universe=universe, cursor=cursor, nodes=nodes, minimum=best)
-    finally:
-        if pool:
-            pool.shutdown(cancel_futures=True)
+    for first in range(cursor + 1, universe - k + 2):
+        sub_best, sub_certs, sub_leaves, truncated = _explore_first(
+            objective, k, universe, first, _left(node_budget, nodes)
+        )
+        nodes += sub_leaves
+        if sub_best is not None and (best is None or sub_best < best):
+            best, certs = sub_best, sub_certs
+        elif sub_best == best:
+            certs.extend(sub_certs)
+        if truncated:
+            complete = False
+            break
+        cursor = first
+        if checkpoint_path:
+            _write_checkpoint(checkpoint_path, certs, objective=objective, k=k,
+                              universe=universe, cursor=cursor, nodes=nodes, minimum=best)
 
     return SearchResult(
         objective=objective,

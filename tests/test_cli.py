@@ -302,6 +302,14 @@ def test_search_budget_incomplete_exit_3(capsys):
     assert "partial" in err
 
 
+def test_search_zero_threads_exit_1(capsys):
+    rc, out, err = run(
+        capsys, "search", "--objective", "f", "--k", "3", "--max", "12", "--threads", "0",
+    )
+    assert (rc, out) == (1, "")
+    assert err == "error: thread count must be >= 1, got 0\n"
+
+
 def test_search_report_thread_independent(tmp_path, capsys):
     r1, r2 = tmp_path / "t1.jsonl", tmp_path / "t8.jsonl"
     rc1, out1, _ = run(

@@ -1,11 +1,8 @@
 """Extremal example grids, objective search, and the log-scale verdict battery."""
 
-import concurrent.futures
-import multiprocessing.process
 import os
 import subprocess
 import sys
-from concurrent.futures import Future
 from fractions import Fraction
 from functools import cache
 from itertools import combinations
@@ -149,6 +146,10 @@ def test_search_invalid_arguments():
         search_min("f", 0, 5)
     with pytest.raises(ValueError):
         search_min("f", 6, 5)
+    with pytest.raises(ValueError, match="thread count must be >= 1, got 0"):
+        search_min("f", 3, 12, threads=0)
+    with pytest.raises(ValueError, match="node budget must be >= 0"):
+        search_min("f", 3, 12, node_budget=-1)
 
 
 def test_search_cap_without_budget(monkeypatch):
@@ -160,7 +161,7 @@ def test_search_cap_without_budget(monkeypatch):
 def test_search_budget_yields_incomplete():
     res = search_min("f", 3, 20, node_budget=50)
     assert not res.complete
-    assert res.nodes >= 50
+    assert res.nodes == 50
     # partial minimum is an upper bound for the true minimum
     assert res.minimum is None or res.minimum >= 7
 
@@ -337,9 +338,14 @@ def test_pruned_search_matches_plain_loop(objective):
 
 
 def test_import_loads_no_process_pool():
+    """Neither importing the package nor searching at any thread count, with
+    or without a budget, loads a process pool."""
     src = Path(extremal.__file__).resolve().parents[1]
     code = (
         "import sys, sumprod\n"
+        "from sumprod.extremal import search_min\n"
+        "assert search_min('f', 3, 12, threads=8).complete\n"
+        "assert not search_min('f', 3, 12, threads=8, node_budget=60).complete\n"
         "print(sorted(m for m in ('multiprocessing', 'concurrent.futures') if m in sys.modules))"
     )
     env = dict(os.environ, PYTHONPATH=str(src))
@@ -349,15 +355,10 @@ def test_import_loads_no_process_pool():
     assert (out.returncode, out.stdout) == (0, "[]\n"), out.stderr
 
 
-# --- the subtree walk and its worker pool ------------------------------------------------
+# --- the subtree walk: budgets, checkpoints and thread counts ------------------------------
 
 
-def _set_cpus(monkeypatch, n):
-    monkeypatch.setattr(extremal, "_cpus", lambda: n)
-
-
-def test_search_budget_and_checkpoint_agree_across_worker_counts(tmp_path, monkeypatch):
-    _set_cpus(monkeypatch, 2)
+def test_search_budget_and_checkpoint_agree_across_worker_counts(tmp_path):
     outcomes = []
     for threads in (1, 2):
         cp = tmp_path / f"state-{threads}.txt"
@@ -371,110 +372,21 @@ def test_search_budget_and_checkpoint_agree_across_worker_counts(tmp_path, monke
     assert outcomes[0][0].cursor == 2 and not outcomes[0][0].complete
 
 
-class FakePool:
-    """Stands in for ProcessPoolExecutor: map runs each subtree in the
-    calling process when its result is taken, through a real Future, and
-    the pool records its worker count and how it was shut down."""
-
-    def __init__(self, made, max_workers, mp_context):
-        self.max_workers = max_workers
-        self.start_method = mp_context.get_start_method()
-        self.futures: list[Future] = []
-        self.cancel_futures = None
-        made.append(self)
-
-    def map(self, fn, items):
-        jobs = [(Future(), item) for item in items]
-        self.futures = [fut for fut, _ in jobs]
-
-        def results():
-            for fut, item in jobs:
-                if not fut.set_running_or_notify_cancel():
-                    return
-                fut.set_result(fn(item))
-                yield fut.result()
-
-        return results()
-
-    def shutdown(self, wait=True, *, cancel_futures=False):
-        self.cancel_futures = cancel_futures
-        if cancel_futures:
-            for fut in self.futures:
-                fut.cancel()
-
-
-@pytest.fixture
-def fake_pools(monkeypatch):
-    """Swap in FakePool and fail any process start; the pools made, in order."""
-    made: list[FakePool] = []
-
-    def no_start(self):
-        raise AssertionError("the walk started a process")
-
-    monkeypatch.setattr(multiprocessing.process.BaseProcess, "start", no_start)
-    monkeypatch.setattr(
-        concurrent.futures,
-        "ProcessPoolExecutor",
-        lambda n, mp_context: FakePool(made, n, mp_context),
-    )
-    return made
-
-
-def test_search_pool_is_capped_by_cpus_and_subtrees(fake_pools, monkeypatch):
-    want = search_min("f", 3, 12)
-    _set_cpus(monkeypatch, 3)
-    assert search_min("f", 3, 12, threads=10**6) == want
-    _set_cpus(monkeypatch, 64)
-    assert search_min("f", 3, 12, threads=10**6) == want
-    assert [pool.max_workers for pool in fake_pools] == [3, 10]
-    assert all(pool.cancel_futures for pool in fake_pools)
-    assert all(pool.start_method == "fork" for pool in fake_pools)
-
-
-def test_search_one_worker_builds_no_pool(fake_pools, monkeypatch):
-    _set_cpus(monkeypatch, 64)
-    search_min("f", 3, 12, threads=1)
-    search_min("f", 3, 3, threads=8)  # a single subtree
-    _set_cpus(monkeypatch, 1)
-    search_min("f", 3, 12, threads=8)
-    assert fake_pools == []
-
-
-def test_search_without_fork_builds_no_pool(fake_pools, monkeypatch):
-    _set_cpus(monkeypatch, 64)
-    monkeypatch.setattr(extremal, "FORK_WORKERS", False)
-    assert search_min("f", 3, 12, threads=8) == search_min("f", 3, 12)
-    assert fake_pools == []
-
-
-def test_search_spent_budget_builds_no_pool(fake_pools, monkeypatch, tmp_path):
-    _set_cpus(monkeypatch, 64)
+def test_search_spent_budget_builds_no_pool(tmp_path):
+    """A spent budget stops the search before its first leaf, at any thread count."""
     res = search_min("f", 3, 12, threads=4, node_budget=0)
     assert (res.complete, res.nodes, res.minimum, res.cursor) == (False, 0, None, None)
     cp = tmp_path / "state.txt"
     cp.write_text(CHECKPOINT_F_3_12)  # nodes 55
     res = search_min("f", 3, 12, threads=4, node_budget=55, checkpoint_path=str(cp))
     assert (res.complete, res.nodes, res.cursor) == (False, 55, 2)
-    assert fake_pools == []
 
 
-def test_search_budget_stop_cancels_unstarted_subtrees(fake_pools, monkeypatch):
-    _set_cpus(monkeypatch, 4)
-    res = search_min("f", 3, 12, threads=2, node_budget=60)
-    assert (res.complete, res.cursor, res.nodes) == (False, 2, 60)
-    (pool,) = fake_pools
-    assert pool.max_workers == 2
-    assert pool.cancel_futures is True
-    # subtree 3 ran to read its leaf count, then was walked again within the budget left
-    assert [fut.cancelled() for fut in pool.futures] == [False] * 3 + [True] * 7
-
-
-def test_search_budget_caps_nodes_for_every_worker_count(fake_pools, monkeypatch):
-    _set_cpus(monkeypatch, 4)
+def test_search_budget_caps_nodes_for_every_worker_count():
     total = search_min("f", 3, 12).nodes
     for budget in range(total + 2):
-        one, two = (search_min("f", 3, 12, threads=t, node_budget=budget) for t in (1, 2))
-        assert one == two
+        one, eight = (search_min("f", 3, 12, threads=t, node_budget=budget) for t in (1, 8))
+        assert one == eight
         assert (one.nodes, one.complete) == (min(budget, total), budget >= total), budget
 
 
