@@ -9,10 +9,10 @@ starts from the same bound, the value of (1,...,k), which no minimizer
 exceeds, and lowers it to its own best leaf.  A prefix is dropped when its
 completion bound, a lower bound on the value of every k-subset that extends
 it, strictly exceeds the bound, so every tied minimizer is kept and the
-leaves evaluated depend only on (objective, k, N).  The walk extends each
-objective's state incrementally: a child adds its one new element to its
-parent's sums and products, and a leaf is counted from its parent's state
-without a state of its own.
+leaves evaluated depend only on (objective, k, N).  Every child is scored
+from its parent's state, without a set of its own: its completion bound, or
+at a leaf its value.  Only a child that survives its bound gets a state, its
+parent's sums and products extended by its one new element.
 """
 
 from __future__ import annotations
@@ -104,7 +104,7 @@ OBJECTIVES = {"f": _f_tuple, "g": _g_tuple}
 # Incremental states for the search walk, extended one element x at a time,
 # each x above every element already in.  An f state is the prefix P and the
 # frozenset 2P u P*P; a g state is the subset-sum bitmask and the frozenset of
-# subset products.
+# subset products.  bound(state, x, missing) is read off the parent's state.
 
 
 def _f_grow(state, x: int):
@@ -113,19 +113,15 @@ def _f_grow(state, x: int):
     return prefix, u.union([x + p for p in prefix], [x * p for p in prefix])
 
 
-def _f_leaf(state, x: int) -> int:
+def _f_bound(state, x: int, missing: int) -> int:
+    # the sums x+q and the products x*q (q in P or x) are distinct but for
+    # x+x = x*2, so the product with q = 2 is skipped; each later element y
+    # adds y*y and y*x (y + 1 when x = 1), both above every value so far
     prefix, u = state
-    new = {x + x, x * x}
-    for p in prefix:
-        new.add(x + p)
-        new.add(x * p)
-    return len(u) + len(new - u)
-
-
-def _f_lower(state, m: int, missing: int) -> int:
-    # each x above the maximum m adds x*x and x*m (x + 1 when m = 1), both
-    # above every value of 2P u P*P
-    return len(state[1]) + 2 * missing
+    count = len(u) + 2 * missing + (x + x not in u) + (x != 2 and x * x not in u)
+    for q in prefix:
+        count += (x + q not in u) + (q != 2 and x * q not in u)
+    return count
 
 
 def _g_grow(state, x: int):
@@ -133,40 +129,39 @@ def _g_grow(state, x: int):
     return bits | bits << x, prods.union([v * x for v in prods])
 
 
-def _g_leaf(state, x: int) -> int:
+def _g_bound(state, x: int, missing: int) -> int:
+    # subset sums pair up as s <-> total - s, so a later y adds at least
+    # #{s < y} sums above the old largest; subset products pair up as
+    # w <-> product / w, so y adds at least #{w < y} products likewise.  Below
+    # y lie the sums and products at most x of the prefix plus x (the product
+    # x is new unless x is in prods) and, for the i-th y added, the i - 1
+    # added before it, each both a sum and a product.
     bits, prods = state
-    count = (bits | bits << x).bit_count() + len(prods)
+    bits |= bits << x
+    count = bits.bit_count() + len(prods)
+    small = (bits & ((2 << x) - 1)).bit_count() + (x not in prods)
     for v in prods:  # the products v*x are distinct, so count each one not yet in
-        if v * x not in prods:
-            count += 1
-    return count
-
-
-def _g_lower(state, m: int, missing: int) -> int:
-    # subset sums pair up as s <-> total - s, so y above the maximum m adds at
-    # least #{s < y} sums above the old largest; subset products pair up as
-    # w <-> product / w, so y adds at least #{w < y} products likewise
-    bits, prods = state
-    per_element = (bits & ((2 << m) - 1)).bit_count() + sum(w <= m for w in prods)
-    return bits.bit_count() + len(prods) + missing * per_element
+        count += v * x not in prods
+        small += v <= x
+    return count + missing * (small + missing - 1)
 
 
 class _Incremental(NamedTuple):
     """An objective's walk state: `empty` is the state of the empty prefix,
-    grow(state, x) the child's state, leaf(state, x) the value of the prefix
-    plus x, built from no new state, and lower(state, m, missing) a lower
-    bound on the value of every set made by adding `missing` elements above
-    m, the prefix's maximum; with missing = 0 it is the prefix's value."""
+    grow(state, x) the state of the prefix plus x, and bound(state, x, missing)
+    a lower bound on the value of every set made by adding x and then
+    `missing` elements above x to the prefix, computed from the prefix's state
+    without building the child's.  With missing = 0 it is the value of the
+    prefix plus x."""
 
     empty: tuple
     grow: Callable
-    leaf: Callable
-    lower: Callable
+    bound: Callable
 
 
 INCREMENTAL = {
-    "f": _Incremental(((), frozenset()), _f_grow, _f_leaf, _f_lower),
-    "g": _Incremental((1, frozenset({1})), _g_grow, _g_leaf, _g_lower),
+    "f": _Incremental(((), frozenset()), _f_grow, _f_bound),
+    "g": _Incremental((1, frozenset({1})), _g_grow, _g_bound),
 }
 
 
@@ -192,9 +187,9 @@ class SearchResult:
 def _explore_first(objective: str, k: int, n: int, first: int, leaf_cap: int | None):
     """Exhaust all k-subsets starting at `first`, smallest element fixed.
 
-    Each node carries the objective's incremental state, and each child
-    extends it by its one new element; a leaf's value is counted from its
-    parent's state.  The bound starts at the value of (1, ..., k), which no
+    Each child is scored from its parent's state, by its completion bound or,
+    at a leaf, its value, and only a child that survives gets a state of its
+    own, the parent's extended by its one new element.  The bound starts at the value of (1, ..., k), which no
     minimizer exceeds, and drops to the best leaf found.  A prefix shorter than
     k is not extended when its completion bound strictly exceeds the bound,
     and a leaf above the bound is counted but not recorded, so every tied
@@ -202,7 +197,7 @@ def _explore_first(objective: str, k: int, n: int, first: int, leaf_cap: int | N
     (best, certificates, leaves evaluated, truncated flag), with best None
     when no leaf was at or below the starting bound.
     """
-    empty, grow, leaf, lower = INCREMENTAL[objective]
+    empty, grow, bound = INCREMENTAL[objective]
     best = OBJECTIVES[objective](tuple(range(1, k + 1)))
     certs: list[tuple[int, ...]] = []
     leaves = 0
@@ -214,9 +209,8 @@ def _explore_first(objective: str, k: int, n: int, first: int, leaf_cap: int | N
         if depth < k:
             stop = n - k + depth + 2
             for x in xs:
-                child = grow(state, x)
-                if lower(child, x, k - depth) <= best and not rec(
-                    child, prefix + (x,), range(x + 1, stop)
+                if bound(state, x, k - depth) <= best and not rec(
+                    grow(state, x), prefix + (x,), range(x + 1, stop)
                 ):
                     return False
             return True
@@ -225,7 +219,7 @@ def _explore_first(objective: str, k: int, n: int, first: int, leaf_cap: int | N
                 truncated = True
                 return False
             leaves += 1
-            v = leaf(state, x)
+            v = bound(state, x, 0)
             if v < best:
                 best, certs = v, [prefix + (x,)]
             elif v == best:

@@ -180,14 +180,21 @@ def o_f_lower(prefix, missing):
 
 def o_g_lower(prefix, missing):
     """g(prefix) plus, per element still missing, the subset sums and the
-    subset products of the prefix that are at most its maximum; both sets are
-    enumerated subset by subset."""
+    subset products of the prefix that are at most its maximum, plus
+    missing*(missing - 1); both sets are enumerated subset by subset.
+
+    An element y added above the maximum adds at least one new sum per
+    subset sum below y (sums pair up as s <-> total - s) and one new product
+    per subset product below y.  The i-th element added also lies above the
+    i - 1 added before it, each a subset sum and a subset product, so the
+    i-th adds 2(i - 1) more, and the missing elements add missing*(missing - 1)
+    in all."""
     subs = [s for r in range(len(prefix) + 1) for s in combinations(prefix, r)]
     sums = {sum(s) for s in subs}
     prods = {prod(s) for s in subs}
     m = max(prefix)
     per_element = sum(v <= m for v in sums) + sum(v <= m for v in prods)
-    return len(sums) + len(prods) + missing * per_element
+    return len(sums) + len(prods) + missing * per_element + missing * (missing - 1)
 
 
 def o_explore_first(obj, lower, k, n, first, leaf_cap):

@@ -9,7 +9,7 @@ from itertools import combinations
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
@@ -279,19 +279,27 @@ ORACLE_LOWER = {"f": oracles.o_f_lower, "g": oracles.o_g_lower}
     tup=st.lists(st.integers(1, 30), max_size=6, unique=True).map(sorted).map(tuple),
     far=st.integers(1, 10**9),
 )
+# the f count skips the product x*2, which equals the sum x+x: x = 2, a prefix
+# holding 2 (with 2x = 12 = 3*4 already in 2P u P*P), and x = 1
+@example(tup=(2,), far=1)
+@example(tup=(1, 2), far=2)
+@example(tup=(2, 3, 4, 6), far=1)
+@example(tup=(), far=1)
 @settings(max_examples=60, deadline=None)
 def test_incremental_state_matches_whole_tuple_objective(objective, tup, far):
     inc = extremal.INCREMENTAL[objective]
+    obj = extremal.OBJECTIVES[objective]
+    oracle = ORACLE_OBJECTIVES[objective]
     state = inc.empty
     for i, x in enumerate(tup):
+        child = tup[: i + 1]
+        assert inc.bound(state, x, 0) == obj(child) == oracle(child), child
         state = inc.grow(state, x)
-        prefix = tup[: i + 1]
-        want = extremal.OBJECTIVES[objective](prefix)
-        assert inc.lower(state, x, 0) == want == ORACLE_OBJECTIVES[objective](prefix)
     top = tup[-1] if tup else 0
-    assert inc.lower(state, top, 0) == extremal.OBJECTIVES[objective](tup)
     for x in [*range(top + 1, top * top + 2), top + far]:
-        assert inc.leaf(state, x) == inc.lower(inc.grow(state, x), x, 0)
+        assert inc.bound(state, x, 0) == obj(tup + (x,)), x
+    far_child = tup + (top + far,)
+    assert obj(far_child) == oracle(far_child)
 
 
 @pytest.mark.parametrize("k", range(1, 6))
@@ -316,14 +324,14 @@ def test_completion_bounds_never_exceed_a_completion(objective):
     inc = extremal.INCREMENTAL[objective]
     obj = cache(ORACLE_OBJECTIVES[objective])
     lower = cache(ORACLE_LOWER[objective])
-    for k in range(2, 6):
+    for k in range(2, 7):
         for tup in combinations(range(1, 14), k):
             state = inc.empty
             for d, x in enumerate(tup[:-1], start=1):
-                state = inc.grow(state, x)
-                bound = inc.lower(state, x, k - d)
+                bound = inc.bound(state, x, k - d)  # from the parent's state
                 assert bound == lower(tup[:d], k - d), (tup, d)
                 assert bound <= obj(tup), (tup, d)
+                state = inc.grow(state, x)
 
 
 @pytest.mark.parametrize("objective", ["f", "g"])
@@ -335,6 +343,22 @@ def test_pruned_search_matches_plain_loop(objective):
             assert res.complete
             assert (res.minimum, list(res.certificates)) == oracles.o_search(obj, k, n), (k, n)
         assert {search_min(objective, k, 16, threads=t) for t in (2, 8)} == {res}
+
+
+# The benchmark's four search points; a walk that drifts changes nodes first.
+SEARCH_POINTS = {
+    ("g", 4, 32): (19, ((1, 2, 3, 4),), 435),
+    ("g", 5, 24): (30, ((1, 2, 3, 4, 6),), 310),
+    ("f", 5, 28): (15, ((1, 2, 3, 4, 5), (1, 2, 3, 4, 6)), 445),
+    ("f", 4, 40): (11, ((1, 2, 3, 4),), 9226),
+}
+
+
+@pytest.mark.parametrize("point", SEARCH_POINTS)
+def test_search_benchmark_points_are_pinned(point):
+    res = search_min(*point)
+    assert res.complete
+    assert (res.minimum, res.certificates, res.nodes) == SEARCH_POINTS[point]
 
 
 def test_import_loads_no_process_pool():
