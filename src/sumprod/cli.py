@@ -362,7 +362,9 @@ def _cmd_search(args) -> int:
     if args.report:
         _write_report(args.report, [{"kind": "search", **asdict(result)}])
     if not result.complete:
-        print("warning: node budget exhausted, partial result", file=sys.stderr)
+        spent = ("--node-budget" if args.node_budget is not None
+                 else "the size cap: --budget or SUMPROD_BUDGET")
+        print(f"warning: node budget exhausted ({spent}), partial result", file=sys.stderr)
         return 3
     if args.assert_oracle:
         want_min, want_certs = _oracle_search(args.objective, args.k, args.max)
@@ -499,7 +501,11 @@ def build_parser() -> _Parser:
         "--threads", type=int, default=1, metavar="N",
         help="must be >= 1; every N runs the same in-process walk, with the same results",
     )
-    p.add_argument("--node-budget", type=int, default=None, metavar="LEAVES")
+    p.add_argument(
+        "--node-budget", type=int, default=None, metavar="NODES",
+        help="stop after scoring NODES subsets and prefixes, one per completion bound "
+        "or leaf value (default: the size cap)",
+    )
     p.add_argument("--checkpoint", metavar="PATH")
     p.add_argument(
         "--assert-oracle",

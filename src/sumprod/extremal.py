@@ -3,16 +3,16 @@ growth-rate verdict battery for the prime-grid construction.
 
 f(A) = |2A u A*A| and g(A) = |A[1]| + |A{1}| (simple sums plus simple
 products).  search_min minimizes either objective exactly over all
-k-subsets of {1,...,N}, one subtree per smallest element walked in order in
-the calling process, with an optional resumable checkpoint.  Every subtree
-starts from the same bound, the value of (1,...,k), which no minimizer
-exceeds, and lowers it to its own best leaf.  A prefix is dropped when its
-completion bound, a lower bound on the value of every k-subset that extends
-it, strictly exceeds the bound, so every tied minimizer is kept and the
-leaves evaluated depend only on (objective, k, N).  Every child is scored
-from its parent's state, without a set of its own: its completion bound, or
-at a leaf its value.  Only a child that survives its bound gets a state, its
-parent's sums and products extended by its one new element.
+k-subsets of {1,...,N} by one depth-first walk in the calling process, with
+an optional resumable checkpoint.  The walk keeps one incumbent for the whole
+search, starting at the value of (1,...,k), which no minimizer exceeds, and
+lowered to each better leaf.  Every child of a prefix is scored from its
+parent's state, without a set of its own: by its completion bound, a lower
+bound on the value of every k-subset that extends it, or at a leaf by its
+value.  A child scored strictly above the incumbent is dropped, so every tied
+minimizer is kept, and only a child that survives gets a state, its parent's
+sums and products extended by its one new element.  Each child scored is one
+node, and a node budget caps the nodes, so it bounds the work.
 """
 
 from __future__ import annotations
@@ -21,11 +21,11 @@ import os
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product as iproduct
-from math import comb, prod
+from math import prod
 from typing import Callable, NamedTuple
 
 from .exactset import FinSet, _require_positive_integers, simple_closure
-from .limits import CapExceeded, check_size, size_cap
+from .limits import check_size, size_cap
 from .arith import first_primes, mult_dim
 from .verdicts import (
     HYPOTHESIS_NOT_MET,
@@ -37,7 +37,7 @@ from .verdicts import (
     verdict_from_compare,
 )
 
-CHECKPOINT_HEADER = "sumprod search checkpoint v1"
+CHECKPOINT_HEADER = "sumprod search checkpoint v2"
 CHECKPOINT_FIELDS = ("objective", "k", "universe", "cursor", "nodes", "minimum")
 
 
@@ -170,8 +170,9 @@ class SearchResult:
     """Outcome of an exhaustive k-subset minimization over [1, universe].
 
     minimum/certificates describe the explored region only when complete is
-    False; nodes counts evaluated leaves; cursor is the last first element
-    whose subtree was fully merged (resume point).
+    False; nodes counts the children scored, each by its completion bound or,
+    at a leaf, its value; cursor is the last smallest element whose subtree
+    was finished (resume point).
     """
 
     objective: str
@@ -184,57 +185,10 @@ class SearchResult:
     cursor: int | None
 
 
-def _explore_first(objective: str, k: int, n: int, first: int, leaf_cap: int | None):
-    """Exhaust all k-subsets starting at `first`, smallest element fixed.
-
-    Each child is scored from its parent's state, by its completion bound or,
-    at a leaf, its value, and only a child that survives gets a state of its
-    own, the parent's extended by its one new element.  The bound starts at the value of (1, ..., k), which no
-    minimizer exceeds, and drops to the best leaf found.  A prefix shorter than
-    k is not extended when its completion bound strictly exceeds the bound,
-    and a leaf above the bound is counted but not recorded, so every tied
-    minimizer is kept.  The leaf cap is checked before each leaf.  Returns
-    (best, certificates, leaves evaluated, truncated flag), with best None
-    when no leaf was at or below the starting bound.
-    """
-    empty, grow, bound = INCREMENTAL[objective]
-    best = OBJECTIVES[objective](tuple(range(1, k + 1)))
-    certs: list[tuple[int, ...]] = []
-    leaves = 0
-    truncated = False
-
-    def rec(state, prefix: tuple[int, ...], xs: range) -> bool:
-        nonlocal best, certs, leaves, truncated
-        depth = len(prefix) + 1  # the length of prefix + (x,)
-        if depth < k:
-            stop = n - k + depth + 2
-            for x in xs:
-                if bound(state, x, k - depth) <= best and not rec(
-                    grow(state, x), prefix + (x,), range(x + 1, stop)
-                ):
-                    return False
-            return True
-        for x in xs:
-            if leaf_cap is not None and leaves >= leaf_cap:
-                truncated = True
-                return False
-            leaves += 1
-            v = bound(state, x, 0)
-            if v < best:
-                best, certs = v, [prefix + (x,)]
-            elif v == best:
-                certs.append(prefix + (x,))
-        return True
-
-    rec(empty, (), range(first, first + 1))
-    return (best if certs else None), certs, leaves, truncated
-
-
 def _write_checkpoint(path: str, certs: list[tuple[int, ...]], **fields) -> None:
     """Atomically write CHECKPOINT_FIELDS, each given by keyword, then the certificates."""
-    values = [fields[key] for key in CHECKPOINT_FIELDS]
     lines = [CHECKPOINT_HEADER]
-    lines += [f"{key} {'-' if v is None else v}" for key, v in zip(CHECKPOINT_FIELDS, values)]
+    lines += [f"{key} {fields[key]}" for key in CHECKPOINT_FIELDS]
     lines += ["cert " + " ".join(str(v) for v in c) for c in sorted(certs)]
     tmp = path + ".tmp"
     with open(tmp, "w", encoding="ascii") as fh:
@@ -252,7 +206,8 @@ def _load_checkpoint(path: str, objective: str, k: int, universe: int):
     with open(path, encoding="ascii") as fh:
         lines = [ln.rstrip("\n") for ln in fh]
     if not lines or lines[0] != CHECKPOINT_HEADER:
-        raise bad("not a recognized checkpoint file")
+        raise bad("not a recognized checkpoint file: "
+                  f"the first line is not {CHECKPOINT_HEADER!r}")
     fields: dict[str, str] = {}
     certs: list[tuple[int, ...]] = []
     for ln in filter(None, lines[1:]):
@@ -272,7 +227,7 @@ def _load_checkpoint(path: str, objective: str, k: int, universe: int):
     if not 1 <= cursor <= universe - k + 1 or nodes < 0:
         raise bad(f"cursor {cursor} is outside 1..{universe - k + 1} "
                   f"or node count {nodes} is negative")
-    if (minimum is None) != (not certs):
+    if minimum is None or not certs:  # the first subtree always holds (1, ..., k)
         raise bad("a minimum needs certificates, and vice versa")
     for cert in certs:
         if len(cert) != k or list(cert) != sorted(set(cert)) or not (
@@ -286,11 +241,6 @@ def _load_checkpoint(path: str, objective: str, k: int, universe: int):
     return cursor, nodes, minimum, certs
 
 
-def _left(node_budget: int | None, nodes: int) -> int | None:
-    """The leaves a budgeted search may still evaluate, None without a budget."""
-    return None if node_budget is None else max(node_budget - nodes, 0)
-
-
 def search_min(
     objective: str,
     k: int,
@@ -302,15 +252,18 @@ def search_min(
 ) -> SearchResult:
     """Exact minimum of f or g over all k-subsets of {1,...,universe}.
 
-    Finds every minimizing set.  The work is one subtree per smallest
-    element, each pruned against the value of (1,...,k) and its own best leaf
-    (see _explore_first), walked in this process in order by one loop that
-    merges, budgets and checkpoints each result.  nodes counts the leaves
-    evaluated.  A node budget is a cap on the leaves: each subtree is capped
-    at the budget left when it is reached, and the search stops there,
-    incomplete, only when it needs a leaf beyond the budget.  A breached
-    budget yields complete=False with the partial minimum, never a silent
-    answer.  threads must be >= 1 and does not change the walk or its result.
+    Finds every minimizing set by one depth-first walk in ascending order,
+    with one incumbent for the whole search: the value of (1,...,k), which no
+    minimizer exceeds, or a resumed checkpoint's minimum, lowered to each
+    better leaf.  Each child of a prefix is one node: it is scored from its
+    parent's state by its completion bound or, at a leaf, its value, and it is
+    dropped when the score exceeds the incumbent, so every tied minimizer is
+    kept.  The node budget caps nodes, checked before each child; without one
+    the size cap is the budget.  A spent budget yields complete=False with the
+    partial minimum, never a silent answer.  The cursor and the checkpoint
+    advance after each smallest element's subtree, so a resumed run walks
+    exactly as an uninterrupted one.  threads must be >= 1 and does not change
+    the walk or its result.
     """
     if objective not in OBJECTIVES:
         raise ValueError(f"objective must be 'f' or 'g', got {objective!r}")
@@ -322,42 +275,47 @@ def search_min(
         raise ValueError(f"thread count must be >= 1, got {threads}")
     if node_budget is not None and node_budget < 0:
         raise ValueError("node budget must be >= 0")
-    if node_budget is None and comb(universe, k) > size_cap():
-        raise CapExceeded(
-            f"search space C({universe},{k}) exceeds the size cap; pass a node budget"
-        )
 
-    cursor = 0
-    nodes = 0
-    best: int | None = None
+    empty, grow, bound = INCREMENTAL[objective]
+    cap = size_cap() if node_budget is None else node_budget
+    cursor = nodes = 0
+    best = OBJECTIVES[objective](tuple(range(1, k + 1)))
     certs: list[tuple[int, ...]] = []
     if checkpoint_path and os.path.exists(checkpoint_path):
-        cursor, nodes, best, certs = _load_checkpoint(
-            checkpoint_path, objective, k, universe
-        )
-    complete = True
-    for first in range(cursor + 1, universe - k + 2):
-        sub_best, sub_certs, sub_leaves, truncated = _explore_first(
-            objective, k, universe, first, _left(node_budget, nodes)
-        )
-        nodes += sub_leaves
-        if sub_best is not None and (best is None or sub_best < best):
-            best, certs = sub_best, sub_certs
-        elif sub_best == best:
-            certs.extend(sub_certs)
-        if truncated:
-            complete = False
-            break
-        cursor = first
-        if checkpoint_path:
-            _write_checkpoint(checkpoint_path, certs, objective=objective, k=k,
-                              universe=universe, cursor=cursor, nodes=nodes, minimum=best)
+        cursor, nodes, best, certs = _load_checkpoint(checkpoint_path, objective, k, universe)
 
+    def walk(state, prefix: tuple[int, ...], xs: range) -> bool:
+        """Score each child prefix + (x,), x in xs, and grow or record the ones
+        at or below the incumbent; False once the budget stops the walk."""
+        nonlocal best, certs, nodes, cursor
+        depth = len(prefix) + 1  # the length of prefix + (x,)
+        for x in xs:
+            if nodes >= cap:
+                return False
+            nodes += 1
+            value = bound(state, x, k - depth)
+            if value <= best:
+                if depth < k:
+                    stop = universe - k + depth + 2  # each grandchild leaves room for the rest
+                    if not walk(grow(state, x), prefix + (x,), range(x + 1, stop)):
+                        return False
+                elif value < best:
+                    best, certs = value, [prefix + (x,)]
+                else:
+                    certs.append(prefix + (x,))
+            if depth == 1:
+                cursor = x
+                if checkpoint_path:
+                    _write_checkpoint(checkpoint_path, certs, objective=objective, k=k,
+                                      universe=universe, cursor=cursor, nodes=nodes, minimum=best)
+        return True
+
+    complete = walk(empty, (), range(cursor + 1, universe - k + 2))
     return SearchResult(
         objective=objective,
         k=k,
         universe=universe,
-        minimum=best,
+        minimum=best if certs else None,
         certificates=tuple(sorted(set(certs))),
         nodes=nodes,
         complete=complete,

@@ -1,7 +1,8 @@
 """Work caps shared by every module, and the errors raised when a cap is hit.
 
 The size cap bounds the number of distinct values any single operation may
-materialize.  It defaults to ten million and can be overridden either through
+materialize, and the nodes a search may score when it is given no node
+budget of its own.  It defaults to ten million and can be overridden either through
 the SUMPROD_BUDGET environment variable or programmatically (the CLI's
 --budget flag uses the latter).
 """

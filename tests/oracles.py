@@ -197,36 +197,37 @@ def o_g_lower(prefix, missing):
     return len(sums) + len(prods) + missing * per_element + missing * (missing - 1)
 
 
-def o_explore_first(obj, lower, k, n, first, leaf_cap):
-    """Depth-first walk over the k-subsets of 1..n with smallest element
-    `first`, in lexicographic order, evaluating obj on whole tuples.  The
-    bound starts at obj((1, ..., k)) and drops to the best leaf so far.  A
-    prefix shorter than k is not extended when lower(prefix, elements still
-    missing) strictly exceeds the bound, and a leaf above the bound is counted
-    but not recorded; the walk stops, truncated, at a leaf beyond leaf_cap
-    leaves.  Returns (best or None when no leaf was recorded, sorted
-    certificates, leaves evaluated, truncated)."""
+def o_search_walk(obj, lower, k, n, budget):
+    """Depth-first walk over the k-subsets of 1..n in lexicographic order,
+    evaluating obj on whole tuples, with one incumbent for the whole search:
+    obj((1, ..., k)), dropping to the best leaf so far.  Every child that can
+    still be completed (its i-th element at most n - k + i) is one node.
+    Before each, the walk stops if `budget` nodes were scored; a prefix
+    shorter than k is scored by lower(prefix, elements still missing) and not
+    extended when that strictly exceeds the incumbent, and a leaf is scored
+    by obj and recorded when at or below it.  Returns (best or None when no
+    leaf was recorded, sorted certificates, nodes, complete, the largest
+    smallest element whose subtree was finished or None)."""
     best = obj(tuple(range(1, k + 1)))
     certs = []
-    leaves = 0
-    stack = [(first,)]
-    truncated = False
+    nodes = 0
+    stack = [(x,) for x in range(n - k + 1, 0, -1)]
     while stack:
-        prefix = stack.pop()
-        if len(prefix) < k:
-            if lower(prefix, k - len(prefix)) <= best:
-                stack.extend(prefix + (x,) for x in range(n, prefix[-1], -1))
+        child = stack.pop()
+        if nodes == budget:
+            return (best if certs else None), sorted(certs), nodes, False, child[0] - 1 or None
+        nodes += 1
+        missing = k - len(child)
+        if missing:
+            if lower(child, missing) <= best:
+                stack.extend(child + (x,) for x in range(n - missing + 1, child[-1], -1))
             continue
-        if leaf_cap is not None and leaves == leaf_cap:
-            truncated = True
-            break
-        leaves += 1
-        v = obj(prefix)
+        v = obj(child)
         if v < best:
-            best, certs = v, [prefix]
+            best, certs = v, [child]
         elif v == best:
-            certs.append(prefix)
-    return (best if certs else None), sorted(certs), leaves, truncated
+            certs.append(child)
+    return (best if certs else None), sorted(certs), nodes, True, n - k + 1
 
 
 def subsets(universe, max_size, min_size=1):

@@ -299,7 +299,24 @@ def test_search_budget_incomplete_exit_3(capsys):
         "--node-budget", "30",
     )
     assert rc == 3
-    assert "partial" in err
+    assert err == "warning: node budget exhausted (--node-budget), partial result\n"
+
+
+def test_search_size_cap_is_the_default_budget(monkeypatch, capsys):
+    """Without --node-budget the size cap bounds the nodes, not C(N, k)."""
+    argv = ("search", "--objective", "f", "--k", "3", "--max", "20")
+    rc, out, _ = run(capsys, *argv, "--budget", "1000")  # C(20, 3) = 1140 subsets
+    assert rc == 0
+    assert out.startswith("# search objective=f k=3 universe=20 nodes=396 complete=true\n")
+    rc, out, err = run(capsys, *argv, "--budget", "10")
+    assert rc == 3
+    assert out.startswith("# search objective=f k=3 universe=20 nodes=10 complete=false\n")
+    assert err == (
+        "warning: node budget exhausted (the size cap: --budget or SUMPROD_BUDGET), "
+        "partial result\n"
+    )
+    monkeypatch.setenv("SUMPROD_BUDGET", "10")
+    assert run(capsys, *argv)[0] == 3
 
 
 def test_search_zero_threads_exit_1(capsys):
@@ -328,7 +345,7 @@ def test_search_report_thread_independent(tmp_path, capsys):
 def test_search_checkpoint_without_minimum_exits_1(tmp_path, capsys):
     cp = tmp_path / "state.txt"
     cp.write_text(
-        "sumprod search checkpoint v1\n"
+        "sumprod search checkpoint v2\n"
         "objective f\nk 3\nuniverse 12\ncursor 2\nnodes 100\ncert 1 2 3\n"
     )
     rc, out, err = run(
@@ -337,6 +354,26 @@ def test_search_checkpoint_without_minimum_exits_1(tmp_path, capsys):
     )
     assert (rc, out) == (1, "")
     assert err == f"error: checkpoint {cp}: no minimum field\n"
+
+
+def test_search_v1_checkpoint_is_rejected_not_resumed(tmp_path, capsys):
+    """A v1 checkpoint counts leaves, not nodes, so it cannot resume the walk."""
+    cp = tmp_path / "state.txt"
+    v1 = (
+        "sumprod search checkpoint v1\n"
+        "objective f\nk 3\nuniverse 12\ncursor 2\nnodes 55\nminimum 7\ncert 1 2 3\n"
+    )
+    cp.write_text(v1)
+    rc, out, err = run(
+        capsys, "search", "--objective", "f", "--k", "3", "--max", "12",
+        "--checkpoint", str(cp),
+    )
+    assert (rc, out) == (1, "")
+    assert err == (
+        f"error: checkpoint {cp}: not a recognized checkpoint file: "
+        "the first line is not 'sumprod search checkpoint v2'\n"
+    )
+    assert cp.read_text() == v1
 
 
 # --- frozen output bytes -------------------------------------------------------------------

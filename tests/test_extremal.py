@@ -153,9 +153,13 @@ def test_search_invalid_arguments():
 
 
 def test_search_cap_without_budget(monkeypatch):
+    """Without a node budget the size cap is the budget, on nodes, not on C(N, k)."""
+    monkeypatch.setenv("SUMPROD_BUDGET", "1000")
+    res = search_min("f", 3, 20)  # C(20, 3) = 1140 subsets
+    assert (res.complete, res.nodes, res.minimum) == (True, 396, 7)
     monkeypatch.setenv("SUMPROD_BUDGET", "10")
-    with pytest.raises(CapExceeded):
-        search_min("f", 3, 20)
+    res = search_min("f", 3, 20)
+    assert (res.complete, res.nodes) == (False, 10)
 
 
 def test_search_budget_yields_incomplete():
@@ -195,8 +199,8 @@ def test_search_checkpoint_garbage_rejected(tmp_path):
 
 
 CHECKPOINT_F_3_12 = (
-    "sumprod search checkpoint v1\n"
-    "objective f\nk 3\nuniverse 12\ncursor 2\nnodes 55\nminimum 7\ncert 1 2 3\n"
+    "sumprod search checkpoint v2\n"
+    "objective f\nk 3\nuniverse 12\ncursor 1\nnodes 21\nminimum 7\ncert 1 2 3\n"
 )
 
 
@@ -210,7 +214,7 @@ def test_search_checkpoint_fixture_is_what_a_budgeted_run_writes(tmp_path):
 
 def test_search_checkpoint_writer_needs_every_field(tmp_path):
     cp = tmp_path / "state.txt"
-    fields = dict(objective="f", k=3, universe=12, cursor=2, nodes=55)
+    fields = dict(objective="f", k=3, universe=12, cursor=1, nodes=21)
     with pytest.raises(KeyError, match="minimum"):
         extremal._write_checkpoint(str(cp), [(1, 2, 3)], **fields)
     assert not cp.exists() and not (tmp_path / "state.txt.tmp").exists()
@@ -235,12 +239,12 @@ def test_search_checkpoint_missing_field_rejected(tmp_path, field):
 @pytest.mark.parametrize("cursor", ["0", "-1", "11", "99"])
 def test_search_checkpoint_cursor_out_of_range_rejected(tmp_path, cursor):
     with pytest.raises(ValueError, match="outside 1..10"):
-        _resume_edited(tmp_path, "cursor 2\n", f"cursor {cursor}\n")
+        _resume_edited(tmp_path, "cursor 1\n", f"cursor {cursor}\n")
 
 
 def test_search_checkpoint_negative_node_count_rejected(tmp_path):
     with pytest.raises(ValueError, match="node count -1 is negative"):
-        _resume_edited(tmp_path, "nodes 55\n", "nodes -1\n")
+        _resume_edited(tmp_path, "nodes 21\n", "nodes -1\n")
 
 
 def test_search_checkpoint_minimum_without_certificates_rejected(tmp_path):
@@ -304,19 +308,16 @@ def test_incremental_state_matches_whole_tuple_objective(objective, tup, far):
 
 @pytest.mark.parametrize("k", range(1, 6))
 @pytest.mark.parametrize("objective", ["f", "g"])
-def test_explore_first_matches_plain_walk_at_every_leaf_cap(objective, k):
+def test_search_matches_oracle_walk_at_every_budget(objective, k):
     obj = cache(ORACLE_OBJECTIVES[objective])
     lower = cache(ORACLE_LOWER[objective])
     for n in range(k, 15):
-        for first in range(1, n - k + 2):
-            leaves = oracles.o_explore_first(obj, lower, k, n, first, None)[2]
-            for cap in [None, *range(leaves + 2)]:
-                best, certs, got_leaves, truncated = extremal._explore_first(
-                    objective, k, n, first, cap
-                )
-                got = (best, sorted(certs), got_leaves, truncated)
-                want = oracles.o_explore_first(obj, lower, k, n, first, cap)
-                assert got == want, (n, first, cap)
+        total = oracles.o_search_walk(obj, lower, k, n, None)[2]
+        for budget in range(total + 2):
+            res = search_min(objective, k, n, node_budget=budget)
+            got = (res.minimum, list(res.certificates), res.nodes, res.complete, res.cursor)
+            want = oracles.o_search_walk(obj, lower, k, n, budget)
+            assert got == want, (n, budget)
 
 
 @pytest.mark.parametrize("objective", ["f", "g"])
@@ -347,10 +348,10 @@ def test_pruned_search_matches_plain_loop(objective):
 
 # The benchmark's four search points; a walk that drifts changes nodes first.
 SEARCH_POINTS = {
-    ("g", 4, 32): (19, ((1, 2, 3, 4),), 435),
-    ("g", 5, 24): (30, ((1, 2, 3, 4, 6),), 310),
-    ("f", 5, 28): (15, ((1, 2, 3, 4, 5), (1, 2, 3, 4, 6)), 445),
-    ("f", 4, 40): (11, ((1, 2, 3, 4),), 9226),
+    ("g", 4, 32): (19, ((1, 2, 3, 4),), 928),
+    ("g", 5, 24): (30, ((1, 2, 3, 4, 6),), 2100),
+    ("f", 5, 28): (15, ((1, 2, 3, 4, 5), (1, 2, 3, 4, 6)), 9099),
+    ("f", 4, 40): (11, ((1, 2, 3, 4),), 19105),
 }
 
 
@@ -393,7 +394,7 @@ def test_search_budget_and_checkpoint_agree_across_worker_counts(tmp_path):
         resumed = search_min("f", 3, 12, threads=threads, checkpoint_path=str(cp))
         outcomes.append((partial, written, resumed, cp.read_bytes()))
     assert outcomes[0] == outcomes[1]
-    assert outcomes[0][0].cursor == 2 and not outcomes[0][0].complete
+    assert outcomes[0][0].cursor == 1 and not outcomes[0][0].complete
 
 
 def test_search_spent_budget_builds_no_pool(tmp_path):
@@ -401,9 +402,9 @@ def test_search_spent_budget_builds_no_pool(tmp_path):
     res = search_min("f", 3, 12, threads=4, node_budget=0)
     assert (res.complete, res.nodes, res.minimum, res.cursor) == (False, 0, None, None)
     cp = tmp_path / "state.txt"
-    cp.write_text(CHECKPOINT_F_3_12)  # nodes 55
-    res = search_min("f", 3, 12, threads=4, node_budget=55, checkpoint_path=str(cp))
-    assert (res.complete, res.nodes, res.cursor) == (False, 55, 2)
+    cp.write_text(CHECKPOINT_F_3_12)  # nodes 21
+    res = search_min("f", 3, 12, threads=4, node_budget=21, checkpoint_path=str(cp))
+    assert (res.complete, res.nodes, res.cursor) == (False, 21, 1)
 
 
 def test_search_budget_caps_nodes_for_every_worker_count():
@@ -414,22 +415,31 @@ def test_search_budget_caps_nodes_for_every_worker_count():
         assert (one.nodes, one.complete) == (min(budget, total), budget >= total), budget
 
 
+@pytest.mark.parametrize("objective", ["f", "g"])
+def test_search_resumed_at_every_budget_equals_a_fresh_run(objective, tmp_path):
+    fresh = search_min(objective, 4, 12)
+    for budget in range(fresh.nodes):
+        cp = tmp_path / f"state-{budget}.txt"
+        partial = search_min(objective, 4, 12, node_budget=budget, checkpoint_path=str(cp))
+        assert not partial.complete and partial.nodes == budget
+        assert search_min(objective, 4, 12, checkpoint_path=str(cp)) == fresh, budget
+
+
 def test_search_in_process_walks_each_subtree_once(monkeypatch):
-    walked: list[tuple[int, int]] = []
-    explore = extremal._explore_first
+    """Each node is one bound call, and a budget stops the walk at exactly its count."""
+    calls = 0
+    inc = extremal.INCREMENTAL["f"]
 
     def counted(*args):
-        result = explore(*args)
-        walked.append((args[3], result[2]))  # (first, leaves evaluated)
-        return result
+        nonlocal calls
+        calls += 1
+        return inc.bound(*args)
 
-    monkeypatch.setattr(extremal, "_explore_first", counted)
+    monkeypatch.setitem(extremal.INCREMENTAL, "f", inc._replace(bound=counted))
     for budget in (0, 60, 5000):
-        walked.clear()
+        calls = 0
         res = search_min("f", 4, 40, node_budget=budget)
-        firsts = [first for first, _ in walked]
-        assert firsts == list(range(1, len(firsts) + 1)), budget
-        assert sum(leaves for _, leaves in walked) == res.nodes == budget
+        assert calls == res.nodes == budget
         assert not res.complete
 
 
