@@ -5,7 +5,9 @@ rank of its prime-exponent vectors: the dimension of the span of the
 differences from any fixed member.  Rank is computed by Echelon, the
 package's one exact eliminator: a sparse, fraction-free row echelon form on
 {column: int} rows, exact for arbitrarily large exponents.  Progression
-membership (progressions.contains) runs on the same eliminator.
+membership (progressions.contains) runs on the same eliminator.  Subset
+products are counted over a pairwise coprime base found by gcds alone, with
+no factoring (vector_simple_sum_count).
 """
 
 from __future__ import annotations
@@ -15,9 +17,10 @@ from fractions import Fraction
 from functools import lru_cache
 from heapq import heapify, heappop, heappush
 from math import gcd, isqrt, prod
+from typing import Iterable
 
-from .exactset import FinSet
-from .limits import FactorizationBudgetExceeded, check_size
+from .exactset import FinSet, _box_mask
+from .limits import FactorizationBudgetExceeded
 
 DEFAULT_TRIAL_BOUND = 10**6
 DEFAULT_RHO_BUDGET = 2_000_000
@@ -207,16 +210,19 @@ class MultDim:
     projection: tuple[int, ...]
 
 
-def _factored(a: FinSet) -> tuple[tuple[int, ...], list[dict[int, int]]]:
-    """The ascending primes occurring in a, and each element's exponents."""
+def _reduced(a: FinSet) -> list[tuple[int, int]]:
+    """Each element of a positive set as its (numerator, denominator) in
+    lowest terms."""
     if not a.is_positive:
         raise ValueError("exponent vectors need strictly positive elements")
+    return [(v // g, a._scale // g) for v in a._ints for g in (gcd(v, a._scale),)]
+
+
+def _factored(a: FinSet) -> tuple[tuple[int, ...], list[dict[int, int]]]:
+    """The ascending primes occurring in a, and each element's exponents."""
     # Each element's own numerator and denominator, never the scale (the lcm of
     # the denominators), which can be a product of primes too large to split.
-    factored = []
-    for v in a._ints:
-        g = gcd(v, a._scale)
-        factored.append(_quotient_exponents(v // g, a._scale // g))
+    factored = [_quotient_exponents(n, d) for n, d in _reduced(a)]
     return tuple(sorted({p for f in factored for p in f})), factored
 
 
@@ -323,18 +329,80 @@ def mult_dim(a: FinSet) -> MultDim:
     )
 
 
-def vector_simple_sum_count(a: FinSet) -> int:
-    """Number of distinct subset sums of the set's exponent vectors.
+def _coprime_base(values: Iterable[int]) -> tuple[int, ...]:
+    """A pairwise coprime base for positive ints, ascending, by factor
+    refinement (Bach, Driscoll and Shallit, J. Algorithms 1993).
 
-    The empty subset counts, contributing the zero vector.  Equals the
-    number of distinct subset products of the set itself.
+    Every value is a product of powers of the base elements, all > 1.  Only
+    gcds are taken: a value sharing g > 1 with a base element b is replaced,
+    with b, by g, b/g and value/g, which divides the product of the pending
+    parts by g, so the refinement ends.
     """
-    em = exponent_matrix(a)
-    frontier: set[tuple[int, ...]] = {tuple(0 for _ in em.primes)}
-    for row in em.rows:
-        frontier |= {tuple(v + r for v, r in zip(vec, row)) for vec in frontier}
-        check_size(len(frontier), "vector subset sums")
-    return len(frontier)
+    base: list[int] = []
+    todo = list(set(values))
+    while todo:
+        x = todo.pop()
+        if x == 1:
+            continue
+        for i, b in enumerate(base):
+            g = gcd(x, b)
+            if g > 1:
+                base[i] = base[-1]
+                base.pop()
+                todo += (g, b // g, x // g)
+                break
+        else:
+            base.append(x)
+    return tuple(sorted(base))
+
+
+def _coprime_exponents(a: FinSet) -> tuple[tuple[int, ...], list[dict[int, int]]]:
+    """A pairwise coprime base for a's reduced numerators and denominators,
+    and each element's signed exponents over it.
+
+    Each base element has a prime that no other one has, so every element
+    has exactly one exponent vector over the base, found by division.
+    """
+    parts = _reduced(a)
+    base = _coprime_base(n for pair in parts for n in pair)
+    exponents = []
+    for pair in parts:
+        exps: dict[int, int] = {}
+        for n, sign in zip(pair, (1, -1)):
+            for b in base:
+                if n == 1:
+                    break
+                e = 0
+                while n % b == 0:
+                    n //= b
+                    e += sign
+                if e:
+                    exps[b] = e
+        exponents.append(exps)
+    return base, exponents
+
+
+def vector_simple_sum_count(a: FinSet) -> int:
+    """Number of distinct subset products of a positive set, the empty
+    product included, counted as subset sums of exponent vectors.
+
+    The vectors are over a coprime base (_coprime_exponents), so nothing is
+    factored.  Each is encoded as one int in mixed radix, the radix of a
+    column being 1 plus the sum of its absolute entries, which maps subset
+    sums of vectors one-to-one onto subset sums of the codes.  Those are
+    counted by the subset-sum kernel of exactset, with the cap checked after
+    every element.
+    """
+    base, exponents = _coprime_exponents(a)
+    codes = [0] * len(exponents)
+    weight = 1
+    for b in base:
+        column = [exps.get(b, 0) for exps in exponents]
+        for i, e in enumerate(column):
+            codes[i] += e * weight
+        weight *= 1 + sum(map(abs, column))
+    _, mask = _box_mask(codes, 1, "simple product closure")
+    return mask.bit_count() if isinstance(mask, int) else len(mask)
 
 
 def first_primes(count: int) -> tuple[int, ...]:

@@ -15,7 +15,7 @@ from fractions import Fraction
 from itertools import compress, count, repeat
 from math import gcd, lcm, prod
 from struct import iter_unpack
-from typing import Iterable, Iterator, Literal
+from typing import Iterable, Iterator, Literal, Sequence
 
 from .limits import SetParseError, check_size, size_cap
 
@@ -304,17 +304,17 @@ def _sumset(sets: list[FinSet], what: str) -> FinSet:
     return _from_ints(_convolve(factors, what), scale)
 
 
-def _box_sums(a: FinSet, h: int, what: str) -> FinSet:
-    """All sums of c_i * a_i with every c_i in 0..h, on integers.
+def _box_mask(ints: Sequence[int], h: int, what: str) -> tuple[int, int | set[int]]:
+    """All sums of c_i * v_i with every c_i in 0..h, as (offset, mask).
 
-    The set's ints v over its scale are summed, and a negative v enters as
-    h*v + c*|v|, leaving an offset plus sums of non-negative steps.  These
-    are kept as a big-int bitmask (bit s set iff offset + s is reachable)
-    when it needs at most 64 bits per value the coefficients and the cap
-    allow, else as a set of ints.  The cap is checked after every element.
+    A negative v enters as h*v + c*|v|, leaving the offset plus sums of
+    non-negative steps s.  The mask holds those s: a big-int bitmask (bit s
+    set iff offset + s is reachable) when it needs at most 64 bits per value
+    the coefficients and the cap allow, else a set of ints.  The cap is
+    checked after every element.
     """
-    offset = h * sum(v for v in a._ints if v < 0)
-    steps = [abs(v) for v in a._ints]
+    offset = h * sum(v for v in ints if v < 0)
+    steps = [abs(v) for v in ints]
     # (h+1)^k > cap once k reaches cap's bit length, so k stays small
     if _packs(h * sum(steps), (h + 1) ** min(len(steps), size_cap().bit_length())):
         bits = 1
@@ -326,12 +326,22 @@ def _box_sums(a: FinSet, h: int, what: str) -> FinSet:
                 bits |= bits << take * step
                 left -= take
             check_size(bits.bit_count(), what)
-        sums: Iterable[int] = _bit_positions(bits, offset)
+        return offset, bits
+    sums = {0}
+    for step in steps:
+        sums = {s + j * step for s in sums for j in range(h + 1)}
+        check_size(len(sums), what)
+    return offset, sums
+
+
+def _box_sums(a: FinSet, h: int, what: str) -> FinSet:
+    """All sums of c_i * a_i with every c_i in 0..h, on the set's ints over
+    its scale, by _box_mask."""
+    offset, mask = _box_mask(a._ints, h, what)
+    if isinstance(mask, int):
+        sums: Iterable[int] = _bit_positions(mask, offset)
     else:
-        sums = {offset}
-        for step in steps:
-            sums = {s + j * step for s in sums for j in range(h + 1)}
-            check_size(len(sums), what)
+        sums = map(offset.__add__, mask) if offset else mask
     return _from_ints(sums, a._scale)
 
 

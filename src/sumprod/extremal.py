@@ -26,7 +26,7 @@ from typing import Callable, NamedTuple
 
 from .exactset import FinSet, _require_positive_integers, simple_closure
 from .limits import check_size, size_cap
-from .arith import first_primes, mult_dim
+from .arith import first_primes, mult_dim, vector_simple_sum_count
 from .verdicts import (
     HYPOTHESIS_NOT_MET,
     TRUE,
@@ -75,9 +75,12 @@ def f_value(a: FinSet) -> int:
 
 
 def g_value(a: FinSet) -> int:
-    """|A[1]| + |A{1}| exactly: subset sums plus subset products."""
+    """|A[1]| + |A{1}| exactly: subset sums plus subset products.
+
+    The subset products are counted, not built, by vector_simple_sum_count.
+    """
     _require_positive_integers(a, "the g objective")
-    return simple_closure(a, "sum").size + simple_closure(a, "product").size
+    return simple_closure(a, "sum").size + vector_simple_sum_count(a)
 
 
 def _f_tuple(elems: tuple[int, ...]) -> int:
@@ -335,8 +338,9 @@ def verify_section3(j: int, eps3: Fraction | int = Fraction(1, 10)) -> list[Verd
     Two log identities are checked unconditionally; the remaining bounds
     are gated on ln j / ln ln j > 1/eps3, reported hypothesis-not-met when
     the gate fails (always at small j), with the raw comparison kept in the
-    witness.  Exact set sizes come from the closure engines; logs are
-    200-bit enclosures.
+    witness.  Exact set sizes come from the closure engines: |A{1}| is
+    counted by vector_simple_sum_count, without building the products.  Logs
+    are 200-bit enclosures.
     """
     if j < 2:
         raise ValueError(f"need j >= 2, got {j}")
@@ -418,7 +422,7 @@ def verify_section3(j: int, eps3: Fraction | int = Fraction(1, 10)) -> list[Verd
             base_wit,
         )
     )
-    simple_prods = simple_closure(a, "product").size
+    simple_prods = vector_simple_sum_count(a)
     out.append(
         _gated(
             "section3.simple_product_bound",

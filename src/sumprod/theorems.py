@@ -11,16 +11,15 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import product as iproduct
-from math import lcm
 
 from .exactset import (
     FinSet,
     PairGraph,
+    _box_mask,
     _require_positive_integers,
     combine,
     iterate,
     restricted_combine,
-    simple_closure,
     sum_diff,
 )
 from .limits import check_size
@@ -158,10 +157,17 @@ def verify_prop13(b: FinSet, h1: int) -> Verdict:
     if h1 > b.size:
         raise ValueError(f"fold count {h1} exceeds the set size {b.size}")
     hsum = iterate(b, h1, "sum")
-    simple = simple_closure(b, "sum")
-    scale = lcm(hsum._scale, simple._scale)
-    closure = {v * (scale // simple._scale) for v in simple._ints}
-    lhs = sum(v * (scale // hsum._scale) in closure for v in hsum._ints)
+    # each value of hB, over b's scale and less the offset, tested in the mask
+    # of the simple-sum closure, which is never built as a set
+    offset, mask = _box_mask(b._ints, 1, "simple sum closure")
+    up = b._scale // hsum._scale
+    wanted = [v * up - offset for v in hsum._ints]
+    if isinstance(mask, int):
+        width = mask.bit_length()
+        raw = mask.to_bytes((width + 7) // 8, "little")
+        lhs = sum(0 <= s < width and raw[s >> 3] >> (s & 7) & 1 for s in wanted)
+    else:
+        lhs = sum(s in mask for s in wanted)
     m = mult_dim(b).dimension
     c = fold_constant(h1)
     rhs = (Fraction(b.size) / c ** (m + 1)) ** h1

@@ -1,6 +1,9 @@
 """Factorization, exponent matrices, and multiplicative dimension."""
 
+import math
+import time
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 import sympy
@@ -21,7 +24,7 @@ from sumprod.arith import (
     vector_simple_sum_count,
 )
 from sumprod.exactset import FinSet, dilate, simple_closure
-from sumprod.limits import FactorizationBudgetExceeded
+from sumprod.limits import CapExceeded, FactorizationBudgetExceeded
 
 
 def fs(*values) -> FinSet:
@@ -331,6 +334,99 @@ def test_vector_simple_sum_count_examples():
     assert vector_simple_sum_count(fs(1, 2, 3, 6)) == 7
     assert vector_simple_sum_count(fs(2)) == 2
     assert vector_simple_sum_count(fs(1)) == 1
+    assert vector_simple_sum_count(fs()) == 1
+
+
+# composites sharing prime factors, so the coprime base has to split them
+SHARED = (4, 6, 10, 12, 15, 18, 35, Fraction(4, 9), Fraction(12, 35), Fraction(9, 10), Fraction(5, 6))
+P89, Q61 = 2**89 - 1, 2**61 - 1
+
+
+@given(st.lists(st.integers(1, 60) | st.sampled_from([v for v in SHARED if v == int(v)]), max_size=9))
+@settings(max_examples=150, deadline=None)
+def test_vector_simple_sum_count_matches_oracle_on_integers(values):
+    a = fs(*values)
+    assert vector_simple_sum_count(a) == len(oracles.o_simple(a.elements, "product"))
+
+
+@given(
+    st.lists(
+        st.builds(Fraction, st.integers(1, 40), st.integers(1, 40)) | st.sampled_from(SHARED),
+        max_size=9,
+    )
+)
+@settings(max_examples=150, deadline=None)
+def test_vector_simple_sum_count_matches_oracle_on_rationals(values):
+    a = fs(*values)
+    assert vector_simple_sum_count(a) == len(oracles.o_simple(a.elements, "product"))
+
+
+@pytest.mark.parametrize(
+    "values, want",
+    [
+        ((P89, P89**2), 4),
+        ((P89 * Q61, P89 * Q61**2, Q61), 7),
+        ((Fraction(P89, Q61), Fraction(Q61**3, P89), 6), 8),
+    ],
+)
+def test_vector_simple_sum_count_factors_nothing(monkeypatch, values, want):
+    # p = 2^89 - 1 is a probable prime above the deterministic Miller-Rabin
+    # range, and pq resists rho within the budget: no factoring is asked for
+    def refuse(*args, **kwargs):
+        raise AssertionError("factor_int was called")
+
+    monkeypatch.setattr(arith, "factor_int", refuse)
+    assert vector_simple_sum_count(fs(*values)) == want
+
+
+@pytest.mark.parametrize(
+    "values",
+    [(1, 2, 3, 6), (2**1000, 3**1000, 6)],  # counted in a bitmask; in a set of ints
+)
+def test_vector_simple_sum_count_raises_exactly_above_the_cap(monkeypatch, values):
+    a = fs(*values)
+    want = len(oracles.o_simple(a.elements, "product"))
+    monkeypatch.setenv("SUMPROD_BUDGET", str(want - 1))
+    with pytest.raises(CapExceeded):
+        vector_simple_sum_count(a)
+    monkeypatch.setenv("SUMPROD_BUDGET", str(want))
+    assert vector_simple_sum_count(a) == want
+
+
+def test_vector_simple_sum_count_raises_at_the_cap_at_once(monkeypatch):
+    # 2^60 subset products; the cap is checked after every element
+    monkeypatch.setenv("SUMPROD_BUDGET", "100")
+    start = time.perf_counter()
+    with pytest.raises(CapExceeded, match="needs 128 values, cap is 100"):
+        vector_simple_sum_count(FinSet(first_primes(60)))
+    assert time.perf_counter() - start < 1
+
+
+# products of atoms that share factors, including ones that no budget factors
+_atom_products = st.lists(st.sampled_from([2, 3, 6, 10, 15, 49, P89, Q61, P89 * Q61]), max_size=4).map(
+    math.prod
+)
+
+
+@given(st.lists(st.builds(Fraction, _atom_products, _atom_products) | st.integers(1, 10**6), max_size=10))
+@settings(max_examples=150, deadline=None)
+def test_coprime_base_is_pairwise_coprime_and_rebuilds_every_element(values):
+    a = fs(*values)
+    base, exponents = arith._coprime_exponents(a)
+    assert list(base) == sorted(set(base))
+    assert all(b > 1 for b in base)
+    assert all(math.gcd(b, c) == 1 for b, c in combinations(base, 2))
+    assert len(exponents) == a.size
+    for value, exps in zip(a, exponents):
+        assert set(exps) <= set(base) and all(exps.values())
+        assert math.prod(Fraction(b) ** e for b, e in exps.items()) == value
+
+
+def test_coprime_base_splits_shared_factors():
+    assert arith._coprime_base([6, 10, 15]) == (2, 3, 5)
+    assert arith._coprime_base([P89 * Q61, P89 * Q61**2, Q61]) == (Q61, P89)
+    assert arith._coprime_base([12, 18]) == (2, 3)
+    assert arith._coprime_base([1, 1]) == ()
 
 
 # --- helpers ------------------------------------------------------------------------

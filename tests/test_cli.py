@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -199,6 +200,15 @@ def test_verify_section3(capsys):
     data = [l for l in lines if not l.startswith("#")]
     assert len(data) == 10
     assert all(" true " in l or l.endswith(" true") or " true" in l for l in data)
+
+
+def test_section3_j4_exits_3_at_the_cap_at_once(monkeypatch, capsys):
+    monkeypatch.delenv("SUMPROD_BUDGET", raising=False)
+    start = time.perf_counter()
+    rc, out, err = run(capsys, "section3", "--J", "4")
+    assert time.perf_counter() - start < 1
+    assert rc == 3
+    assert err == "error: simple sum closure needs 10314826 values, cap is 10000000\n"
 
 
 def test_section3_is_the_verify_suite(tmp_path, capsys):

@@ -178,6 +178,25 @@ def test_prop13_geometric_set():
     assert v.holds == "true"
 
 
+@given(
+    st.lists(st.builds(F, st.integers(1, 30), st.integers(1, 6)), min_size=1, max_size=7, unique=True),
+    st.integers(1, 3),
+)
+@settings(max_examples=100, deadline=None)
+def test_prop13_counts_the_intersection(values, h1):
+    b = fs(*values)
+    h1 = min(h1, b.size)
+    want = oracles.o_iterate(b.elements, h1, "sum") & oracles.o_simple(b.elements, "sum")
+    assert verify_prop13(b, h1).lhs == len(want)
+
+
+def test_prop13_counts_the_intersection_in_a_set_of_ints():
+    # too wide for a bitmask: the simple sums are held as a set of ints
+    b = fs(1, 10**6, 10**12, 10**12 + 1)
+    want = oracles.o_iterate(b.elements, 2, "sum") & oracles.o_simple(b.elements, "sum")
+    assert verify_prop13(b, 2).lhs == len(want) == 7
+
+
 # --- sum-difference iteration ------------------------------------------------------------
 
 
