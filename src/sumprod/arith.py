@@ -19,7 +19,7 @@ from heapq import heapify, heappop, heappush
 from math import gcd, isqrt, prod
 from typing import Iterable
 
-from .exactset import FinSet, _box_mask
+from .exactset import FinSet, _box_size
 from .limits import FactorizationBudgetExceeded
 
 DEFAULT_TRIAL_BOUND = 10**6
@@ -28,6 +28,19 @@ DEFAULT_RHO_BUDGET = 2_000_000
 # Witness bases making Miller-Rabin deterministic below this threshold.
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 _MR_LIMIT = 3_317_044_064_679_887_385_961_981
+
+
+def _valuation(n: int, b: int) -> tuple[int, int]:
+    """(e, n // b**e) for the largest e with b**e dividing n >= 1, b > 1.
+
+    By repeated squaring: the valuation of n / b at b^2 (then b^4, ...) gives
+    all but at most one factor b, so e costs O(log e) divisions, not e.
+    """
+    if n % b:
+        return 0, n
+    e, n = _valuation(n // b, b * b)
+    q, r = divmod(n, b)
+    return (2 * e + 1, n) if r else (2 * e + 2, q)
 
 
 def is_prime(n: int) -> bool:
@@ -40,11 +53,7 @@ def is_prime(n: int) -> bool:
     for p in _MR_BASES:
         if n % p == 0:
             return n == p
-    d = n - 1
-    r = 0
-    while d % 2 == 0:
-        d //= 2
-        r += 1
+    r, d = _valuation(n - 1, 2)
     for a in _MR_BASES:
         x = pow(a, d, n)
         if x in (1, n - 1):
@@ -116,16 +125,13 @@ def factor_int(
         raise ValueError(f"need a positive integer, got {n}")
     factors: dict[int, int] = {}
     for p in (2, 3):
-        while n % p == 0:
-            factors[p] = factors.get(p, 0) + 1
-            n //= p
+        if n % p == 0:
+            factors[p], n = _valuation(n, p)
     d = 5
     while d <= trial_bound and d * d <= n:
-        for delta in (0, 2):
-            p = d + delta
-            while n % p == 0:
-                factors[p] = factors.get(p, 0) + 1
-                n //= p
+        for p in (d, d + 2):
+            if n % p == 0:
+                factors[p], n = _valuation(n, p)
         d += 6
     if n > 1:
         remaining = rho_budget
@@ -157,23 +163,17 @@ def factor_int(
     return tuple(sorted(factors.items()))
 
 
-def factor_fraction(
-    q: Fraction,
-    trial_bound: int = DEFAULT_TRIAL_BOUND,
-    rho_budget: int = DEFAULT_RHO_BUDGET,
-) -> dict[int, int]:
+def factor_fraction(q: Fraction) -> dict[int, int]:
     """Signed prime exponents of a positive rational."""
     if q <= 0:
         raise ValueError(f"need a positive rational, got {q}")
-    return _quotient_exponents(q.numerator, q.denominator, trial_bound, rho_budget)
+    return _quotient_exponents(q.numerator, q.denominator)
 
 
-def _quotient_exponents(
-    n: int, d: int, trial_bound: int = DEFAULT_TRIAL_BOUND, rho_budget: int = DEFAULT_RHO_BUDGET
-) -> dict[int, int]:
+def _quotient_exponents(n: int, d: int) -> dict[int, int]:
     """Signed prime exponents of n / d for coprime positive ints n and d."""
-    exps = dict(factor_int(n, trial_bound, rho_budget))
-    exps.update((p, -e) for p, e in factor_int(d, trial_bound, rho_budget))
+    exps = dict(factor_int(n))
+    exps.update((p, -e) for p, e in factor_int(d))
     return exps
 
 
@@ -333,10 +333,10 @@ def _coprime_base(values: Iterable[int]) -> tuple[int, ...]:
     """A pairwise coprime base for positive ints, ascending, by factor
     refinement (Bach, Driscoll and Shallit, J. Algorithms 1993).
 
-    Every value is a product of powers of the base elements, all > 1.  Only
-    gcds are taken: a value sharing g > 1 with a base element b is replaced,
-    with b, by g, b/g and value/g, which divides the product of the pending
-    parts by g, so the refinement ends.
+    Every value is a product of powers of the base elements, all > 1.  No
+    factoring: a value sharing g = gcd > 1 with a base element b is replaced,
+    with b, by g and by b and value stripped of every power of g, which
+    divides the product of the pending parts by g or more, so it ends.
     """
     base: list[int] = []
     todo = list(set(values))
@@ -349,7 +349,7 @@ def _coprime_base(values: Iterable[int]) -> tuple[int, ...]:
             if g > 1:
                 base[i] = base[-1]
                 base.pop()
-                todo += (g, b // g, x // g)
+                todo += (g, _valuation(b, g)[1], _valuation(x, g)[1])
                 break
         else:
             base.append(x)
@@ -361,7 +361,7 @@ def _coprime_exponents(a: FinSet) -> tuple[tuple[int, ...], list[dict[int, int]]
     and each element's signed exponents over it.
 
     Each base element has a prime that no other one has, so every element
-    has exactly one exponent vector over the base, found by division.
+    has exactly one exponent vector over the base, found by _valuation.
     """
     parts = _reduced(a)
     base = _coprime_base(n for pair in parts for n in pair)
@@ -372,12 +372,9 @@ def _coprime_exponents(a: FinSet) -> tuple[tuple[int, ...], list[dict[int, int]]
             for b in base:
                 if n == 1:
                     break
-                e = 0
-                while n % b == 0:
-                    n //= b
-                    e += sign
-                if e:
-                    exps[b] = e
+                if n % b == 0:
+                    e, n = _valuation(n, b)
+                    exps[b] = sign * e
         exponents.append(exps)
     return base, exponents
 
@@ -390,7 +387,7 @@ def vector_simple_sum_count(a: FinSet) -> int:
     factored.  Each is encoded as one int in mixed radix, the radix of a
     column being 1 plus the sum of its absolute entries, which maps subset
     sums of vectors one-to-one onto subset sums of the codes.  Those are
-    counted by the subset-sum kernel of exactset, with the cap checked after
+    counted, not built, by exactset._box_size, with the cap checked after
     every element.
     """
     base, exponents = _coprime_exponents(a)
@@ -401,8 +398,7 @@ def vector_simple_sum_count(a: FinSet) -> int:
         for i, e in enumerate(column):
             codes[i] += e * weight
         weight *= 1 + sum(map(abs, column))
-    _, mask = _box_mask(codes, 1, "simple product closure")
-    return mask.bit_count() if isinstance(mask, int) else len(mask)
+    return _box_size(codes, "simple product closure")
 
 
 def first_primes(count: int) -> tuple[int, ...]:

@@ -18,7 +18,7 @@ from math import fsum, lcm
 
 from .exactset import FinSet, _convolve
 from .limits import check_size
-from .arith import is_prime
+from .arith import _valuation, is_prime
 from .verdicts import Verdict, power_of, verdict_from_compare
 
 
@@ -157,14 +157,6 @@ class LayerDecomposition:
         return len(self.layers)
 
 
-def _valuation(n: int, p: int) -> int:
-    v = 0
-    while n % p == 0:
-        n //= p
-        v += 1
-    return v
-
-
 def layer_partition(a: FinSet, primes: tuple[int, ...] | list[int]) -> LayerDecomposition:
     """Split a positive-integer set by valuation vectors at the given primes."""
     if not (a.is_integer and a.is_positive):
@@ -177,7 +169,7 @@ def layer_partition(a: FinSet, primes: tuple[int, ...] | list[int]) -> LayerDeco
             raise ValueError(f"{p} is not prime")
     buckets: dict[tuple[int, ...], list[int]] = {}
     for n in a._ints:
-        key = tuple(_valuation(n, p) for p in primes)
+        key = tuple(_valuation(n, p)[0] for p in primes)
         buckets.setdefault(key, []).append(n)
     layers = tuple(
         (key, FinSet(vals)) for key, vals in sorted(buckets.items())

@@ -334,6 +334,25 @@ def _box_mask(ints: Sequence[int], h: int, what: str) -> tuple[int, int | set[in
     return offset, sums
 
 
+def _box_size(ints: Sequence[int], what: str) -> int:
+    """The number of subset sums of ints, the empty sum included, by
+    _box_mask with h = 1; the sums are counted, not built."""
+    _, mask = _box_mask(ints, 1, what)
+    return mask.bit_count() if isinstance(mask, int) else len(mask)
+
+
+def _box_hits(ints: Sequence[int], values: Iterable[int], what: str) -> int:
+    """How many of values (repeats counted) are subset sums of ints, looked
+    up in the mask of _box_mask with h = 1: in its bytes, or in its set."""
+    offset, mask = _box_mask(ints, 1, what)
+    wanted = [v - offset for v in values]
+    if isinstance(mask, int):
+        width = mask.bit_length()
+        raw = mask.to_bytes((width + 7) // 8, "little")
+        return sum(0 <= s < width and raw[s >> 3] >> (s & 7) & 1 for s in wanted)
+    return sum(s in mask for s in wanted)
+
+
 def _box_sums(a: FinSet, h: int, what: str) -> FinSet:
     """All sums of c_i * a_i with every c_i in 0..h, on the set's ints over
     its scale, by _box_mask."""

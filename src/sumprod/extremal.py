@@ -24,7 +24,7 @@ from itertools import product as iproduct
 from math import prod
 from typing import Callable, NamedTuple
 
-from .exactset import FinSet, _require_positive_integers, simple_closure
+from .exactset import FinSet, _box_size, _require_positive_integers
 from .limits import check_size, size_cap
 from .arith import first_primes, mult_dim, vector_simple_sum_count
 from .verdicts import (
@@ -77,10 +77,11 @@ def f_value(a: FinSet) -> int:
 def g_value(a: FinSet) -> int:
     """|A[1]| + |A{1}| exactly: subset sums plus subset products.
 
-    The subset products are counted, not built, by vector_simple_sum_count.
+    Both are counted, and neither closure is built: the sums by
+    exactset._box_size, the products by vector_simple_sum_count.
     """
     _require_positive_integers(a, "the g objective")
-    return simple_closure(a, "sum").size + vector_simple_sum_count(a)
+    return _box_size(a._ints, "simple sum closure") + vector_simple_sum_count(a)
 
 
 def _f_tuple(elems: tuple[int, ...]) -> int:
@@ -338,8 +339,8 @@ def verify_section3(j: int, eps3: Fraction | int = Fraction(1, 10)) -> list[Verd
     Two log identities are checked unconditionally; the remaining bounds
     are gated on ln j / ln ln j > 1/eps3, reported hypothesis-not-met when
     the gate fails (always at small j), with the raw comparison kept in the
-    witness.  Exact set sizes come from the closure engines: |A{1}| is
-    counted by vector_simple_sum_count, without building the products.  Logs
+    witness.  Exact closure sizes are counted, and neither closure is built:
+    |A[1]| by exactset._box_size and |A{1}| by vector_simple_sum_count.  Logs
     are 200-bit enclosures.
     """
     if j < 2:
@@ -411,7 +412,7 @@ def verify_section3(j: int, eps3: Fraction | int = Fraction(1, 10)) -> list[Verd
             base_wit,
         )
     )
-    simple_sums = simple_closure(a, "sum").size
+    simple_sums = _box_size(a._ints, "simple sum closure")
     out.append(
         _gated(
             "section3.simple_sum_bound",

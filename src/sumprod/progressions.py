@@ -84,7 +84,7 @@ def parse_progression(text: str) -> ProgressionDesc:
             if len(parts) != 2:
                 raise SetParseError("expected 'ratio length'")
             r = parse_token(parts[0])
-            if not parts[1].isdigit():
+            if not parts[1].isdecimal():
                 raise SetParseError(f"length must be a positive integer, got {parts[1]!r}")
             ratios.append(r)
             lengths.append(int(parts[1]))

@@ -15,7 +15,7 @@ from itertools import product as iproduct
 from .exactset import (
     FinSet,
     PairGraph,
-    _box_mask,
+    _box_hits,
     _require_positive_integers,
     combine,
     iterate,
@@ -157,17 +157,9 @@ def verify_prop13(b: FinSet, h1: int) -> Verdict:
     if h1 > b.size:
         raise ValueError(f"fold count {h1} exceeds the set size {b.size}")
     hsum = iterate(b, h1, "sum")
-    # each value of hB, over b's scale and less the offset, tested in the mask
-    # of the simple-sum closure, which is never built as a set
-    offset, mask = _box_mask(b._ints, 1, "simple sum closure")
+    # each value of hB over b's scale, looked up in b's unbuilt simple sums
     up = b._scale // hsum._scale
-    wanted = [v * up - offset for v in hsum._ints]
-    if isinstance(mask, int):
-        width = mask.bit_length()
-        raw = mask.to_bytes((width + 7) // 8, "little")
-        lhs = sum(0 <= s < width and raw[s >> 3] >> (s & 7) & 1 for s in wanted)
-    else:
-        lhs = sum(s in mask for s in wanted)
+    lhs = _box_hits(b._ints, (v * up for v in hsum._ints), "simple sum closure")
     m = mult_dim(b).dimension
     c = fold_constant(h1)
     rhs = (Fraction(b.size) / c ** (m + 1)) ** h1

@@ -393,6 +393,37 @@ def test_vector_simple_sum_count_raises_exactly_above_the_cap(monkeypatch, value
     assert vector_simple_sum_count(a) == want
 
 
+@pytest.mark.parametrize(
+    "values, want",
+    [((2**32000, 2), 4), ((3**32000 * 5, 15, 5**16000), 8)],
+)
+def test_vector_simple_sum_count_strips_high_powers_at_once(values, want):
+    # a power b^e is stripped in O(log e) divisions, not in e of them
+    start = time.perf_counter()
+    assert vector_simple_sum_count(fs(*values)) == want
+    assert time.perf_counter() - start < 0.2
+
+
+def _plain_valuation(n, b):
+    e = 0
+    while n % b == 0:
+        n //= b
+        e += 1
+    return e, n
+
+
+@given(
+    st.integers(2, 60) | st.sampled_from([4, 6, 12, 36, 210, 2**61 - 2]),
+    st.integers(0, 10**4),
+    st.integers(1, 10**6),
+)
+@settings(max_examples=60, deadline=None)
+def test_valuation_matches_the_plain_loop(b, e, m):
+    n = b**e * m
+    assert arith._valuation(n, b) == _plain_valuation(n, b)
+    assert arith._valuation(1, b) == (0, 1)
+
+
 def test_vector_simple_sum_count_raises_at_the_cap_at_once(monkeypatch):
     # 2^60 subset products; the cap is checked after every element
     monkeypatch.setenv("SUMPROD_BUDGET", "100")
@@ -403,9 +434,9 @@ def test_vector_simple_sum_count_raises_at_the_cap_at_once(monkeypatch):
 
 
 # products of atoms that share factors, including ones that no budget factors
-_atom_products = st.lists(st.sampled_from([2, 3, 6, 10, 15, 49, P89, Q61, P89 * Q61]), max_size=4).map(
-    math.prod
-)
+_atom_products = st.lists(
+    st.sampled_from([2, 3, 6, 10, 15, 49, 2**40, 3**30, 6**20, P89, Q61, P89 * Q61]), max_size=4
+).map(math.prod)
 
 
 @given(st.lists(st.builds(Fraction, _atom_products, _atom_products) | st.integers(1, 10**6), max_size=10))

@@ -128,6 +128,15 @@ def test_progression_command(tmp_path, capsys):
     assert "progression.dim_chain true" in out
 
 
+def test_progression_length_must_be_decimal_digits(tmp_path, capsys):
+    # '²' is a digit to str.isdigit, but not to int()
+    prog = tmp_path / "p.txt"
+    prog.write_text("1\n2 \u00b2\n")
+    rc, _, err = run(capsys, "progression", "--file", str(prog))
+    assert rc == 1
+    assert err == "error: line 2: length must be a positive integer, got '\u00b2'\n"
+
+
 def test_progression_assert_fails_outside(tmp_path, capsys):
     prog = tmp_path / "p.txt"
     prog.write_text("1\n2 3\n")

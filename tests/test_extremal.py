@@ -13,7 +13,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
-from sumprod import extremal
+from sumprod import exactset, extremal
 from sumprod.arith import mult_dim
 from sumprod.exactset import FinSet, simple_closure
 from sumprod.extremal import (
@@ -100,6 +100,17 @@ def test_g_value_on_j3_grid_agrees_with_closures():
     a = es_example(3)
     want = simple_closure(a, "sum").size + simple_closure(a, "product").size
     assert g_value(a) == want == 10392
+
+
+def test_closure_sizes_build_no_closure(monkeypatch):
+    # every closure set is made by exactset._from_ints; the sizes are counted
+    def refuse(*args, **kwargs):
+        raise AssertionError("a closure was built for its size")
+
+    a = es_example(3)
+    monkeypatch.setattr(exactset, "_from_ints", refuse)
+    assert g_value(a) == 10392
+    assert [v.lhs for v in verify_section3(3)][-3:] == [2822, 7570, 10392]
 
 
 # --- exhaustive search ----------------------------------------------------------------
