@@ -551,3 +551,7 @@ def main(argv: list[str] | None = None) -> int:
 
 def entry() -> None:  # pragma: no cover - thin script wrapper
     sys.exit(main())
+
+
+if __name__ == "__main__":  # pragma: no cover - python -m sumprod.cli
+    entry()

@@ -183,7 +183,8 @@ def layer_inequality_check(
     """Check E_h(a)^(1/h) <= c_h^t * sum over layers of E_h(layer)^(1/h).
 
     c_h = fold_constant(h) and t is the number of primes.  Roots are enclosed
-    at 200-bit precision; a margin inside the guard band gives 'inconclusive'.
+    at 200-bit precision; when their endpoints neither prove nor refute the
+    claim, the verdict is 'inconclusive'.
     """
     c_h = fold_constant(h)
     decomp = layer_partition(a, primes)

@@ -79,6 +79,7 @@ def parse_progression(text: str) -> ProgressionDesc:
         try:
             if base is None:
                 base = parse_token(line)
+                ProgressionDesc(base, (), ())
                 continue
             parts = line.split()
             if len(parts) != 2:
@@ -86,16 +87,15 @@ def parse_progression(text: str) -> ProgressionDesc:
             r = parse_token(parts[0])
             if not parts[1].isdecimal():
                 raise SetParseError(f"length must be a positive integer, got {parts[1]!r}")
+            length = int(parts[1])
+            ProgressionDesc(1, (r,), (length,))
             ratios.append(r)
-            lengths.append(int(parts[1]))
-        except SetParseError as exc:
+            lengths.append(length)
+        except ValueError as exc:
             raise SetParseError(f"line {lineno}: {exc}") from None
     if base is None:
         raise SetParseError("progression file has no base line")
-    try:
-        return ProgressionDesc(base=base, ratios=tuple(ratios), lengths=tuple(lengths))
-    except ValueError as exc:
-        raise SetParseError(str(exc)) from None
+    return ProgressionDesc(base=base, ratios=tuple(ratios), lengths=tuple(lengths))
 
 
 def enumerate_progression(p: ProgressionDesc) -> FinSet:

@@ -3,8 +3,8 @@
 Each function evaluates both sides of one inequality exactly where possible
 and returns a Verdict (or a list of them).  Exact integer and rational
 comparisons never touch floating point; bounds involving logs or irrational
-powers are enclosed at 200-bit precision and refuse to decide inside the
-guard band.
+powers are enclosed at 200-bit precision, and a claim their endpoints
+neither prove nor refute is left inconclusive.
 """
 
 from __future__ import annotations
@@ -330,7 +330,7 @@ def dim_budget_diagnostic(k: int, eps1: Fraction, m: int) -> dict:
     return {
         "dim_side": m + 1,
         "dim_budget": budget,
-        "dim_condition": compare(budget, m + 1, ">", band=Fraction(0)),
+        "dim_condition": compare(budget, m + 1, ">"),
         "growth_floor": growth_floor,
         "growth_exponent": exponent,
     }

@@ -4,8 +4,8 @@ Quantities are either exact (int or Fraction) or enclosures: closed rational
 intervals guaranteed to contain a real value.  Enclosures come out of a
 private 200-bit interval-arithmetic context with endpoints converted back to
 exact fractions, so every decision this module makes reduces to integer
-comparisons.  A claimed inequality whose margin falls inside the guard band
-(default 1e-9) is reported as inconclusive, never rounded to a boolean.
+comparisons of interval endpoints.  A claim the endpoints neither prove nor
+refute is reported as inconclusive, never rounded to a boolean.
 """
 
 from __future__ import annotations
@@ -14,7 +14,6 @@ from dataclasses import dataclass, field
 from decimal import Context as DecimalContext
 from decimal import Decimal
 from fractions import Fraction
-from operator import eq, ge, gt, le, lt
 from typing import Any, Mapping
 
 from mpmath.ctx_iv import MPIntervalContext
@@ -25,8 +24,6 @@ INCONCLUSIVE = "inconclusive"
 HYPOTHESIS_NOT_MET = "hypothesis-not-met"
 
 _STATUSES = (TRUE, FALSE, INCONCLUSIVE, HYPOTHESIS_NOT_MET)
-
-GUARD_BAND = Fraction(1, 10**9)
 
 _iv = MPIntervalContext()
 _iv.prec = 200
@@ -157,41 +154,35 @@ def power_of(base, exponent) -> Enclosure:
     return exp_of(log_of(base) * _as_enclosure(exponent))
 
 
-_EXACT = {"<": lt, "<=": le, ">": gt, ">=": ge, "==": eq}
+_RELATIONS = ("<", "<=", ">", ">=", "==")
 
 
-def compare(lhs, rhs, relation: str, band: Fraction | None = None) -> str:
+def compare(lhs, rhs, relation: str) -> str:
     """Decide lhs <relation> rhs, honestly; the one source of a verdict status.
 
-    Both sides are converted once to enclosures.  When neither side is an
-    Enclosure the pair is exact and is decided exactly, with no band.
-    Otherwise the claim is true (false) only when it holds (fails) with a
-    margin beyond band (GUARD_BAND by default), and inconclusive inside it;
-    an equality claim is true when the sides provably agree to within the
-    band.  An unknown relation raises ValueError before any conversion, and
-    a bool, float, None or str raises TypeError.
+    Both sides become enclosures (an exact value is a point interval), and
+    one rule on their endpoints decides, with > and >= read as < and <= with
+    the sides swapped: l < r is true iff l.hi < r.lo and false iff
+    l.lo >= r.hi; l <= r is true iff l.hi <= r.lo and false iff l.lo > r.hi;
+    l == r is true iff both sides are the same point and false iff the
+    intervals are disjoint.  Anything else is inconclusive, so a status other
+    than that is a proof.  An unknown relation raises ValueError before any
+    conversion, and a bool, float, None or str raises TypeError.
     """
-    if relation not in _EXACT:
+    if relation not in _RELATIONS:
         raise ValueError(f"unknown relation {relation!r}")
     l, r = _as_enclosure(lhs), _as_enclosure(rhs)
-    if not isinstance(lhs, Enclosure) and not isinstance(rhs, Enclosure):
-        return TRUE if _EXACT[relation](l.lo, r.lo) else FALSE
-    if band is None:
-        band = GUARD_BAND
     if relation in (">", ">="):
         l, r = r, l
-    if relation != "==":
-        # claim: l < r (strictness is invisible at positive margin)
-        if r.lo - l.hi > band:
+    if relation == "==":
+        if l.lo == l.hi == r.lo == r.hi:
             return TRUE
-        if l.lo - r.hi > band:
-            return FALSE
-        return INCONCLUSIVE
-    if max(l.lo, r.lo) - min(l.hi, r.hi) > band:
-        return FALSE
-    if l.hi - r.lo <= band and r.hi - l.lo <= band:
-        return TRUE
-    return INCONCLUSIVE
+        return FALSE if l.hi < r.lo or r.hi < l.lo else INCONCLUSIVE
+    if relation in ("<", ">"):
+        proved, refuted = l.hi < r.lo, l.lo >= r.hi
+    else:
+        proved, refuted = l.hi <= r.lo, l.lo > r.hi
+    return TRUE if proved else FALSE if refuted else INCONCLUSIVE
 
 
 @dataclass(frozen=True)

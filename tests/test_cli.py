@@ -137,6 +137,20 @@ def test_progression_length_must_be_decimal_digits(tmp_path, capsys):
     assert err == "error: line 2: length must be a positive integer, got '\u00b2'\n"
 
 
+@pytest.mark.parametrize(
+    "text, err",
+    [
+        ("1\n2 0\n", "error: line 2: lengths must be >= 1, got 0\n"),
+        ("0\n2 3\n", "error: line 1: base must be positive, got 0\n"),
+        ("1\n0 3\n", "error: line 2: ratios must be positive, got 0\n"),
+    ],
+)
+def test_progression_refused_value_names_its_line(tmp_path, capsys, text, err):
+    prog = tmp_path / "p.txt"
+    prog.write_text(text)
+    assert run(capsys, "progression", "--file", str(prog)) == (1, "", err)
+
+
 def test_progression_assert_fails_outside(tmp_path, capsys):
     prog = tmp_path / "p.txt"
     prog.write_text("1\n2 3\n")
@@ -443,3 +457,16 @@ def test_importing_the_cli_builds_no_parser():
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
     )
     assert (out.returncode, out.stdout) == (0, "0\n"), out.stderr
+
+
+def test_the_cli_module_runs_as_a_script():
+    src = Path(cli.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(src))
+    out = subprocess.run(
+        [sys.executable, "-m", "sumprod.cli", "section3", "--J", "2"],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert out.returncode == 0, out.stderr
+    lines = out.stdout.splitlines()
+    assert any(line.startswith("section3.logk_identity true ") for line in lines)
+    assert any(line.startswith("section3.loglogk_identity true ") for line in lines)

@@ -1,4 +1,4 @@
-"""Interval enclosures, banded comparison, and verdict serialization."""
+"""Interval enclosures, endpoint comparison, and verdict serialization."""
 
 import json
 import random
@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from mpmath.ctx_iv import MPIntervalContext
 
 from sumprod.verdicts import (
-    GUARD_BAND,
     Enclosure,
     Verdict,
     compare,
@@ -180,11 +179,15 @@ def test_compare_enclosures_clear_margin():
     assert compare(hi, lo, ">") == "true"
 
 
-def test_compare_inside_guard_band_is_inconclusive():
-    a = Enclosure(F(1), F(1))
-    b = Enclosure(F(1) + GUARD_BAND / 2, F(1) + GUARD_BAND / 2)
-    assert compare(a, b, "<") == "inconclusive"
-    assert compare(a, b, "==") == "true"  # equality means: within the band
+def test_compare_decides_a_margin_below_1e9():
+    # ln(2^30 + 1) - ln(2^30) is about 9.3e-10; the enclosures still separate
+    assert compare(log_of(2**30 + 1), log_of(2**30), ">") == "true"
+    assert compare(log_of(2**30 + 1), log_of(2**30), "<=") == "false"
+
+
+def test_compare_close_but_distinct_values_are_not_equal():
+    assert compare(log_of(2**30 + 1), log_of(2**30), "==") == "false"
+    assert compare(log_of(3) + F(1, 10**10), log_of(3), "==") == "false"
 
 
 def test_compare_rejects_unknown_relation():
@@ -199,6 +202,7 @@ def test_compare_rejects_unknown_relation():
 
 # The decision table compare must follow, written out case by case.
 RELATIONS = ("<", "<=", ">", ">=", "==")
+SWAPPED = {"<": ">", "<=": ">=", ">": "<", ">=": "<=", "==": "=="}
 
 # exact pairs: the status of "lhs REL rhs" by the sign of lhs - rhs
 EXACT_TABLE = {
@@ -209,64 +213,111 @@ EXACT_TABLE = {
     "==": {-1: "false", 0: "true", 1: "false"},
 }
 
-# enclosures: the status of "lhs REL rhs" when the rhs interval lies above
-# the lhs interval, by the gap between them (beyond, at or inside the band)
-# and by whether both sides are points; "below" mirrors the sides
-ABOVE_TABLE = {
-    "beyond": {"<": "true", "<=": "true", ">": "false", ">=": "false", "==": "false"},
-    "at": {"<": "inconclusive", "<=": "inconclusive", ">": "inconclusive",
-           ">=": "inconclusive", "==": None},
-    "inside": {"<": "inconclusive", "<=": "inconclusive", ">": "inconclusive",
-               ">=": "inconclusive", "==": None},
+# enclosures: the status of "lo REL hi" for an interval hi that starts at or
+# beyond the end of the interval lo ("apart" or "touching"), or inside it
+# ("overlapping"), and by whether both sides are points
+ENDPOINT_TABLE = {
+    ("apart", False): {"<": "true", "<=": "true", ">": "false", ">=": "false", "==": "false"},
+    ("apart", True): {"<": "true", "<=": "true", ">": "false", ">=": "false", "==": "false"},
+    ("touching", False): {"<": "inconclusive", "<=": "true", ">": "false",
+                          ">=": "inconclusive", "==": "inconclusive"},
+    ("touching", True): {"<": "false", "<=": "true", ">": "false", ">=": "true", "==": "true"},
+    ("overlapping", False): dict.fromkeys(RELATIONS, "inconclusive"),
 }
-# equality inside the band: proved for points, undecided for wider intervals
-EQUAL_WITHIN_BAND = {True: "true", False: "inconclusive"}
-MIRROR = {"true": "false", "false": "true", "inconclusive": "inconclusive"}
-TINY = F(1, 10**12)
 
 exact_values = st.one_of(
     st.integers(-10**6, 10**6), st.fractions(min_value=-50, max_value=50, max_denominator=60)
 )
-bands = st.sampled_from([None, F(0), GUARD_BAND, F(1, 1000)])
+widths = st.fractions(min_value=F(1, 10**6), max_value=2, max_denominator=10**6)
 
 
-@given(exact_values, exact_values, st.sampled_from(RELATIONS), bands)
+@given(exact_values, exact_values, st.sampled_from(RELATIONS))
 @settings(max_examples=300, deadline=None)
-def test_compare_exact_pairs_follow_the_table(x, y, relation, band):
+def test_compare_exact_pairs_follow_the_table(x, y, relation):
     sign = (x > y) - (x < y)
-    assert compare(x, y, relation, band) == EXACT_TABLE[relation][sign]
+    assert compare(x, y, relation) == EXACT_TABLE[relation][sign]
 
 
 @given(
     st.fractions(min_value=-100, max_value=100, max_denominator=1000),
-    st.sampled_from(["beyond", "at", "inside"]),
+    st.sampled_from(["apart", "touching", "overlapping"]),
     st.booleans(),
-    st.fractions(min_value=F(1, 10**6), max_value=2, max_denominator=10**6),
-    st.fractions(min_value=F(1, 10**6), max_value=2, max_denominator=10**6),
+    widths,
+    widths,
+    widths,
     st.sampled_from(["above", "below"]),
     st.sampled_from([None, "lhs", "rhs"]),
     st.sampled_from(RELATIONS),
-    st.sampled_from([None, GUARD_BAND, F(1, 1000)]),
 )
 @settings(max_examples=400, deadline=None)
 def test_compare_enclosures_follow_the_table(
-    start, gap_kind, points, w_low, w_high, side, exact_side, relation, band
+    start, gap_kind, points, w_low, w_high, gap, side, exact_side, relation
 ):
-    b = GUARD_BAND if band is None else band
-    gap = {"beyond": b + TINY, "at": b, "inside": b - TINY}[gap_kind]
+    points = points and gap_kind != "overlapping"  # overlapping intervals have width
     if points:
         w_low = w_high = F(0)
     low = Enclosure(start, start + w_low)
-    high = Enclosure(low.hi + gap, low.hi + gap + w_high)
+    begin = {"apart": low.hi + gap, "touching": low.hi, "overlapping": low.hi - w_low / 2}
+    high = Enclosure(begin[gap_kind], begin[gap_kind] + w_high)
     lhs, rhs = (low, high) if side == "above" else (high, low)
     if points and exact_side == "lhs":
         lhs = lhs.lo
     elif points and exact_side == "rhs":
         rhs = rhs.lo
-    want = ABOVE_TABLE[gap_kind][relation] or EQUAL_WITHIN_BAND[points]
-    if side == "below" and relation != "==":
-        want = MIRROR[want]
-    assert compare(lhs, rhs, relation, band) == want
+    table = ENDPOINT_TABLE[gap_kind, points]
+    want = table[relation] if side == "above" else table[SWAPPED[relation]]
+    assert compare(lhs, rhs, relation) == want
+
+
+HOLDS = {
+    "<": lambda u, v: u < v,
+    "<=": lambda u, v: u <= v,
+    ">": lambda u, v: u > v,
+    ">=": lambda u, v: u >= v,
+    "==": lambda u, v: u == v,
+}
+grid = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+
+
+@st.composite
+def operands(draw):
+    """An enclosure on a coarse grid, so that sides often touch or meet; a
+    point is sometimes passed as its exact value."""
+    lo, hi = sorted((draw(grid), draw(grid)))
+    if lo == hi and draw(st.booleans()):
+        return lo
+    return Enclosure(lo, hi)
+
+
+@given(operands(), operands(), st.sampled_from(RELATIONS))
+@settings(max_examples=500, deadline=None)
+def test_compare_status_is_a_proof(lhs, rhs, relation):
+    """A true (false) status holds (fails) for every choice of values in the
+    two intervals: at the four endpoint corner pairs, and at a common point
+    when the intervals meet."""
+    status = compare(lhs, rhs, relation)
+    l, r = (x if isinstance(x, Enclosure) else Enclosure(x, x) for x in (lhs, rhs))
+    pairs = [(u, v) for u in (l.lo, l.hi) for v in (r.lo, r.hi)]
+    meet = max(l.lo, r.lo)
+    if meet <= min(l.hi, r.hi):
+        pairs.append((meet, meet))
+    if status == "true":
+        assert all(HOLDS[relation](u, v) for u, v in pairs)
+    elif status == "false":
+        assert not any(HOLDS[relation](u, v) for u, v in pairs)
+
+
+@given(
+    st.fractions(min_value=-50, max_value=50, max_denominator=60),
+    widths,
+    st.one_of(exact_values, operands()),
+    st.booleans(),
+)
+@settings(max_examples=200, deadline=None)
+def test_compare_equality_with_a_wide_enclosure_is_never_true(start, width, other, wide_lhs):
+    wide = Enclosure(start, start + width)
+    lhs, rhs = (wide, other) if wide_lhs else (other, wide)
+    assert compare(lhs, rhs, "==") != "true"
 
 
 @pytest.mark.parametrize("bad", [True, False, 1.0, float("nan"), None, "1", "x"])
