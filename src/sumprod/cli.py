@@ -206,12 +206,13 @@ def _cmd_restricted(args) -> int:
 
 def _cmd_energy(args) -> int:
     a = _load_set(args.set)
-    value = energy_fn(a, args.h, path=args.path)
+    value = energy_fn(a, args.h)
     print(value)
     if args.report:
+        # "path" is kept constant so that energy reports keep their bytes
         _write_report(
             args.report,
-            [{"kind": "energy", "h": args.h, "path": args.path, "value": str(value)}],
+            [{"kind": "energy", "h": args.h, "path": "convolve", "value": str(value)}],
         )
     return 0
 
@@ -330,11 +331,11 @@ def _cmd_verify(args) -> int:
 
 
 def _oracle_search(objective: str, k: int, universe: int):
-    obj_fn = OBJECTIVES[objective]
+    value = OBJECTIVES[objective].value
     best = None
     certs: list[tuple[int, ...]] = []
     for tup in combinations(range(1, universe + 1), k):
-        v = obj_fn(tup)
+        v = value(FinSet(tup))
         if best is None or v < best:
             best, certs = v, [tup]
         elif v == best:
@@ -453,7 +454,6 @@ def build_parser() -> _Parser:
     p = sub.add_parser("energy", help="h-fold additive energy")
     p.add_argument("--set", required=True, metavar="PATH")
     p.add_argument("--h", type=int, required=True)
-    p.add_argument("--path", choices=("convolve", "enumerate"), default="convolve")
     _add_common(p)
     p.set_defaults(fn=_cmd_energy)
 

@@ -1,11 +1,11 @@
 """Representation counts and additive energy, exact and by quadrature.
 
 The h-fold representation count of n is the number of ordered h-tuples from
-a set summing to n; the energy is the sum of its squares.  Two independent
-exact paths are provided (direct enumeration, and one integer convolution,
-packed into a big int or kept as a dict) plus a floating-point quadrature
-identity that is exact for trigonometric polynomials up to rounding, and the
-p-adic layer decompositions used by the norm inequalities.
+a set summing to n; the energy is the sum of its squares.  Both are computed
+exactly by one integer convolution (exactset._convolve, packed into a big int
+or kept as a dict); a floating-point quadrature identity, exact for
+trigonometric polynomials up to rounding, gives an independent approximate
+check, and the p-adic layer decompositions serve the norm inequalities.
 """
 
 from __future__ import annotations
@@ -13,7 +13,6 @@ from __future__ import annotations
 import cmath
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
 from math import fsum, lcm
 
 from .exactset import FinSet, _convolve
@@ -79,26 +78,12 @@ def rep_counts(a: FinSet, h: int) -> RepCounts:
     return RepCounts(base=a, h=h, counts=counts)
 
 
-def energy(a: FinSet, h: int, path: str = "convolve") -> int:
-    """h-fold additive energy: the sum of squared representation counts.
-
-    path='convolve' squares convolution coefficients; path='enumerate'
-    counts ordered h-tuples directly (cost |a|^h, cap-checked).
-    """
+def energy(a: FinSet, h: int) -> int:
+    """h-fold additive energy: the sum of squared convolution coefficients."""
     if h < 1:
         raise ValueError(f"fold count must be >= 1, got {h}")
-    if path == "convolve":
-        conv = _convolve([dict.fromkeys(a._ints, 1)] * h, "energy convolution")
-        return sum(c * c for c in conv.values())
-    if path == "enumerate":
-        if a.size:
-            check_size(a.size**h, "energy enumeration")
-        counts: dict[Fraction, int] = {}
-        for tup in product(a.elements, repeat=h):
-            s = sum(tup)
-            counts[s] = counts.get(s, 0) + 1
-        return sum(c * c for c in counts.values())
-    raise ValueError(f"path must be 'convolve' or 'enumerate', got {path!r}")
+    conv = _convolve([dict.fromkeys(a._ints, 1)] * h, "energy convolution")
+    return sum(c * c for c in conv.values())
 
 
 def weighted_energy(a: FinSet, d: WeightVector, h: int) -> Fraction:
@@ -119,7 +104,8 @@ def quadrature_energy(a: FinSet, h: int, d: WeightVector | None = None) -> float
     Averages |sum_j d_j e(a_j x)|^(2h) over 2h*max(a)+1 equally spaced
     points; that node count makes the average exact for the underlying
     degree-h*max(a) trigonometric polynomial, so the only error is float
-    roundoff.  Needs positive integer elements.
+    roundoff.  Needs positive integer elements; the node count is checked
+    against the size cap before any node is built.
     """
     if h < 1:
         raise ValueError(f"fold count must be >= 1, got {h}")
@@ -134,6 +120,7 @@ def quadrature_energy(a: FinSet, h: int, d: WeightVector | None = None) -> float
     values = a._ints
     weights = [float(w) for w in d.weights]
     m = 2 * h * max(values) + 1
+    check_size(m, "quadrature nodes")
     roots = [cmath.exp(2j * cmath.pi * t / m) for t in range(m)]
     terms = []
     for j in range(m):

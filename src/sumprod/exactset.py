@@ -19,8 +19,6 @@ from typing import Iterable, Iterator, Literal, Sequence
 
 from .limits import SetParseError, check_size, size_cap
 
-Rat = Fraction
-
 Op = Literal["sum", "product"]
 
 _TOKEN_RE = re.compile(r"^[+-]?\d+(?:/[1-9]\d*)?$")

@@ -4,7 +4,12 @@ growth-rate verdict battery for the prime-grid construction.
 f(A) = |2A u A*A| and g(A) = |A[1]| + |A{1}| (simple sums plus simple
 products).  search_min minimizes either objective exactly over all
 k-subsets of {1,...,N} by one depth-first walk in the calling process, with
-an optional resumable checkpoint.  The walk keeps one incumbent for the whole
+an optional resumable checkpoint.  OBJECTIVES holds one entry per objective:
+its whole-set value, f_value or g_value, and its walk state.  The whole-set
+value counts in closed form (for g, the subset-sum bitmask and the
+coprime-base exponent codes) and shares no code with the walk's states; it
+scores the starting incumbent, each certificate of a resumed checkpoint, and
+the CLI's plain-loop oracle.  The walk keeps one incumbent for the whole
 search, starting at the value of (1,...,k), which no minimizer exceeds, and
 lowered to each better leaf.  Every child of a prefix is scored from its
 parent's state, without a set of its own: by its completion bound, a lower
@@ -71,7 +76,10 @@ def es_example(j: int) -> FinSet:
 def f_value(a: FinSet) -> int:
     """|2A u A*A| exactly."""
     _require_positive_integers(a, "the f objective")
-    return _f_tuple(a._ints)
+    elems = a._ints
+    sums = {x + y for x in elems for y in elems}
+    prods = {x * y for x in elems for y in elems}
+    return len(sums | prods)
 
 
 def g_value(a: FinSet) -> int:
@@ -82,27 +90,6 @@ def g_value(a: FinSet) -> int:
     """
     _require_positive_integers(a, "the g objective")
     return _box_size(a._ints, "simple sum closure") + vector_simple_sum_count(a)
-
-
-def _f_tuple(elems: tuple[int, ...]) -> int:
-    """|2A u A*A| for a tuple of distinct positive ints."""
-    sums = {x + y for x in elems for y in elems}
-    prods = {x * y for x in elems for y in elems}
-    return len(sums | prods)
-
-
-def _g_tuple(elems: tuple[int, ...]) -> int:
-    bits = 1
-    for e in elems:
-        bits |= bits << e
-    frontier = {1}
-    for e in elems:
-        frontier |= {v * e for v in frontier}
-    return bits.bit_count() + len(frontier)
-
-
-# The objectives on ascending tuples of distinct positive ints, by name.
-OBJECTIVES = {"f": _f_tuple, "g": _g_tuple}
 
 
 # Incremental states for the search walk, extended one element x at a time,
@@ -150,22 +137,23 @@ def _g_bound(state, x: int, missing: int) -> int:
     return count + missing * (small + missing - 1)
 
 
-class _Incremental(NamedTuple):
-    """An objective's walk state: `empty` is the state of the empty prefix,
-    grow(state, x) the state of the prefix plus x, and bound(state, x, missing)
-    a lower bound on the value of every set made by adding x and then
-    `missing` elements above x to the prefix, computed from the prefix's state
-    without building the child's.  With missing = 0 it is the value of the
-    prefix plus x."""
+class _Objective(NamedTuple):
+    """A search objective.  value(a) is its value on a whole set; the rest is
+    its walk state: `empty` is the state of the empty prefix, grow(state, x)
+    the state of the prefix plus x, and bound(state, x, missing) a lower bound
+    on the value of every set made by adding x and then `missing` elements
+    above x to the prefix, computed from the prefix's state without building
+    the child's.  With missing = 0 it is the value of the prefix plus x."""
 
+    value: Callable[[FinSet], int]
     empty: tuple
     grow: Callable
     bound: Callable
 
 
-INCREMENTAL = {
-    "f": _Incremental(((), frozenset()), _f_grow, _f_bound),
-    "g": _Incremental((1, frozenset({1})), _g_grow, _g_bound),
+OBJECTIVES = {
+    "f": _Objective(f_value, ((), frozenset()), _f_grow, _f_bound),
+    "g": _Objective(g_value, (1, frozenset({1})), _g_grow, _g_bound),
 }
 
 
@@ -207,8 +195,17 @@ def _load_checkpoint(path: str, objective: str, k: int, universe: int):
     def bad(why: str) -> ValueError:
         return ValueError(f"checkpoint {path}: {why}")
 
-    with open(path, encoding="ascii") as fh:
-        lines = [ln.rstrip("\n") for ln in fh]
+    def integer(what: str, text: str) -> int:
+        try:
+            return int(text)
+        except ValueError:
+            raise bad(f"{what} {text!r} is not an integer") from None
+
+    try:
+        with open(path, encoding="ascii") as fh:
+            lines = [ln.rstrip("\n") for ln in fh]
+    except UnicodeDecodeError as exc:
+        raise bad(f"byte {exc.object[exc.start]:#04x} is not ASCII") from None
     if not lines or lines[0] != CHECKPOINT_HEADER:
         raise bad("not a recognized checkpoint file: "
                   f"the first line is not {CHECKPOINT_HEADER!r}")
@@ -217,7 +214,7 @@ def _load_checkpoint(path: str, objective: str, k: int, universe: int):
     for ln in filter(None, lines[1:]):
         key, _, rest = ln.partition(" ")
         if key == "cert":
-            certs.append(tuple(int(v) for v in rest.split()))
+            certs.append(tuple(integer("certificate value", v) for v in rest.split()))
         else:
             fields[key] = rest
     expect = {"objective": objective, "k": str(k), "universe": str(universe)}
@@ -226,8 +223,8 @@ def _load_checkpoint(path: str, objective: str, k: int, universe: int):
             raise bad(f"no {key} field")
         if key in expect and fields[key] != expect[key]:
             raise bad(f"written for {key} {fields[key]!r}, not {expect[key]!r}")
-    cursor, nodes = int(fields["cursor"]), int(fields["nodes"])
-    minimum = None if fields["minimum"] == "-" else int(fields["minimum"])
+    cursor, nodes = integer("cursor", fields["cursor"]), integer("nodes", fields["nodes"])
+    minimum = None if fields["minimum"] == "-" else integer("minimum", fields["minimum"])
     if not 1 <= cursor <= universe - k + 1 or nodes < 0:
         raise bad(f"cursor {cursor} is outside 1..{universe - k + 1} "
                   f"or node count {nodes} is negative")
@@ -239,7 +236,7 @@ def _load_checkpoint(path: str, objective: str, k: int, universe: int):
         ):
             raise bad(f"certificate {cert} is not an increasing {k}-subset of 1..{universe} "
                       "starting at or before the cursor")
-        if (value := OBJECTIVES[objective](cert)) != minimum:
+        if (value := OBJECTIVES[objective].value(FinSet(cert))) != minimum:
             raise bad(f"certificate {cert} has {objective} value {value}, "
                       f"not the minimum {minimum}")
     return cursor, nodes, minimum, certs
@@ -280,10 +277,10 @@ def search_min(
     if node_budget is not None and node_budget < 0:
         raise ValueError("node budget must be >= 0")
 
-    empty, grow, bound = INCREMENTAL[objective]
+    value, empty, grow, bound = OBJECTIVES[objective]
     cap = size_cap() if node_budget is None else node_budget
     cursor = nodes = 0
-    best = OBJECTIVES[objective](tuple(range(1, k + 1)))
+    best = value(FinSet(range(1, k + 1)))
     certs: list[tuple[int, ...]] = []
     if checkpoint_path and os.path.exists(checkpoint_path):
         cursor, nodes, best, certs = _load_checkpoint(checkpoint_path, objective, k, universe)
@@ -297,14 +294,14 @@ def search_min(
             if nodes >= cap:
                 return False
             nodes += 1
-            value = bound(state, x, k - depth)
-            if value <= best:
+            score = bound(state, x, k - depth)
+            if score <= best:
                 if depth < k:
                     stop = universe - k + depth + 2  # each grandchild leaves room for the rest
                     if not walk(grow(state, x), prefix + (x,), range(x + 1, stop)):
                         return False
-                elif value < best:
-                    best, certs = value, [prefix + (x,)]
+                elif score < best:
+                    best, certs = score, [prefix + (x,)]
                 else:
                     certs.append(prefix + (x,))
             if depth == 1:

@@ -76,8 +76,8 @@ def test_energy_command(tmp_path, capsys):
     rc, out, _ = run(capsys, "energy", "--h", "2", "--set", a)
     assert rc == 0
     assert out.strip() == "19"
-    rc, out2, _ = run(capsys, "energy", "--h", "2", "--path", "enumerate", "--set", a)
-    assert out2 == out
+    rc, _, err = run(capsys, "energy", "--h", "2", "--path", "enumerate", "--set", a)
+    assert rc == 1 and "--path" in err
 
 
 def test_restricted_command(tmp_path, capsys):

@@ -65,7 +65,7 @@ def test_energy_frozen_values():
     assert energy(fs(1, 2, 3, 6), 2) == 32
     assert energy(fs(2, 4, 8), 2) == 15
     for h in (1, 2, 3):
-        assert energy(fs(), h) == energy(fs(), h, path="enumerate") == 0
+        assert energy(fs(), h) == oracles.o_energy((), h) == 0
         assert rep_counts(fs(), h).counts == ()
         assert weighted_energy(fs(), WeightVector(()), h) == 0
 
@@ -73,14 +73,12 @@ def test_energy_frozen_values():
 def test_energy_paths_agree_with_oracle():
     a = fs(1, 3, 4, 9)
     for h in (2, 3):
-        want = oracles.o_energy(a.elements, h)
-        assert energy(a, h, path="enumerate") == want
-        assert energy(a, h, path="convolve") == want
+        assert energy(a, h) == oracles.o_energy(a.elements, h)
 
 
 def test_energy_rational_elements():
     a = fs(Fraction(1, 2), Fraction(3, 2), 2)
-    assert energy(a, 2, path="convolve") == energy(a, 2, path="enumerate")
+    assert energy(a, 2) == oracles.o_energy(a.elements, 2)
 
 
 def test_counts_past_64_bits():
@@ -109,11 +107,18 @@ def test_energy_of_a_wide_set_fails_fast_over_the_cap(monkeypatch):
     assert time.perf_counter() - start < 1
 
 
+def test_quadrature_fails_fast_over_the_cap(monkeypatch):
+    # {1000} at h = 2 needs 2*2*1000 + 1 = 4001 nodes
+    monkeypatch.setenv("SUMPROD_BUDGET", "1000")
+    with pytest.raises(CapExceeded, match="quadrature nodes needs 4001 values"):
+        quadrature_energy(fs(1000), 2)
+    monkeypatch.setenv("SUMPROD_BUDGET", "4001")
+    assert quadrature_energy(fs(1000), 2) == pytest.approx(1)
+
+
 def test_energy_rejects_bad_arguments():
     with pytest.raises(ValueError):
         energy(fs(1), 0)
-    with pytest.raises(ValueError):
-        energy(fs(1), 2, path="guess")
 
 
 @given(int_sets, st.integers(min_value=1, max_value=3))

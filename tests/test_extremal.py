@@ -258,6 +258,28 @@ def test_search_checkpoint_negative_node_count_rejected(tmp_path):
         _resume_edited(tmp_path, "nodes 21\n", "nodes -1\n")
 
 
+@pytest.mark.parametrize(
+    "old, new, why",
+    [
+        ("cursor 1\n", "cursor x\n", "cursor 'x' is not an integer"),
+        ("nodes 21\n", "nodes 2.5\n", "nodes '2.5' is not an integer"),
+        ("minimum 7\n", "minimum seven\n", "minimum 'seven' is not an integer"),
+        ("cert 1 2 3\n", "cert 1 2 z\n", "certificate value 'z' is not an integer"),
+    ],
+    ids=["cursor", "nodes", "minimum", "cert"],
+)
+def test_search_checkpoint_non_integer_rejected_by_name(tmp_path, old, new, why):
+    with pytest.raises(ValueError, match=f"^checkpoint .*state.txt: {why}$"):
+        _resume_edited(tmp_path, old, new)
+
+
+def test_search_checkpoint_non_ascii_rejected_by_name(tmp_path):
+    cp = tmp_path / "state.txt"
+    cp.write_bytes(CHECKPOINT_F_3_12.replace("cert 1 2 3", "cert 1 2 3\xe9").encode("latin-1"))
+    with pytest.raises(ValueError, match="^checkpoint .*state.txt: byte 0xe9 is not ASCII$"):
+        search_min("f", 3, 12, checkpoint_path=str(cp))
+
+
 def test_search_checkpoint_minimum_without_certificates_rejected(tmp_path):
     with pytest.raises(ValueError, match="a minimum needs certificates"):
         _resume_edited(tmp_path, "cert 1 2 3\n", "")
@@ -302,19 +324,18 @@ ORACLE_LOWER = {"f": oracles.o_f_lower, "g": oracles.o_g_lower}
 @example(tup=(), far=1)
 @settings(max_examples=60, deadline=None)
 def test_incremental_state_matches_whole_tuple_objective(objective, tup, far):
-    inc = extremal.INCREMENTAL[objective]
-    obj = extremal.OBJECTIVES[objective]
+    inc = extremal.OBJECTIVES[objective]
     oracle = ORACLE_OBJECTIVES[objective]
     state = inc.empty
     for i, x in enumerate(tup):
         child = tup[: i + 1]
-        assert inc.bound(state, x, 0) == obj(child) == oracle(child), child
+        assert inc.bound(state, x, 0) == inc.value(FinSet(child)) == oracle(child), child
         state = inc.grow(state, x)
     top = tup[-1] if tup else 0
     for x in [*range(top + 1, top * top + 2), top + far]:
-        assert inc.bound(state, x, 0) == obj(tup + (x,)), x
+        assert inc.bound(state, x, 0) == inc.value(FinSet(tup + (x,))), x
     far_child = tup + (top + far,)
-    assert obj(far_child) == oracle(far_child)
+    assert inc.value(FinSet(far_child)) == oracle(far_child)
 
 
 @pytest.mark.parametrize("k", range(1, 6))
@@ -333,7 +354,7 @@ def test_search_matches_oracle_walk_at_every_budget(objective, k):
 
 @pytest.mark.parametrize("objective", ["f", "g"])
 def test_completion_bounds_never_exceed_a_completion(objective):
-    inc = extremal.INCREMENTAL[objective]
+    inc = extremal.OBJECTIVES[objective]
     obj = cache(ORACLE_OBJECTIVES[objective])
     lower = cache(ORACLE_LOWER[objective])
     for k in range(2, 7):
@@ -439,14 +460,14 @@ def test_search_resumed_at_every_budget_equals_a_fresh_run(objective, tmp_path):
 def test_search_in_process_walks_each_subtree_once(monkeypatch):
     """Each node is one bound call, and a budget stops the walk at exactly its count."""
     calls = 0
-    inc = extremal.INCREMENTAL["f"]
+    inc = extremal.OBJECTIVES["f"]
 
     def counted(*args):
         nonlocal calls
         calls += 1
         return inc.bound(*args)
 
-    monkeypatch.setitem(extremal.INCREMENTAL, "f", inc._replace(bound=counted))
+    monkeypatch.setitem(extremal.OBJECTIVES, "f", inc._replace(bound=counted))
     for budget in (0, 60, 5000):
         calls = 0
         res = search_min("f", 4, 40, node_budget=budget)
