@@ -190,7 +190,8 @@ def _write_checkpoint(path: str, certs: list[tuple[int, ...]], **fields) -> None
 
 def _load_checkpoint(path: str, objective: str, k: int, universe: int):
     """(cursor, nodes, minimum, certificates) from a checkpoint file, which comes
-    from outside the program: every field is checked, every certificate re-evaluated."""
+    from outside the program: every field is checked, every certificate re-evaluated,
+    and a repeated field or an unknown key is refused with its line number."""
 
     def bad(why: str) -> ValueError:
         return ValueError(f"checkpoint {path}: {why}")
@@ -211,12 +212,16 @@ def _load_checkpoint(path: str, objective: str, k: int, universe: int):
                   f"the first line is not {CHECKPOINT_HEADER!r}")
     fields: dict[str, str] = {}
     certs: list[tuple[int, ...]] = []
-    for ln in filter(None, lines[1:]):
+    for number, ln in enumerate(lines[1:], start=2):
         key, _, rest = ln.partition(" ")
         if key == "cert":
             certs.append(tuple(integer("certificate value", v) for v in rest.split()))
-        else:
+        elif key in fields:
+            raise bad(f"line {number}: repeated {key} field")
+        elif key in CHECKPOINT_FIELDS:
             fields[key] = rest
+        elif ln:
+            raise bad(f"line {number}: unknown key {key!r}")
     expect = {"objective": objective, "k": str(k), "universe": str(universe)}
     for key in CHECKPOINT_FIELDS:
         if key not in fields:

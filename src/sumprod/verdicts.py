@@ -1,11 +1,32 @@
 """Verdict records and the comparison kernel behind every checker.
 
 Quantities are either exact (int or Fraction) or enclosures: closed rational
-intervals guaranteed to contain a real value.  Enclosures come out of a
-private 200-bit interval-arithmetic context with endpoints converted back to
-exact fractions, so every decision this module makes reduces to integer
-comparisons of interval endpoints.  A claim the endpoints neither prove nor
-refute is reported as inconclusive, never rounded to a boolean.
+intervals guaranteed to contain a real value, so every decision this module
+makes reduces to integer comparisons of interval endpoints.  A claim the
+endpoints neither prove nor refute is reported as inconclusive, never rounded
+to a boolean.
+
+ln and exp run on plain integers, in fixed point with W fraction bits.  Each
+endpoint comes from its own pass in which every step rounds toward it (floor
+for the lower endpoint, ceiling for the upper), so each endpoint is a bound
+by monotonicity alone, and each is a dyadic fraction:
+
+- ln q: q = 2**e * m with m in [2/3, 4/3], ln m = 2 atanh(t) for
+  t = (m - 1)/(m + 1), |t| <= 1/5, and ln 2 = 2 atanh(1/3), computed once
+  per process.  W = prec + 20, plus log2(1/|t|) when e = 0.
+- exp x: x = k ln 2 + r with 0 <= r < 0.7, and exp r = exp(r / 2**s)**(2**s),
+  a Taylor series then s squarings.  The result is a mantissa times 2**k,
+  so exp(-200) is as precise as exp(200), relatively.  W = prec + 20 +
+  log2 |x|.
+
+The error bound, at prec = 200.  The two passes of an atanh series differ by
+at most 4.5 units of 2**-W per term, over at most W/4.6 + 2 terms and a
+tail of 4.5 units, so ln m is at most 2**9 units wide and ln 2 at most 3.
+As |ln q| >= 0.287 |e| when e != 0, and |ln m| >= 2 |t| when e = 0, ln q is
+at most 2**-(prec + 9) wide, relatively.  exp's reduced argument is off by
+at most 1 + 3 |k| < 2**(log2 |x| + 3) units, its series by at most 41 units
+of 2**-(W + s), and each squaring doubles the relative error and adds one
+unit, so exp x is at most 2**-(prec + 12) wide, relatively.
 """
 
 from __future__ import annotations
@@ -16,8 +37,6 @@ from decimal import Decimal
 from fractions import Fraction
 from typing import Any, Mapping
 
-from mpmath.ctx_iv import MPIntervalContext
-
 TRUE = "true"
 FALSE = "false"
 INCONCLUSIVE = "inconclusive"
@@ -25,8 +44,8 @@ HYPOTHESIS_NOT_MET = "hypothesis-not-met"
 
 _STATUSES = (TRUE, FALSE, INCONCLUSIVE, HYPOTHESIS_NOT_MET)
 
-_iv = MPIntervalContext()
-_iv.prec = 200
+_PREC = 200  # bits of relative precision every enclosure keeps
+_GUARD = 20  # extra fixed-point bits that absorb the rounding of the series
 
 _DECIMAL_30 = DecimalContext(prec=30)
 
@@ -107,23 +126,98 @@ def _as_enclosure(x) -> Enclosure:
     raise TypeError(f"cannot treat {type(x).__name__} as a number")
 
 
-def _endpoint_fraction(data: tuple) -> Fraction:
-    sign, man, exp, _bc = data
-    if man == 0 and exp != 0:
-        raise ValueError("non-finite interval endpoint")
-    f = Fraction(int(man)) * Fraction(2) ** exp
-    return -f if sign else f
+def _div(a: int, b: int, up: bool) -> int:
+    """a / b for b > 0, rounded down, or up when up is true."""
+    return -(-a // b) if up else a // b
 
 
-def _from_iv(value) -> Enclosure:
-    a, b = value._mpi_
-    return Enclosure(_endpoint_fraction(a), _endpoint_fraction(b))
+def _atanh(n: int, d: int, bits: int, up: bool) -> int:
+    """atanh(n/d)*2**bits rounded down, or up when up is true, for 0 <= n/d <= 1/3.
+
+    t and t**2 are rounded to `bits` fraction bits, and each power
+    t**(2i+1) and each quotient by 2i+1 is rounded the same way, so every
+    term is bounded on the chosen side.  Rounding up runs the same floor
+    steps on negated terms, since floor(-x) = -ceil(x).  The sum stops when
+    the power is at most one unit; the terms left are below 9/8 of that
+    power, so the upward sum adds two units for them and the downward one
+    drops them.
+    """
+    t2 = _div(n * n << bits, d * d, up)
+    p = ((-n if up else n) << bits) // d
+    s, i = 0, 1
+    while not -1 <= p <= 1:
+        s += p // i
+        p = p * t2 >> bits
+        i += 2
+    return 2 * -p - s if up else s
 
 
-def _iv_hull(e: Enclosure):
-    """The 200-bit interval hull of e's endpoints, each rounded outward."""
-    lo, hi = (_iv.mpf(f.numerator) / _iv.mpf(f.denominator) for f in (e.lo, e.hi))
-    return _iv.mpf((lo, hi))
+_LN2 = [0, 0, 0]  # [bits, lower, upper] of ln 2 * 2**bits, computed on first use
+
+
+def _ln2(bits: int) -> tuple[int, int]:
+    """Lower and upper bounds on ln 2 * 2**bits, from ln 2 = 2 atanh(1/3)."""
+    have, lo, hi = _LN2
+    if have < bits:
+        have = bits + 64
+        lo, hi = 2 * _atanh(1, 3, have, False), 2 * _atanh(1, 3, have, True)
+        _LN2[:] = have, lo, hi
+    return lo >> (have - bits), -(-hi >> (have - bits))
+
+
+def _ln(q: Fraction, up: bool, prec: int = _PREC) -> Fraction:
+    """A dyadic lower (or, when up is true, upper) bound on ln q, q > 0.
+
+    The extra bits when e = 0 keep the relative precision of an argument
+    next to 1, where ln q is as small as t.
+    """
+    a, b = q.numerator, q.denominator
+    e = a.bit_length() - b.bit_length()
+    num, den = (a, b << e) if e >= 0 else (a << -e, b)
+    if 3 * num > 4 * den:
+        e, den = e + 1, 2 * den
+    elif 3 * num < 2 * den:
+        e, num = e - 1, 2 * num
+    n, d = abs(num - den), num + den
+    bits = prec + _GUARD
+    if e == 0:
+        bits += max(0, d.bit_length() - n.bit_length())
+    negative = num < den
+    t = _atanh(n, d, bits, up != negative)
+    total = 2 * (-t if negative else t)
+    if e:
+        total += e * _ln2(bits)[up != (e < 0)]
+    return Fraction(total, 1 << bits)
+
+
+def _exp(x: Fraction, up: bool, prec: int = _PREC) -> Fraction:
+    """A dyadic lower (or, when up is true, upper) bound on exp x.
+
+    k is chosen from x and ln 2 rounded in this bound's direction so that
+    r >= 0; the Taylor series is summed as in _atanh, with a two-unit tail.
+    """
+    n, d = x.numerator, x.denominator
+    bits = prec + _GUARD + (abs(n) // d).bit_length()
+    l2 = _ln2(bits)
+    xf = _div(n << bits, d, up)
+    k = xf // l2[xf >= 0]
+    r = xf - k * l2[(k >= 0) != up]
+    s = bits.bit_length() * 2
+    f = bits + s  # r / 2**f = (r / 2**bits) / 2**s
+    term, total, i = -(1 << f) if up else 1 << f, 0, 1
+    while not -1 <= term <= 1:
+        total += term
+        term = (term * r >> f) // i
+        i += 1
+    if up:
+        total += 2 * term
+    for _ in range(s):  # abs keeps an upward total negated, so >> rounds it up
+        total = total * abs(total) >> f
+    if up:
+        total = -total
+    if k >= f:
+        return Fraction(total << (k - f))
+    return Fraction(total, 1 << (f - k))
 
 
 def log_of(x) -> Enclosure:
@@ -131,11 +225,13 @@ def log_of(x) -> Enclosure:
     e = _as_enclosure(x)
     if e.lo <= 0:
         raise ValueError("log needs a strictly positive argument")
-    return _from_iv(_iv.log(_iv_hull(e)))
+    return Enclosure(_ln(e.lo, False), _ln(e.hi, True))
 
 
 def exp_of(x) -> Enclosure:
-    return _from_iv(_iv.exp(_iv_hull(_as_enclosure(x))))
+    """Enclosure of exp of an exact value or enclosure."""
+    e = _as_enclosure(x)
+    return Enclosure(_exp(e.lo, False), _exp(e.hi, True))
 
 
 def power_of(base, exponent) -> Enclosure:

@@ -389,6 +389,20 @@ def test_search_checkpoint_without_minimum_exits_1(tmp_path, capsys):
     assert err == f"error: checkpoint {cp}: no minimum field\n"
 
 
+def test_search_checkpoint_repeated_field_or_unknown_key_exits_1(tmp_path, capsys):
+    cp = tmp_path / "state.txt"
+    argv = ("search", "--objective", "f", "--k", "3", "--max", "12", "--checkpoint", str(cp))
+    header = "sumprod search checkpoint v2\nobjective f\nk 3\nuniverse 12\n"
+    cp.write_text(header + "cursor 1\ncursor 5\nbogus line\nnodes 21\nminimum 7\ncert 1 2 3\n")
+    rc, out, err = run(capsys, *argv)
+    assert (rc, out) == (1, "")
+    assert err == f"error: checkpoint {cp}: line 6: repeated cursor field\n"
+    cp.write_text(header + "cursor 1\nbogus line\nnodes 21\nminimum 7\ncert 1 2 3\n")
+    rc, out, err = run(capsys, *argv)
+    assert (rc, out) == (1, "")
+    assert err == f"error: checkpoint {cp}: line 6: unknown key 'bogus'\n"
+
+
 def test_search_v1_checkpoint_is_rejected_not_resumed(tmp_path, capsys):
     """A v1 checkpoint counts leaves, not nodes, so it cannot resume the walk."""
     cp = tmp_path / "state.txt"
@@ -470,3 +484,20 @@ def test_the_cli_module_runs_as_a_script():
     lines = out.stdout.splitlines()
     assert any(line.startswith("section3.logk_identity true ") for line in lines)
     assert any(line.startswith("section3.loglogk_identity true ") for line in lines)
+
+
+def test_the_runtime_loads_no_mpmath():
+    """import sumprod, import sumprod.cli and a section3 run, which takes logs
+    and a fractional power, load no mpmath module."""
+    src = Path(cli.__file__).resolve().parents[1]
+    code = (
+        "import sys, io, contextlib, sumprod, sumprod.cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    rc = sumprod.cli.main(['section3', '--J', '3'])\n"
+        "print(rc, sorted(m for m in sys.modules if m.startswith('mpmath')))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(src))
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert (out.returncode, out.stdout) == (0, "0 []\n"), out.stderr

@@ -280,6 +280,30 @@ def test_search_checkpoint_non_ascii_rejected_by_name(tmp_path):
         search_min("f", 3, 12, checkpoint_path=str(cp))
 
 
+@pytest.mark.parametrize(
+    "old, new, why",
+    [
+        ("cursor 1\n", "cursor 1\ncursor 5\n", "line 6: repeated cursor field"),
+        ("minimum 7\n", "minimum 7\nminimum 6\n", "line 8: repeated minimum field"),
+        ("k 3\n", "k 3\nk 3\n", "line 4: repeated k field"),
+        ("cert 1 2 3\n", "cert 1 2 3\nbogus line\n", "line 9: unknown key 'bogus'"),
+        ("nodes 21\n", "nodes 21\n cursor 5\n", "line 7: unknown key ''"),
+    ],
+    ids=["cursor", "minimum", "same-value", "unknown", "indented"],
+)
+def test_search_checkpoint_repeated_or_unknown_key_rejected_by_line(tmp_path, old, new, why):
+    with pytest.raises(ValueError, match=f"^checkpoint .*state.txt: {why}$"):
+        _resume_edited(tmp_path, old, new)
+
+
+def test_search_checkpoint_edited_cursor_cannot_skip_subtrees(tmp_path):
+    """A second cursor line once won, so a resume skipped subtrees 1..4 and
+    still reported a complete search.  Blank lines stay allowed."""
+    with pytest.raises(ValueError, match="line 6: repeated cursor field"):
+        _resume_edited(tmp_path, "cursor 1\n", "cursor 1\ncursor 5\nbogus line\n")
+    assert _resume_edited(tmp_path, "cursor 1\n", "\ncursor 1\n\n") == search_min("f", 3, 12)
+
+
 def test_search_checkpoint_minimum_without_certificates_rejected(tmp_path):
     with pytest.raises(ValueError, match="a minimum needs certificates"):
         _resume_edited(tmp_path, "cert 1 2 3\n", "")

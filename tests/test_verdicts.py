@@ -7,8 +7,9 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from mpmath.ctx_iv import MPIntervalContext
+from mpmath import MPContext
 
+from sumprod import verdicts
 from sumprod.verdicts import (
     Enclosure,
     Verdict,
@@ -108,15 +109,23 @@ def test_log_of_enclosure_monotone_hull():
     assert e.lo <= log_of(F(3)).lo and log_of(F(3)).hi <= e.hi
 
 
-_IV200 = MPIntervalContext()
-_IV200.prec = 200
+_MP600 = MPContext()
+_MP600.prec = 600
 
 
-def _point_bounds(fn_name, q):
-    """The endpoints of fn(q), for an exact rational q, in a 200-bit mpmath
-    interval context of the test's own, as exact fractions."""
-    y = getattr(_IV200, fn_name)(_IV200.mpf(q.numerator) / _IV200.mpf(q.denominator))
-    return tuple((-1) ** sign * F(man) * F(2) ** exp for sign, man, exp, _ in y._mpi_)
+def _mp600(fn_name, q):
+    """fn(q), for an exact rational q, at 600 bits in an mpmath context of the
+    test's own, as an exact fraction."""
+    y = getattr(_MP600, fn_name)(_MP600.mpf(q.numerator) / q.denominator)
+    sign, man, exp, _ = y._mpf_
+    return (-1) ** sign * F(man) * F(2) ** exp
+
+
+def _assert_certified(got, fn_name, q):
+    """got contains the 600-bit value of fn(q) and is at most 2**-190 wide, relatively."""
+    value = _mp600(fn_name, q)
+    assert got.lo <= value <= got.hi, (fn_name, q)
+    assert got.width <= abs(value) / 2**190, (fn_name, q)
 
 
 def test_log_exp_of_enclosure_is_hull_of_point_enclosures():
@@ -125,11 +134,88 @@ def test_log_exp_of_enclosure_is_hull_of_point_enclosures():
         lo = F(rng.randint(1, 10 ** rng.randint(1, 25)), rng.randint(1, 10**25))
         hi = lo + F(rng.randint(0, 10**6), rng.randint(1, 10 ** rng.randint(1, 30)))
         got = log_of(Enclosure(lo, hi))
-        assert (got.lo, got.hi) == (_point_bounds("log", lo)[0], _point_bounds("log", hi)[1])
+        assert (got.lo, got.hi) == (log_of(lo).lo, log_of(hi).hi)
+        for q in (lo, hi):
+            _assert_certified(log_of(q), "log", q)
         lo = F(rng.randint(-300 * 10**6, 300 * 10**6), 10**6)
         hi = lo + F(rng.randint(0, 10**3), rng.randint(1, 10 ** rng.randint(1, 20)))
         got = exp_of(Enclosure(lo, hi))
-        assert (got.lo, got.hi) == (_point_bounds("exp", lo)[0], _point_bounds("exp", hi)[1])
+        assert (got.lo, got.hi) == (exp_of(lo).lo, exp_of(hi).hi)
+        for q in (lo, hi):
+            _assert_certified(exp_of(q), "exp", q)
+
+
+_TINY = F(1, 10**30)
+
+
+@pytest.mark.parametrize(
+    "q",
+    [F(2, 3), F(2, 3) - _TINY, F(2, 3) + _TINY, F(4, 3), F(4, 3) - _TINY, F(4, 3) + _TINY,
+     F(2) ** 1000, F(2) ** -1000, 1 + F(1, 2**300), 1 - F(1, 2**300), F(1), F(3, 2**40)],
+    ids=["2/3", "2/3-", "2/3+", "4/3", "4/3-", "4/3+", "2^1000", "2^-1000",
+         "1+2^-300", "1-2^-300", "1", "3/2^40"],
+)
+def test_log_of_worst_arguments(q):
+    """The ends of the reduction to [2/3, 4/3], extreme exponents, and arguments
+    next to 1, where ln q is tiny and only relative precision counts (ln 1 is
+    the point 0)."""
+    _assert_certified(log_of(q), "log", q)
+
+
+_LN2 = _mp600("log", F(2))
+
+
+@pytest.mark.parametrize(
+    "x",
+    [_LN2 / 2, -_LN2 / 2, _LN2, -_LN2, 3 * _LN2, F(200), F(-200), F(1, 10**40), F(0)],
+    ids=["ln2/2", "-ln2/2", "ln2", "-ln2", "3ln2", "200", "-200", "1e-40", "0"],
+)
+def test_exp_of_worst_arguments(x):
+    """Arguments at and next to the multiples of ln 2 that the reduction splits
+    at, large ones of both signs (exp(-200) must keep its relative precision),
+    and one next to 0."""
+    _assert_certified(exp_of(x), "exp", x)
+
+
+@pytest.mark.parametrize("prec", [0, 8, 40])
+def test_ln_exp_kernels_meet_the_stated_bound_at_low_precision(prec):
+    """The private kernels at low precision, where a bound rounded the wrong
+    way or a missing guard bit shows: every bound holds, and each width stays
+    within the verdicts docstring's 2**-(prec + 9) for ln and 2**-(prec + 12)
+    for exp."""
+    rng = random.Random(prec)
+    for _ in range(150):
+        q = F(rng.randint(1, 10 ** rng.randint(1, 30)), rng.randint(1, 10 ** rng.randint(1, 30)))
+        x = F(rng.randint(-5 * 10**4, 5 * 10**4), rng.randint(1, 10))
+        for fn, kernel, arg, margin in (("log", verdicts._ln, q, 9), ("exp", verdicts._exp, x, 12)):
+            lo, hi = kernel(arg, False, prec), kernel(arg, True, prec)
+            value = _mp600(fn, arg)
+            assert lo <= value <= hi, (fn, arg)
+            assert hi - lo <= abs(value) / 2 ** (prec + margin), (fn, arg)
+
+
+def test_atanh_and_exp_kernels_bound_at_a_few_working_bits():
+    """With 1 to 40 fraction bits the slack of the other roundings no longer
+    hides one step rounded the wrong way or a dropped tail term."""
+    rng = random.Random(1)
+    for _ in range(3000):
+        d = rng.randint(3, 10**6)
+        n, bits = rng.randint(0, d // 3), rng.randint(1, 40)
+        value = _mp600("atanh", F(n, d)) * 2**bits
+        assert verdicts._atanh(n, d, bits, False) <= value <= verdicts._atanh(n, d, bits, True)
+    for _ in range(3000):
+        x, prec = F(rng.randint(-3000, 3000), rng.randint(1, 1000)), rng.randint(-18, 0)
+        value = _mp600("exp", x)
+        assert verdicts._exp(x, False, prec) <= value <= verdicts._exp(x, True, prec), (x, prec)
+
+
+def test_exp_of_enclosure_spanning_zero():
+    lo, hi = F(-1, 3), F(1, 2)
+    got = exp_of(Enclosure(lo, hi))
+    assert (got.lo, got.hi) == (exp_of(lo).lo, exp_of(hi).hi)
+    assert got.lo < 1 < got.hi
+    for x in (lo, hi):
+        _assert_certified(exp_of(x), "exp", x)
 
 
 def test_power_integer_exponent_exact():
