@@ -1,5 +1,8 @@
 """Integer factorization, prime-exponent vectors, and multiplicative dimension.
 
+factor_int(n) spends a fixed effort, the module constants _TRIAL_BOUND and
+_RHO_BUDGET, so its cache is keyed on n alone.
+
 The multiplicative dimension of a set of positive rationals is the affine
 rank of its prime-exponent vectors: the dimension of the span of the
 differences from any fixed member.  Rank is computed by Echelon, the
@@ -22,8 +25,8 @@ from typing import Iterable
 from .exactset import FinSet, _box_size
 from .limits import FactorizationBudgetExceeded
 
-DEFAULT_TRIAL_BOUND = 10**6
-DEFAULT_RHO_BUDGET = 2_000_000
+_TRIAL_BOUND = 10**6
+_RHO_BUDGET = 2_000_000
 
 # Witness bases making Miller-Rabin deterministic below this threshold.
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
@@ -110,16 +113,12 @@ def _brent_step(n: int, c: int, budget: int) -> tuple[int | None, int]:
 
 
 @lru_cache(maxsize=65536)
-def factor_int(
-    n: int,
-    trial_bound: int = DEFAULT_TRIAL_BOUND,
-    rho_budget: int = DEFAULT_RHO_BUDGET,
-) -> tuple[tuple[int, int], ...]:
+def factor_int(n: int) -> tuple[tuple[int, int], ...]:
     """Factor a positive integer into ((prime, exponent), ...) ascending.
 
-    Trial division up to trial_bound, then Brent cycles with a shared
-    iteration budget.  If a cofactor survives both, the call fails with
-    FactorizationBudgetExceeded rather than guessing.
+    Trial division up to _TRIAL_BOUND, then Brent cycles sharing
+    _RHO_BUDGET iterations.  If a cofactor survives both, the call fails
+    with FactorizationBudgetExceeded rather than guessing.
     """
     if n < 1:
         raise ValueError(f"need a positive integer, got {n}")
@@ -128,13 +127,13 @@ def factor_int(
         if n % p == 0:
             factors[p], n = _valuation(n, p)
     d = 5
-    while d <= trial_bound and d * d <= n:
+    while d <= _TRIAL_BOUND and d * d <= n:
         for p in (d, d + 2):
             if n % p == 0:
                 factors[p], n = _valuation(n, p)
         d += 6
     if n > 1:
-        remaining = rho_budget
+        remaining = _RHO_BUDGET
         stack = [n]
         while stack:
             m = stack.pop()

@@ -81,7 +81,9 @@ def _load_set(path: str) -> FinSet:
 
 
 def _load_pairs(path: str, ground: FinSet) -> PairGraph:
-    value_pairs = []
+    """Each line's two values, read as int pairs and located in the ground
+    set as they are read; any error names its line."""
+    pairs = set()
     for lineno, raw in enumerate(_read_text(path).splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -90,10 +92,14 @@ def _load_pairs(path: str, ground: FinSet) -> PairGraph:
         try:
             if len(parts) != 2:
                 raise SetParseError("expected two values per pair line")
-            value_pairs.append((parse_token(parts[0]), parse_token(parts[1])))
+            pair = tuple(ground._locate(*exactset._parse_pair(t)) for t in parts)
+            if None in pair:
+                x, y = parts
+                raise SetParseError(f"pair ({x}, {y}) uses values outside the ground set")
+            pairs.add(pair)
         except SetParseError as exc:
             raise SetParseError(f"line {lineno}: {exc}") from None
-    return PairGraph.from_value_pairs(ground, value_pairs)
+    return PairGraph(ground, frozenset(pairs))
 
 
 def _graph_from_args(args, ground: FinSet) -> PairGraph:

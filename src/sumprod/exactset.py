@@ -14,10 +14,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import compress, count, repeat
 from math import gcd, lcm, prod
+from operator import add, mul
 from struct import iter_unpack
 from typing import Iterable, Iterator, Literal, Sequence
 
-from .limits import SetParseError, check_size, size_cap
+from .limits import SetParseError, check_size, over_cap, size_cap
 
 Op = Literal["sum", "product"]
 
@@ -57,11 +58,7 @@ class FinSet:
     __slots__ = ("_scale", "_ints")
 
     def __init__(self, elements: Iterable[Fraction | int]) -> None:
-        values = set()
-        for e in elements:
-            if isinstance(e, float):
-                raise TypeError("floats are not exact; pass Fraction or int")
-            values.add(e if isinstance(e, (int, Fraction)) else Fraction(e))
+        values = set(map(_exact, elements))
         scale = lcm(*(v.denominator for v in values))
         ints = tuple(sorted(v.numerator * (scale // v.denominator) for v in values))
         object.__setattr__(self, "_scale", scale)
@@ -96,12 +93,17 @@ class FinSet:
         """The position of value in _ints, or None when it is not a member
         (including values that are not finite numbers)."""
         try:
-            v = Fraction(value) * self._scale  # type: ignore[arg-type]
+            v = Fraction(value)  # type: ignore[arg-type]
         except (TypeError, ValueError, OverflowError):
             return None
-        if v.denominator != 1:
+        return self._locate(v.numerator, v.denominator)
+
+    def _locate(self, num: int, den: int) -> int | None:
+        """The position of num / den (den > 0, any common factor) in _ints, or
+        None: scaled to an int over _scale, then found by bisection."""
+        n, r = divmod(num * self._scale, den)
+        if r:
             return None
-        n = v.numerator
         i = bisect_left(self._ints, n)
         return i if i < len(self._ints) and self._ints[i] == n else None
 
@@ -140,6 +142,13 @@ class FinSet:
         if scale == 1:
             return map(str, self._ints)
         return map(_ratio_str, self._ints, repeat(scale))
+
+
+def _exact(e: Fraction | int) -> Fraction | int:
+    """e as an exact number; a float is refused, never rounded."""
+    if isinstance(e, float):
+        raise TypeError("floats are not exact; pass Fraction or int")
+    return e if isinstance(e, (int, Fraction)) else Fraction(e)
 
 
 def _ratio_str(v: int, scale: int) -> str:
@@ -202,8 +211,15 @@ def combine(a: FinSet, b: FinSet, op: Op) -> FinSet:
     if op == "sum":
         return _sumset([a, b], "combine result")
     _require_nonzero(a, b)
-    values = {x * y for x in a._ints for y in b._ints}
-    check_size(len(values), "combine result")
+    cap, xs, ys = size_cap(), a._ints, b._ints
+    if len(xs) * len(ys) <= cap:  # every product fits: nothing to check
+        values = {x * y for x in xs for y in ys}
+    else:
+        values = set()
+        for x in xs:  # refused at the first row that passes the cap
+            values.update([x * y for y in ys])
+            if len(values) > cap:
+                raise over_cap(len(values), "combine result", cap)
     return _from_ints(values, a._scale * b._scale)
 
 
@@ -224,7 +240,7 @@ def iterate(a: FinSet, h: int, op: Op) -> FinSet:
 
 def dilate(q: Fraction | int, a: FinSet) -> FinSet:
     """The set q*a for a nonzero rational q.  Always |q*A| = |A|."""
-    q = Fraction(q)
+    q = Fraction(_exact(q))
     if q == 0:
         raise ValueError("dilation factor must be nonzero")
     return _from_ints((v * q.numerator for v in a._ints), a._scale * q.denominator)
@@ -426,6 +442,7 @@ class PairGraph:
     @classmethod
     def full(cls, ground: FinSet) -> "PairGraph":
         n = ground.size
+        check_size(n * n, "full pair graph")
         return cls(ground, frozenset((i, j) for i in range(n) for j in range(n)))
 
     @classmethod
@@ -450,12 +467,17 @@ def restricted_combine(a: FinSet, graph: PairGraph, op: Op) -> FinSet:
     _check_op(op)
     if graph.ground != a:
         raise ValueError("graph ground set differs from the operand set")
-    ints, scale = a._ints, a._scale
-    if op == "product":
+    ints, cap, product = a._ints, size_cap(), op == "product"
+    if product:
         _require_nonzero(a)
+    if graph.size > cap:  # refused at the first pair that passes the cap
+        pair_op, values = (mul if product else add), set()
+        for i, j in graph.pairs:
+            values.add(pair_op(ints[i], ints[j]))
+            if len(values) > cap:
+                raise over_cap(len(values), "restricted combine", cap)
+    elif product:  # every value fits: nothing to check
         values = {ints[i] * ints[j] for i, j in graph.pairs}
-        scale *= scale
     else:
         values = {ints[i] + ints[j] for i, j in graph.pairs}
-    check_size(len(values), "restricted combine")
-    return _from_ints(values, scale)
+    return _from_ints(values, a._scale**2 if product else a._scale)

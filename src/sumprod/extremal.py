@@ -1,6 +1,8 @@
 """Grid examples, the f/g objectives, exhaustive minimizer search, and the
 growth-rate verdict battery for the prime-grid construction.
 
+es_example(j) builds the grid on the first j primes itself, after a cap check.
+
 f(A) = |2A u A*A| and g(A) = |A[1]| + |A{1}| (simple sums plus simple
 products).  search_min minimizes either objective exactly over all
 k-subsets of {1,...,N} by one depth-first walk in the calling process, with
@@ -30,7 +32,7 @@ from math import prod
 from typing import Callable, NamedTuple
 
 from .exactset import FinSet, _box_size, _require_positive_integers
-from .limits import check_size, size_cap
+from .limits import check_size, over_cap, size_cap
 from .arith import first_primes, mult_dim, vector_simple_sum_count
 from .verdicts import (
     HYPOTHESIS_NOT_MET,
@@ -46,31 +48,20 @@ CHECKPOINT_HEADER = "sumprod search checkpoint v2"
 CHECKPOINT_FIELDS = ("objective", "k", "universe", "cursor", "nodes", "minimum")
 
 
-@dataclass(frozen=True)
-class ExampleSpec:
-    """Parameters of the prime-grid construction: first j primes, exponents
-    0..j-1, giving j^j elements."""
-
-    j: int
-    k: int
-    primes: tuple[int, ...]
-
-    @classmethod
-    def for_j(cls, j: int) -> "ExampleSpec":
-        if j < 1:
-            raise ValueError(f"grid parameter must be >= 1, got {j}")
-        return cls(j=j, k=j**j, primes=tuple(first_primes(j)))
-
-
 def es_example(j: int) -> FinSet:
-    """The grid set {p1^e1 * ... * pj^ej : 0 <= e_i < j}, size j^j."""
-    spec = ExampleSpec.for_j(j)
-    check_size(spec.k, "grid example")
-    values = [
-        prod(p**e for p, e in zip(spec.primes, exps))
-        for exps in iproduct(range(spec.j), repeat=spec.j)
-    ]
-    return FinSet(values)
+    """The grid set {p1^e1 * ... * pj^ej : 0 <= e_i < j} on the first j
+    primes, size j^j.  The size is checked before any prime is found, and
+    once 2^j alone passes the cap, before j^j is formed."""
+    if j < 1:
+        raise ValueError(f"grid parameter must be >= 1, got {j}")
+    cap = size_cap()
+    if j > 1 and j >= cap.bit_length():  # j^j >= 2^j > cap
+        raise over_cap(f"{j}^{j}", "grid example", cap)
+    check_size(j**j, "grid example")
+    primes = first_primes(j)
+    return FinSet(
+        prod(p**e for p, e in zip(primes, exps)) for exps in iproduct(range(j), repeat=j)
+    )
 
 
 def f_value(a: FinSet) -> int:

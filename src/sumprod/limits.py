@@ -4,7 +4,9 @@ The size cap bounds the number of distinct values any single operation may
 materialize, and the nodes a search may score when it is given no node
 budget of its own.  It defaults to ten million and can be overridden either through
 the SUMPROD_BUDGET environment variable or programmatically (the CLI's
---budget flag uses the latter).
+--budget flag uses the latter).  A kernel that grows a result reads the cap
+once per call and refuses as soon as the distinct count passes it; a count
+too long to print in decimal is named by its power of two.
 """
 
 import os
@@ -59,4 +61,16 @@ def check_size(n: int, what: str) -> None:
     """Raise CapExceeded if n distinct values would breach the cap."""
     cap = size_cap()
     if n > cap:
-        raise CapExceeded(f"{what} needs {n} values, cap is {cap}")
+        raise over_cap(n, what, cap)
+
+
+def over_cap(n: int | str, what: str, cap: int) -> CapExceeded:
+    """The refusal of n values over cap.  An int n is written in decimal when
+    Python will print it, and as the power of two at or below it otherwise
+    (past sys.get_int_max_str_digits()); a str n, a formula for a count too
+    large to form, is written as it is."""
+    try:
+        count = str(n)
+    except ValueError:
+        count = f"at least 2^{n.bit_length() - 1}"
+    return CapExceeded(f"{what} needs {count} values, cap is {cap}")

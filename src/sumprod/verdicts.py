@@ -237,16 +237,16 @@ def exp_of(x) -> Enclosure:
 def power_of(base, exponent) -> Enclosure:
     """Enclosure of base**exponent for positive base.
 
-    Integer exponents on exact bases stay exact; everything else goes
-    through exp(exponent * log(base)).
+    An integral int or Fraction exponent on an exact base stays exact; any
+    other goes through exp(exponent * log(base)).  A bool raises TypeError.
     """
-    if isinstance(base, (int, Fraction)) and not isinstance(base, bool):
-        if isinstance(exponent, int) and not isinstance(exponent, bool):
-            v = Fraction(base) ** exponent
-            return Enclosure(v, v)
-        if isinstance(exponent, Fraction) and exponent.denominator == 1:
-            v = Fraction(base) ** int(exponent)
-            return Enclosure(v, v)
+    if (
+        isinstance(base, (int, Fraction)) and not isinstance(base, bool)
+        and isinstance(exponent, (int, Fraction)) and not isinstance(exponent, bool)
+        and exponent.denominator == 1
+    ):
+        v = Fraction(base) ** int(exponent)
+        return Enclosure(v, v)
     return exp_of(log_of(base) * _as_enclosure(exponent))
 
 

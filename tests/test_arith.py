@@ -75,10 +75,15 @@ def test_factor_int_perfect_square_semiprime():
     assert factor_int(p * p) == ((p, 2),)
 
 
-def test_factor_int_budget_exhaustion():
+def test_factor_int_budget_exhaustion(monkeypatch):
     p, q = 32_416_190_071, 32_416_190_039
-    with pytest.raises(FactorizationBudgetExceeded):
-        factor_int(p * q, trial_bound=100, rho_budget=3)
+    monkeypatch.setattr(arith, "_RHO_BUDGET", 3)
+    factor_int.cache_clear()
+    try:
+        with pytest.raises(FactorizationBudgetExceeded):
+            factor_int(p * q)
+    finally:
+        factor_int.cache_clear()
 
 
 def test_factor_int_splits_composites_beyond_deterministic_range():

@@ -104,6 +104,14 @@ def test_pair_file_errors_name_their_line(tmp_path, capsys):
         assert (rc, err) == (1, f"error: {message}\n")
 
 
+def test_pair_outside_the_ground_set_names_its_line(tmp_path, capsys):
+    a = write_set(tmp_path / "a.txt", [1, 2, 4])
+    pairs = tmp_path / "pairs.txt"
+    pairs.write_text("1 2\n\n3 7\n")
+    rc, _, err = run(capsys, "restricted", "--op", "sum", "--pairs", str(pairs), "--set", a)
+    assert (rc, err) == (1, "error: line 3: pair (3, 7) uses values outside the ground set\n")
+
+
 def test_multdim_command(tmp_path, capsys):
     a = write_set(tmp_path / "a.txt", [2, 3, 6])
     rc, out, _ = run(capsys, "multdim", "--set", a)
@@ -232,6 +240,27 @@ def test_section3_j4_exits_3_at_the_cap_at_once(monkeypatch, capsys):
     assert time.perf_counter() - start < 1
     assert rc == 3
     assert err == "error: simple sum closure needs 10314826 values, cap is 10000000\n"
+
+
+@pytest.mark.parametrize("command, j", [("example", 2000), ("section3", 2000), ("example", 1000)])
+def test_grid_far_over_the_cap_exits_3_naming_its_size(monkeypatch, capsys, command, j):
+    monkeypatch.delenv("SUMPROD_BUDGET", raising=False)
+    rc, out, err = run(capsys, command, "--J", str(j))
+    assert (rc, out) == (3, "")
+    assert err == f"error: grid example needs {j}^{j} values, cap is 10000000\n"
+
+
+def test_progression_too_long_to_print_exits_3(monkeypatch, tmp_path, capsys):
+    monkeypatch.delenv("SUMPROD_BUDGET", raising=False)
+    length = 10**2999  # 3000 digits: the nominal size has 5999
+    desc = tmp_path / "p.txt"
+    desc.write_text(f"1\n2 {length}\n3 {length}\n")
+    rc, _, err = run(capsys, "progression", "--file", str(desc))
+    assert rc == 3
+    bits = (length * length).bit_length() - 1
+    assert err == (
+        f"error: progression enumeration needs at least 2^{bits} values, cap is 10000000\n"
+    )
 
 
 def test_section3_is_the_verify_suite(tmp_path, capsys):

@@ -116,6 +116,12 @@ def test_quadrature_fails_fast_over_the_cap(monkeypatch):
     assert quadrature_energy(fs(1000), 2) == pytest.approx(1)
 
 
+def test_quadrature_refuses_a_node_count_too_long_to_print(monkeypatch):
+    monkeypatch.delenv("SUMPROD_BUDGET", raising=False)
+    with pytest.raises(CapExceeded, match=r"quadrature nodes needs at least 2\^\d+ values"):
+        quadrature_energy(FinSet([10**5000]), 2)
+
+
 def test_energy_rejects_bad_arguments():
     with pytest.raises(ValueError):
         energy(fs(1), 0)

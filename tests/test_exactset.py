@@ -1,5 +1,6 @@
 """Set parsing, combination, closures, and restricted operations."""
 
+import random
 import time
 from fractions import Fraction
 
@@ -23,7 +24,7 @@ from sumprod.exactset import (
     simple_closure,
     sum_diff,
 )
-from sumprod.limits import CapExceeded, SetParseError
+from sumprod.limits import CapExceeded, SetParseError, check_size
 
 
 def fs(*values) -> FinSet:
@@ -269,6 +270,14 @@ def test_dilate():
         dilate(Fraction(0), fs(1))
 
 
+def test_dilate_refuses_floats_as_finset_does():
+    with pytest.raises(TypeError, match="floats are not exact") as refused:
+        dilate(0.1, fs(1, 2, 3))
+    with pytest.raises(TypeError) as finset_refused:
+        FinSet([0.1])
+    assert str(refused.value) == str(finset_refused.value)
+
+
 # --- closures ----------------------------------------------------------------
 
 
@@ -336,6 +345,41 @@ def test_env_budget_enforced(monkeypatch):
     monkeypatch.setenv("SUMPROD_BUDGET", "5")
     with pytest.raises(CapExceeded):
         combine(fs(1, 2, 3), fs(10, 20, 30), "sum")
+
+
+def test_cap_message_names_any_count(monkeypatch):
+    monkeypatch.setenv("SUMPROD_BUDGET", "1000")
+    printable = 10**4299  # 4300 digits, the most Python prints by default
+    with pytest.raises(CapExceeded) as refused:
+        check_size(printable, "test")
+    assert str(refused.value) == f"test needs {printable} values, cap is 1000"
+    with pytest.raises(CapExceeded) as refused:
+        check_size(10**5000, "test")
+    assert str(refused.value) == "test needs at least 2^16609 values, cap is 1000"
+
+
+def test_full_pair_graph_checks_the_cap_first(monkeypatch):
+    monkeypatch.setenv("SUMPROD_BUDGET", "1000")
+    with pytest.raises(CapExceeded, match="full pair graph needs 10000 values, cap is 1000"):
+        PairGraph.full(FinSet(range(1, 101)))
+
+
+def _refused_count(call) -> int:
+    with pytest.raises(CapExceeded) as refused:
+        call()
+    return int(str(refused.value).split(" needs ")[1].split()[0])
+
+
+def test_product_and_restricted_sets_refuse_as_they_grow(monkeypatch):
+    # 200 distinct ints have about 20,100 distinct pairwise products; the
+    # refusal comes at the first row (or pair) past the cap, not at the end
+    a = FinSet(random.Random(7).sample(range(1, 10**9), 200))
+    full = PairGraph.full(a)
+    monkeypatch.setenv("SUMPROD_BUDGET", "1000")
+    assert _refused_count(lambda: combine(a, a, "product")) < 2000
+    assert _refused_count(lambda: iterate(a, 2, "product")) < 2000
+    assert _refused_count(lambda: restricted_combine(a, full, "product")) == 1001
+    assert _refused_count(lambda: restricted_combine(a, full, "sum")) == 1001
 
 
 def test_env_budget_invalid(monkeypatch):

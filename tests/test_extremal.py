@@ -14,10 +14,9 @@ from hypothesis import strategies as st
 
 import oracles
 from sumprod import exactset, extremal
-from sumprod.arith import mult_dim
+from sumprod.arith import first_primes, mult_dim
 from sumprod.exactset import FinSet, simple_closure
 from sumprod.extremal import (
-    ExampleSpec,
     es_example,
     f_value,
     g_value,
@@ -37,9 +36,8 @@ def fs(*values) -> FinSet:
 
 
 def test_example_spec():
-    spec = ExampleSpec.for_j(3)
-    assert spec.j == 3 and spec.k == 27
-    assert spec.primes == (2, 3, 5)
+    assert es_example(3).size == 27
+    assert first_primes(3) == (2, 3, 5)
 
 
 def test_es_example_j1():

@@ -225,6 +225,14 @@ def test_power_integer_exponent_exact():
     assert p.lo == p.hi == F(1, 4)
 
 
+def test_power_integral_fraction_exponent_exact_bool_refused():
+    for exponent in (F(6, 2), 3):
+        assert power_of(F(2, 3), exponent) == Enclosure(F(8, 27), F(8, 27))
+    for base, exponent in ((2, True), (True, 2), (F(2), False)):
+        with pytest.raises(TypeError):
+            power_of(base, exponent)
+
+
 def test_power_fractional_exponent_encloses_root():
     p = power_of(2, F(1, 2))
     # contains sqrt(2)
