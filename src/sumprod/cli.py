@@ -92,11 +92,8 @@ def _load_pairs(path: str, ground: FinSet) -> PairGraph:
         try:
             if len(parts) != 2:
                 raise SetParseError("expected two values per pair line")
-            pair = tuple(ground._locate(*exactset._parse_pair(t)) for t in parts)
-            if None in pair:
-                x, y = parts
-                raise SetParseError(f"pair ({x}, {y}) uses values outside the ground set")
-            pairs.add(pair)
+            ix, iy = (ground._locate(*exactset._parse_pair(t)) for t in parts)
+            pairs.add(exactset._located_pair(*parts, ix, iy))
         except SetParseError as exc:
             raise SetParseError(f"line {lineno}: {exc}") from None
     return PairGraph(ground, frozenset(pairs))

@@ -211,15 +211,11 @@ def combine(a: FinSet, b: FinSet, op: Op) -> FinSet:
     if op == "sum":
         return _sumset([a, b], "combine result")
     _require_nonzero(a, b)
-    cap, xs, ys = size_cap(), a._ints, b._ints
-    if len(xs) * len(ys) <= cap:  # every product fits: nothing to check
-        values = {x * y for x in xs for y in ys}
-    else:
-        values = set()
-        for x in xs:  # refused at the first row that passes the cap
-            values.update([x * y for y in ys])
-            if len(values) > cap:
-                raise over_cap(len(values), "combine result", cap)
+    cap, ys, values = size_cap(), b._ints, set()
+    for x in a._ints:  # refused at the first row that passes the cap
+        values.update(map(x.__mul__, ys))
+        if len(values) > cap:
+            raise over_cap(len(values), "combine result", cap)
     return _from_ints(values, a._scale * b._scale)
 
 
@@ -453,13 +449,16 @@ class PairGraph:
     def from_value_pairs(
         cls, ground: FinSet, value_pairs: Iterable[tuple[Fraction | int, Fraction | int]]
     ) -> "PairGraph":
-        pairs = set()
-        for x, y in value_pairs:
-            ix, iy = ground._index(x), ground._index(y)
-            if ix is None or iy is None:
-                raise SetParseError(f"pair ({x}, {y}) uses values outside the ground set")
-            pairs.add((ix, iy))
+        pairs = (_located_pair(x, y, ground._index(x), ground._index(y)) for x, y in value_pairs)
         return cls(ground, frozenset(pairs))
+
+
+def _located_pair(x: object, y: object, ix: int | None, iy: int | None) -> tuple[int, int]:
+    """The index pair (ix, iy) of the values x and y, refused when either
+    was not found in the ground set."""
+    if ix is None or iy is None:
+        raise SetParseError(f"pair ({x}, {y}) uses values outside the ground set")
+    return ix, iy
 
 
 def restricted_combine(a: FinSet, graph: PairGraph, op: Op) -> FinSet:
@@ -470,14 +469,9 @@ def restricted_combine(a: FinSet, graph: PairGraph, op: Op) -> FinSet:
     ints, cap, product = a._ints, size_cap(), op == "product"
     if product:
         _require_nonzero(a)
-    if graph.size > cap:  # refused at the first pair that passes the cap
-        pair_op, values = (mul if product else add), set()
-        for i, j in graph.pairs:
-            values.add(pair_op(ints[i], ints[j]))
-            if len(values) > cap:
-                raise over_cap(len(values), "restricted combine", cap)
-    elif product:  # every value fits: nothing to check
-        values = {ints[i] * ints[j] for i, j in graph.pairs}
-    else:
-        values = {ints[i] + ints[j] for i, j in graph.pairs}
+    pair_op, values = (mul if product else add), set()
+    for i, j in graph.pairs:  # refused at the first pair that passes the cap
+        values.add(pair_op(ints[i], ints[j]))
+        if len(values) > cap:
+            raise over_cap(len(values), "restricted combine", cap)
     return _from_ints(values, a._scale**2 if product else a._scale)

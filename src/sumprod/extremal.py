@@ -25,6 +25,7 @@ node, and a node budget caps the nodes, so it bounds the work.
 from __future__ import annotations
 
 import os
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product as iproduct
@@ -50,12 +51,14 @@ CHECKPOINT_FIELDS = ("objective", "k", "universe", "cursor", "nodes", "minimum")
 
 def es_example(j: int) -> FinSet:
     """The grid set {p1^e1 * ... * pj^ej : 0 <= e_i < j} on the first j
-    primes, size j^j.  The size is checked before any prime is found, and
-    once 2^j alone passes the cap, before j^j is formed."""
+    primes, size j^j.  The size is checked before any prime is found.  From
+    j = max(cap bit length, Python's int digit limit, 10) on, j is refused
+    from j alone, named as j^j, before j^j is formed."""
     if j < 1:
         raise ValueError(f"grid parameter must be >= 1, got {j}")
     cap = size_cap()
-    if j > 1 and j >= cap.bit_length():  # j^j >= 2^j > cap
+    # past all three, j^j >= 2^j > cap and j^j >= 10^j has too many digits to print
+    if j >= max(cap.bit_length(), sys.get_int_max_str_digits(), 10):
         raise over_cap(f"{j}^{j}", "grid example", cap)
     check_size(j**j, "grid example")
     primes = first_primes(j)

@@ -242,12 +242,24 @@ def test_section3_j4_exits_3_at_the_cap_at_once(monkeypatch, capsys):
     assert err == "error: simple sum closure needs 10314826 values, cap is 10000000\n"
 
 
-@pytest.mark.parametrize("command, j", [("example", 2000), ("section3", 2000), ("example", 1000)])
-def test_grid_far_over_the_cap_exits_3_naming_its_size(monkeypatch, capsys, command, j):
+@pytest.mark.parametrize(
+    "command, j, count",
+    [
+        # 24 = (10**7).bit_length(): j^j is printed in decimal while Python prints it
+        ("example", 24, str(24**24)),
+        ("example", 1000, str(1000**1000)),
+        ("example", 2000, f"at least 2^{(2000**2000).bit_length() - 1}"),
+        ("section3", 2000, f"at least 2^{(2000**2000).bit_length() - 1}"),
+        # from 4300, the default digit limit, on, j^j is named and never formed
+        ("example", 5000, "5000^5000"),
+        ("section3", 5000, "5000^5000"),
+    ],
+)
+def test_grid_far_over_the_cap_exits_3_naming_its_size(monkeypatch, capsys, command, j, count):
     monkeypatch.delenv("SUMPROD_BUDGET", raising=False)
     rc, out, err = run(capsys, command, "--J", str(j))
     assert (rc, out) == (3, "")
-    assert err == f"error: grid example needs {j}^{j} values, cap is 10000000\n"
+    assert err == f"error: grid example needs {count} values, cap is 10000000\n"
 
 
 def test_progression_too_long_to_print_exits_3(monkeypatch, tmp_path, capsys):
