@@ -260,10 +260,10 @@ def _bit_positions(bits: int, start: int = 0) -> Iterator[int]:
             word ^= low
 
 
-def _packs(cost: int, values: int) -> bool:
+def _packs(cost: int, values: int, cap: int) -> bool:
     """Whether big-int work of `cost` bits, or word products, is at most 64 per
     value that a result can hold, or per value the cap allows if that is fewer."""
-    return cost <= 64 * min(values, size_cap())
+    return cost <= 64 * min(values, cap)
 
 
 def _convolve(factors: list[dict[int, int]], what: str) -> dict[int, int]:
@@ -276,6 +276,7 @@ def _convolve(factors: list[dict[int, int]], what: str) -> dict[int, int]:
     """
     if not all(factors):
         return {}
+    cap = size_cap()
     lows = [min(f) for f in factors]
     slots = 1 + sum(max(f) - low for f, low in zip(factors, lows))
     # 2**k bytes per slot hold the largest count, at most max(f_j) * other totals
@@ -285,7 +286,7 @@ def _convolve(factors: list[dict[int, int]], what: str) -> dict[int, int]:
     size = 1 << k
     # Karatsuba triples the word products each time it halves a product
     cost = 3 ** (slots * size // 8).bit_length()
-    if k > 3 or not _packs(cost, prod(map(len, factors))):
+    if k > 3 or not _packs(cost, prod(map(len, factors)), cap):
         result = {0: 1}
         for f in factors:
             out: dict[int, int] = {}
@@ -293,7 +294,8 @@ def _convolve(factors: list[dict[int, int]], what: str) -> dict[int, int]:
                 for v, cv in f.items():
                     out[u + v] = out.get(u + v, 0) + cu * cv
             result = out
-            check_size(len(result), what)
+            if len(result) > cap:
+                raise over_cap(len(result), what, cap)
         return result
     packed = 1
     for f, low in zip(factors, lows):
@@ -303,7 +305,8 @@ def _convolve(factors: list[dict[int, int]], what: str) -> dict[int, int]:
         packed *= int.from_bytes(buf, "little")
     slot_values = iter_unpack("<" + "BHIQ"[k], packed.to_bytes(size * slots, "little"))
     result = {sum(lows) + i: c for i, (c,) in enumerate(slot_values) if c}
-    check_size(len(result), what)
+    if len(result) > cap:
+        raise over_cap(len(result), what, cap)
     return result
 
 
@@ -325,8 +328,9 @@ def _box_mask(ints: Sequence[int], h: int, what: str) -> tuple[int, int | set[in
     """
     offset = h * sum(v for v in ints if v < 0)
     steps = [abs(v) for v in ints]
+    cap = size_cap()
     # (h+1)^k > cap once k reaches cap's bit length, so k stays small
-    if _packs(h * sum(steps), (h + 1) ** min(len(steps), size_cap().bit_length())):
+    if _packs(h * sum(steps), (h + 1) ** min(len(steps), cap.bit_length()), cap):
         bits = 1
         for step in steps:
             # {0..left} = {0..left-take} + {0, take}: O(log h) shifts
@@ -335,12 +339,14 @@ def _box_mask(ints: Sequence[int], h: int, what: str) -> tuple[int, int | set[in
                 take = (left + 1) // 2
                 bits |= bits << take * step
                 left -= take
-            check_size(bits.bit_count(), what)
+            if bits.bit_count() > cap:
+                raise over_cap(bits.bit_count(), what, cap)
         return offset, bits
     sums = {0}
     for step in steps:
         sums = {s + j * step for s in sums for j in range(h + 1)}
-        check_size(len(sums), what)
+        if len(sums) > cap:
+            raise over_cap(len(sums), what, cap)
     return offset, sums
 
 
@@ -385,11 +391,12 @@ def simple_closure(a: FinSet, op: Op) -> FinSet:
         return _box_sums(a, 1, "simple sum closure")
     _require_nonzero(a)
     # a left-out element contributes the scale: all products are over scale^|a|
-    scale = a._scale
+    scale, cap = a._scale, size_cap()
     frontier = {1}
     for v in a._ints:
         frontier = {u * t for u in frontier for t in (scale, v)}
-        check_size(len(frontier), "simple closure")
+        if len(frontier) > cap:
+            raise over_cap(len(frontier), "simple closure", cap)
     return _from_ints(frontier, scale ** a.size)
 
 

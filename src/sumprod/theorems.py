@@ -2,9 +2,11 @@
 
 Each function evaluates both sides of one inequality exactly where possible
 and returns a Verdict (or a list of them).  Exact integer and rational
-comparisons never touch floating point; bounds involving logs or irrational
-powers are enclosed at 200-bit precision, and a claim their endpoints
-neither prove nor refute is left inconclusive.
+comparisons never touch floating point.  A count against a rational power of
+an integer times a rational (theorem 1's bounds, the union bound) is decided
+exactly, by integer powers, unless those powers pass a fixed size.  Bounds
+involving logs are enclosed at 200-bit precision, and a claim their
+endpoints neither prove nor refute is left inconclusive.
 """
 
 from __future__ import annotations

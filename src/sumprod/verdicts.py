@@ -1,10 +1,13 @@
 """Verdict records and the comparison kernel behind every checker.
 
-Quantities are either exact (int or Fraction) or enclosures: closed rational
-intervals guaranteed to contain a real value, so every decision this module
-makes reduces to integer comparisons of interval endpoints.  A claim the
-endpoints neither prove nor refute is reported as inconclusive, never rounded
-to a boolean.
+Quantities are exact (int or Fraction), enclosures (closed rational
+intervals guaranteed to contain a real value), or RationalPowers
+coef * base**(p/q), which power_of returns for an exact base and a
+non-integral rational exponent.  Every decision reduces to integer
+comparisons: two exact values directly, an exact value against a
+RationalPower by raising both sides to the power q, anything else by
+interval endpoints.  A claim the endpoints neither prove nor refute is
+reported as inconclusive, never rounded to a boolean.
 
 ln and exp run on plain integers, in fixed point with W fraction bits.  Each
 endpoint comes from its own pass in which every step rounds toward it (floor
@@ -234,51 +237,125 @@ def exp_of(x) -> Enclosure:
     return Enclosure(_exp(e.lo, False), _exp(e.hi, True))
 
 
-def power_of(base, exponent) -> Enclosure:
-    """Enclosure of base**exponent for positive base.
+def _exact(x) -> bool:
+    return isinstance(x, (int, Fraction)) and not isinstance(x, bool)
 
-    An integral int or Fraction exponent on an exact base stays exact; any
-    other goes through exp(exponent * log(base)).  A bool raises TypeError.
+
+def power_of(base, exponent) -> Enclosure:
+    """base**exponent for a positive base, as an Enclosure.
+
+    An integral int or Fraction exponent on an exact base gives the exact
+    point; a non-integral rational one gives the exact RationalPower, which
+    compare decides by integer powers; any other goes through
+    exp(exponent * log(base)).  A bool raises TypeError, and a base that is
+    not positive under a non-integral exponent raises ValueError.
     """
-    if (
-        isinstance(base, (int, Fraction)) and not isinstance(base, bool)
-        and isinstance(exponent, (int, Fraction)) and not isinstance(exponent, bool)
-        and exponent.denominator == 1
-    ):
-        v = Fraction(base) ** int(exponent)
-        return Enclosure(v, v)
+    if _exact(base) and _exact(exponent):
+        if exponent.denominator == 1:
+            v = Fraction(base) ** int(exponent)
+            return Enclosure(v, v)
+        if base <= 0:
+            raise ValueError("log needs a strictly positive argument")
+        return RationalPower(1, base, exponent)
     return exp_of(log_of(base) * _as_enclosure(exponent))
 
 
-_RELATIONS = ("<", "<=", ">", ">=", "==")
+class RationalPower(Enclosure):
+    """coef * base**exp, exact: coef and base positive ints or Fractions, exp a
+    non-integral Fraction.
+
+    A product with a positive exact scalar stays exact, its coef scaled.  Any
+    other use reads it as an Enclosure: lo and hi are unset slots until the
+    first read builds exp_of(log_of(base) * exp) * coef, once.
+    """
+
+    __slots__ = ("coef", "base", "exp")
+
+    def __init__(self, coef, base, exp: Fraction) -> None:
+        self.coef, self.base, self.exp = coef, base, exp
+
+    def __getattr__(self, name: str):  # called for unset slots and unknown names only
+        if name not in ("lo", "hi"):
+            raise AttributeError(name)
+        e = exp_of(log_of(self.base) * _as_enclosure(self.exp)) * self.coef
+        self.lo, self.hi = e.lo, e.hi
+        return getattr(self, name)
+
+    def __repr__(self) -> str:
+        return f"RationalPower({self.coef}, {self.base}, {self.exp})"
+
+    def __mul__(self, other):
+        if _exact(other) and other > 0:
+            return RationalPower(self.coef * other, self.base, self.exp)
+        return super().__mul__(other)
+
+    __rmul__ = __mul__
+
+    def _sign_below(self, x) -> int | None:
+        """The sign of x - self for an exact x, or None past _EXACT_BITS.
+
+        With x / coef = rn / rd and exp = p/q, x - self has the sign of
+        rn**q - rd**q * base**p; for p < 0 both sides are multiplied by
+        base**-p, and base's denominator is cleared, leaving ints.
+        """
+        if x <= 0:
+            return -1
+        c, b = self.coef, self.base
+        rn, rd = x.numerator * c.denominator, x.denominator * c.numerator
+        p, q = self.exp.numerator, self.exp.denominator
+        u, w = (b.denominator, b.numerator) if p > 0 else (b.numerator, b.denominator)
+        a = abs(p)
+        if q * max(rn, rd).bit_length() + a * max(u, w).bit_length() > _EXACT_BITS:
+            return None
+        left, right = rn**q * u**a, rd**q * w**a
+        return (left > right) - (left < right)
+
+
+_EXACT_BITS = 1 << 18  # above this size of the integer powers, compare encloses
+
+# the signs of lhs - rhs at which each relation holds
+_HOLDS_AT = {"<": {-1}, "<=": {-1, 0}, ">": {1}, ">=": {0, 1}, "==": {0}}
+
+
+def _exact_sign(lhs, rhs) -> int | None:
+    """The sign of lhs - rhs when both are exact, or one is exact and the
+    other a RationalPower within _EXACT_BITS; else None."""
+    if _exact(lhs):
+        if _exact(rhs):
+            return (lhs > rhs) - (lhs < rhs)
+        if isinstance(rhs, RationalPower):
+            return rhs._sign_below(lhs)
+    elif isinstance(lhs, RationalPower) and _exact(rhs):
+        s = lhs._sign_below(rhs)
+        return None if s is None else -s
+    return None
 
 
 def compare(lhs, rhs, relation: str) -> str:
     """Decide lhs <relation> rhs, honestly; the one source of a verdict status.
 
-    Both sides become enclosures (an exact value is a point interval), and
-    one rule on their endpoints decides, with > and >= read as < and <= with
-    the sides swapped: l < r is true iff l.hi < r.lo and false iff
-    l.lo >= r.hi; l <= r is true iff l.hi <= r.lo and false iff l.lo > r.hi;
-    l == r is true iff both sides are the same point and false iff the
-    intervals are disjoint.  Anything else is inconclusive, so a status other
-    than that is a proof.  An unknown relation raises ValueError before any
-    conversion, and a bool, float, None or str raises TypeError.
+    The status comes from the signs lhs - rhs can take: true if the relation
+    holds at each of them, false if at none, else inconclusive, so a status
+    other than inconclusive is a proof.  Two exact values, or an exact value
+    and a RationalPower whose integer powers stay within _EXACT_BITS, have
+    one sign.  Otherwise both sides become enclosures (an exact value is a
+    point interval), and l - r can be negative iff l.lo < r.hi, zero iff the
+    intervals meet, and positive iff l.hi > r.lo.  So l < r is true iff
+    l.hi < r.lo and false iff l.lo >= r.hi, l <= r is true iff l.hi <= r.lo
+    and false iff l.lo > r.hi, and l == r is true only when both sides are
+    one and the same point.  An unknown relation raises ValueError before
+    any conversion, and a bool, float, None or str raises TypeError.
     """
-    if relation not in _RELATIONS:
+    if relation not in _HOLDS_AT:
         raise ValueError(f"unknown relation {relation!r}")
+    holds = _HOLDS_AT[relation]
+    sign = _exact_sign(lhs, rhs)
+    if sign is not None:
+        return TRUE if sign in holds else FALSE
     l, r = _as_enclosure(lhs), _as_enclosure(rhs)
-    if relation in (">", ">="):
-        l, r = r, l
-    if relation == "==":
-        if l.lo == l.hi == r.lo == r.hi:
-            return TRUE
-        return FALSE if l.hi < r.lo or r.hi < l.lo else INCONCLUSIVE
-    if relation in ("<", ">"):
-        proved, refuted = l.hi < r.lo, l.lo >= r.hi
-    else:
-        proved, refuted = l.hi <= r.lo, l.lo > r.hi
-    return TRUE if proved else FALSE if refuted else INCONCLUSIVE
+    can = ((-1, l.lo < r.hi), (0, l.lo <= r.hi and r.lo <= l.hi), (1, l.hi > r.lo))
+    signs = {s for s, possible in can if possible}
+    return TRUE if signs <= holds else FALSE if signs.isdisjoint(holds) else INCONCLUSIVE
 
 
 @dataclass(frozen=True)

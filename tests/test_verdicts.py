@@ -2,6 +2,7 @@
 
 import json
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -12,14 +13,17 @@ from mpmath import MPContext
 from sumprod import verdicts
 from sumprod.verdicts import (
     Enclosure,
+    RationalPower,
     Verdict,
     compare,
     exp_of,
     format_fraction_30,
+    format_value,
     format_verdict_line,
     log_of,
     power_of,
     unmet,
+    value_to_json,
     verdict_from_compare,
     verdict_to_json,
 )
@@ -421,6 +425,136 @@ def test_compare_rejects_non_numbers(bad, relation):
     for lhs, rhs in ((bad, 1), (1, bad), (bad, unit), (unit, bad)):
         with pytest.raises(TypeError):
             compare(lhs, rhs, relation)
+
+
+# --- exact rational powers -----------------------------------------------------------
+
+
+def _eager(coef, base, exponent):
+    """The enclosure of coef * base**exponent, built as the enclosure path builds it."""
+    return exp_of(log_of(base) * exponent) * coef
+
+
+def test_power_fractional_exponent_is_exact_and_scales_exactly():
+    p = power_of(36, F(-5, 3))
+    assert isinstance(p, RationalPower) and isinstance(p, Enclosure)
+    scaled = 4 * (p * 9) * F(1, 2)
+    assert isinstance(scaled, RationalPower)
+    assert (scaled.coef, scaled.base, scaled.exp) == (18, 36, F(-5, 3))
+    # anything else reads it as an enclosure
+    for other in (-2, 0, Enclosure(F(1), F(2))):
+        assert not isinstance(p * other, RationalPower)
+        assert p * other == _eager(1, 36, F(-5, 3)) * other
+
+
+@pytest.mark.parametrize(
+    "x, coef, base, exponent",
+    [
+        (32, 1, 16, F(5, 4)),
+        (8, 1, 4, F(3, 2)),
+        (F(8, 27), 1, F(4, 9), F(3, 2)),
+        (4, 9, F(27, 8), F(-2, 3)),  # 9 * (8/27)^(2/3) = 9 * 4/9
+        (F(1, 8), 1, 2, F(-12, 4)),  # an integral exponent gives a point
+    ],
+)
+def test_compare_decides_exact_equality_of_a_rational_power(x, coef, base, exponent):
+    v = power_of(base, exponent) * coef
+    for lhs, rhs in ((x, v), (v, x)):
+        assert compare(lhs, rhs, "==") == "true"
+        assert compare(lhs, rhs, ">=") == "true"
+        assert compare(lhs, rhs, "<=") == "true"
+        assert compare(lhs, rhs, ">") == "false"
+        assert compare(lhs, rhs, "<") == "false"
+    # one unit in the last place either way is decided, and not equal
+    for off in (F(1, 10**40), -F(1, 10**40)):
+        assert compare(x + off, v, "==") == "false"
+        assert compare(x + off, v, ">") == ("true" if off > 0 else "false")
+
+
+def test_compare_decides_exact_operands_without_enclosures(monkeypatch):
+    v = power_of(36, F(-7, 3)) * 100
+
+    def refuse(*args):
+        raise AssertionError("an enclosure was built")
+
+    for name in ("_as_enclosure", "exp_of", "log_of"):
+        monkeypatch.setattr(verdicts, name, refuse)
+    assert compare(3, F(7, 2), "<") == "true"
+    assert compare(F(7, 2), F(7, 2), "==") == "true"
+    assert compare(1, v, ">") == "true" and compare(v, 1, ">=") == "false"
+
+
+def test_compare_decides_what_the_enclosure_leaves_inconclusive():
+    v = power_of(16, F(5, 4))
+    assert compare(32, _eager(1, 16, F(5, 4)), ">=") == "inconclusive"
+    assert compare(32, v, ">=") == "true"
+
+
+def test_compare_falls_back_to_the_enclosure_past_the_bit_bound():
+    v = power_of(15, F(10**7 + 1, 3))  # about 1.3e7 bits before the cube
+    start = time.perf_counter()
+    assert v._sign_below(10**6) is None
+    assert compare(10**6, v, "<") == "true"
+    assert compare(v, 10**6, "<=") == "false"
+    assert time.perf_counter() - start < 5
+
+
+def test_power_of_a_non_positive_base_with_a_fractional_exponent():
+    for base in (0, -4, F(-1, 2)):
+        with pytest.raises(ValueError):
+            power_of(base, F(1, 2))
+
+
+def test_rational_power_prints_as_its_enclosure():
+    for coef, base, exponent in ((1, 36, F(-3, 2)), (1000**2, 36, F(-248083, 1000)), (7, F(5, 3), F(1, 7))):
+        lazy, eager = power_of(base, exponent) * coef, _eager(coef, base, exponent)
+        assert format_value(lazy) == format_value(eager)
+        assert value_to_json(lazy) == value_to_json(eager)
+        assert (lazy.lo, lazy.hi, lazy.mid, lazy.width) == (eager.lo, eager.hi, eager.mid, eager.width)
+        assert 3 / lazy == 3 / eager and lazy + 1 == eager + 1
+
+
+positive_rationals = st.one_of(
+    st.integers(1, 400), st.fractions(min_value=F(1, 40), max_value=50, max_denominator=40)
+)
+fractional_exponents = st.fractions(min_value=-6, max_value=6, max_denominator=12).filter(
+    lambda e: e.denominator > 1
+)
+
+
+@st.composite
+def power_and_exact(draw):
+    """A RationalPower and an exact value: near the power's enclosure, far from
+    it, non-positive, or an exact power m**p of a base m**q."""
+    coef, exponent = draw(positive_rationals), draw(fractional_exponents)
+    kind = draw(st.sampled_from(["near", "far", "nonpositive", "equal"]))
+    if kind == "equal":
+        m = draw(st.integers(1, 9))
+        base, p, q = m**exponent.denominator, exponent.numerator, exponent.denominator
+        return coef, base, exponent, coef * F(m) ** p
+    base = draw(positive_rationals)
+    eager = _eager(coef, base, exponent)
+    if kind == "near":
+        return coef, base, exponent, eager.mid.limit_denominator(draw(st.integers(1, 10**6)))
+    if kind == "far":
+        return coef, base, exponent, eager.mid * draw(st.sampled_from([F(1, 3), F(3)]))
+    return coef, base, exponent, -draw(st.fractions(min_value=0, max_value=5))
+
+
+@given(power_and_exact(), st.booleans(), st.sampled_from(RELATIONS))
+@settings(max_examples=400, deadline=None)
+def test_exact_power_path_agrees_with_the_enclosure_path(case, exact_left, relation):
+    """Wherever the enclosure path decides, the integer-power path gives the
+    same status; it decides every case, == only for equal values."""
+    coef, base, exponent, x = case
+    lazy, eager = power_of(base, exponent) * coef, _eager(coef, base, exponent)
+    assert isinstance(lazy, RationalPower)
+    pair = (lambda v: (x, v)) if exact_left else (lambda v: (v, x))
+    exact = compare(*pair(lazy), relation)
+    enclosed = compare(*pair(eager), relation)
+    assert exact in ("true", "false")
+    if enclosed != "inconclusive":
+        assert exact == enclosed
 
 
 # --- Verdict objects ---------------------------------------------------------------
