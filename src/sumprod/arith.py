@@ -148,11 +148,7 @@ def factor_int(n: int) -> tuple[tuple[int, int], ...]:
             for c in range(1, 64):
                 split, used = _brent_step(m, c, remaining)
                 remaining -= used
-                if remaining <= 0 and split is None:
-                    raise FactorizationBudgetExceeded(
-                        f"could not split {m} within the iteration budget"
-                    )
-                if split is not None:
+                if split is not None or remaining <= 0:
                     break
             if split is None:
                 raise FactorizationBudgetExceeded(

@@ -93,7 +93,10 @@ def _load_pairs(path: str, ground: FinSet) -> PairGraph:
             if len(parts) != 2:
                 raise SetParseError("expected two values per pair line")
             ix, iy = (ground._locate(*exactset._parse_pair(t)) for t in parts)
-            pairs.add(exactset._located_pair(*parts, ix, iy))
+            if ix is None or iy is None:
+                x, y = parts
+                raise SetParseError(f"pair ({x}, {y}) uses values outside the ground set")
+            pairs.add((ix, iy))
         except SetParseError as exc:
             raise SetParseError(f"line {lineno}: {exc}") from None
     return PairGraph(ground, frozenset(pairs))

@@ -211,12 +211,7 @@ def combine(a: FinSet, b: FinSet, op: Op) -> FinSet:
     if op == "sum":
         return _sumset([a, b], "combine result")
     _require_nonzero(a, b)
-    cap, ys, values = size_cap(), b._ints, set()
-    for x in a._ints:  # refused at the first row that passes the cap
-        values.update(map(x.__mul__, ys))
-        if len(values) > cap:
-            raise over_cap(len(values), "combine result", cap)
-    return _from_ints(values, a._scale * b._scale)
+    return _productset([a, b], "combine result")
 
 
 def iterate(a: FinSet, h: int, op: Op) -> FinSet:
@@ -226,12 +221,9 @@ def iterate(a: FinSet, h: int, op: Op) -> FinSet:
         raise ValueError(f"fold count must be >= 1, got {h}")
     if op == "product":
         _require_nonzero(a)
-    elif h > 1:  # h = 1 returns a itself, never checked against the cap
-        return _sumset([a] * h, "combine result")
-    current = a
-    for _ in range(h - 1):
-        current = combine(current, a, op)
-    return current
+    if h == 1:  # a itself, never checked against the cap
+        return a
+    return (_sumset if op == "sum" else _productset)([a] * h, "combine result")
 
 
 def dilate(q: Fraction | int, a: FinSet) -> FinSet:
@@ -272,7 +264,8 @@ def _convolve(factors: list[dict[int, int]], what: str) -> dict[int, int]:
     Packed by Kronecker substitution, each factor one big int with a 1, 2, 4 or
     8 byte little-endian slot per exponent, when `_packs` passes the cost of
     multiplying them; else convolved as dicts.  The cap bounds the nonzero
-    coefficients of the product, and of each partial product of the dicts.
+    coefficients of the product, and of each partial product of the dicts,
+    checked after each term u of the running product is spread over a factor.
     """
     if not all(factors):
         return {}
@@ -293,9 +286,9 @@ def _convolve(factors: list[dict[int, int]], what: str) -> dict[int, int]:
             for u, cu in result.items():
                 for v, cv in f.items():
                     out[u + v] = out.get(u + v, 0) + cu * cv
+                if len(out) > cap:
+                    raise over_cap(len(out), what, cap)
             result = out
-            if len(result) > cap:
-                raise over_cap(len(result), what, cap)
         return result
     packed = 1
     for f, low in zip(factors, lows):
@@ -317,6 +310,23 @@ def _sumset(sets: list[FinSet], what: str) -> FinSet:
     return _from_ints(_convolve(factors, what), scale)
 
 
+def _productset(sets: list[FinSet], what: str) -> FinSet:
+    """All x_1 * ... * x_m with each x_i in sets[i]; no sets give {1}.
+
+    Built on the ints over the product of the scales, one row per element y
+    of each factor: y times every value built so far.  The cap is checked
+    after every row.
+    """
+    cap, values = size_cap(), {1}
+    for s in sets:
+        built, values = values, set()
+        for y in s._ints:
+            values.update(map(y.__mul__, built))
+            if len(values) > cap:
+                raise over_cap(len(values), what, cap)
+    return _from_ints(values, prod(s._scale for s in sets))
+
+
 def _box_mask(ints: Sequence[int], h: int, what: str) -> tuple[int, int | set[int]]:
     """All sums of c_i * v_i with every c_i in 0..h, as (offset, mask).
 
@@ -324,7 +334,7 @@ def _box_mask(ints: Sequence[int], h: int, what: str) -> tuple[int, int | set[in
     non-negative steps s.  The mask holds those s: a big-int bitmask (bit s
     set iff offset + s is reachable) when it needs at most 64 bits per value
     the coefficients and the cap allow, else a set of ints.  The cap is
-    checked after every element.
+    checked after every element, and in a set after every coefficient.
     """
     offset = h * sum(v for v in ints if v < 0)
     steps = [abs(v) for v in ints]
@@ -344,9 +354,12 @@ def _box_mask(ints: Sequence[int], h: int, what: str) -> tuple[int, int | set[in
         return offset, bits
     sums = {0}
     for step in steps:
-        sums = {s + j * step for s in sums for j in range(h + 1)}
-        if len(sums) > cap:
-            raise over_cap(len(sums), what, cap)
+        grown = set(sums)
+        for j in range(1, h + 1):
+            grown.update(map((j * step).__add__, sums))
+            if len(grown) > cap:
+                raise over_cap(len(grown), what, cap)
+        sums = grown
     return offset, sums
 
 
@@ -390,14 +403,9 @@ def simple_closure(a: FinSet, op: Op) -> FinSet:
     if op == "sum":
         return _box_sums(a, 1, "simple sum closure")
     _require_nonzero(a)
-    # a left-out element contributes the scale: all products are over scale^|a|
-    scale, cap = a._scale, size_cap()
-    frontier = {1}
-    for v in a._ints:
-        frontier = {u * t for u in frontier for t in (scale, v)}
-        if len(frontier) > cap:
-            raise over_cap(len(frontier), "simple closure", cap)
-    return _from_ints(frontier, scale ** a.size)
+    # one factor {1, v} per element v: a left-out element contributes 1
+    scale = a._scale
+    return _productset([_from_ints({scale, v}, scale) for v in a._ints], "simple closure")
 
 
 def box_sum(a: FinSet, h: int) -> FinSet:
@@ -451,21 +459,6 @@ class PairGraph:
     @classmethod
     def diagonal(cls, ground: FinSet) -> "PairGraph":
         return cls(ground, frozenset((i, i) for i in range(ground.size)))
-
-    @classmethod
-    def from_value_pairs(
-        cls, ground: FinSet, value_pairs: Iterable[tuple[Fraction | int, Fraction | int]]
-    ) -> "PairGraph":
-        pairs = (_located_pair(x, y, ground._index(x), ground._index(y)) for x, y in value_pairs)
-        return cls(ground, frozenset(pairs))
-
-
-def _located_pair(x: object, y: object, ix: int | None, iy: int | None) -> tuple[int, int]:
-    """The index pair (ix, iy) of the values x and y, refused when either
-    was not found in the ground set."""
-    if ix is None or iy is None:
-        raise SetParseError(f"pair ({x}, {y}) uses values outside the ground set")
-    return ix, iy
 
 
 def restricted_combine(a: FinSet, graph: PairGraph, op: Op) -> FinSet:

@@ -32,7 +32,7 @@ from itertools import product as iproduct
 from math import prod
 from typing import Callable, NamedTuple
 
-from .exactset import FinSet, _box_size, _require_positive_integers
+from .exactset import FinSet, _box_size, _productset, _require_positive_integers, _sumset
 from .limits import check_size, over_cap, size_cap
 from .arith import first_primes, mult_dim, vector_simple_sum_count
 from .verdicts import (
@@ -68,12 +68,9 @@ def es_example(j: int) -> FinSet:
 
 
 def f_value(a: FinSet) -> int:
-    """|2A u A*A| exactly."""
+    """|2A u A*A| exactly, from the sum set and the product set kernels."""
     _require_positive_integers(a, "the f objective")
-    elems = a._ints
-    sums = {x + y for x in elems for y in elems}
-    prods = {x * y for x in elems for y in elems}
-    return len(sums | prods)
+    return len({*_sumset([a, a], "f objective")._ints, *_productset([a, a], "f objective")._ints})
 
 
 def g_value(a: FinSet) -> int:

@@ -16,7 +16,7 @@ from itertools import product
 from math import prod
 from typing import NamedTuple
 
-from .exactset import FinSet, parse_token
+from .exactset import FinSet, _productset, parse_token
 from .limits import SetParseError, check_size
 from .arith import Echelon, factor_fraction, mult_dim
 from .verdicts import Verdict, compare, unmet
@@ -99,13 +99,11 @@ def parse_progression(text: str) -> ProgressionDesc:
 
 
 def enumerate_progression(p: ProgressionDesc) -> FinSet:
-    """All progression values as a set (collisions collapse)."""
+    """All progression values as a set (collisions collapse): the product
+    set of {base} and each {r^0, ..., r^(J-1)}."""
     check_size(p.nominal_size, "progression enumeration")
-    values = [p.base]
-    for r, j in zip(p.ratios, p.lengths):
-        powers = [r**e for e in range(j)]
-        values = [v * w for v in values for w in powers]
-    return FinSet(values)
+    powers = (FinSet(r**e for e in range(j)) for r, j in zip(p.ratios, p.lengths))
+    return _productset([FinSet([p.base]), *powers], "progression enumeration")
 
 
 def is_proper(p: ProgressionDesc) -> bool:

@@ -137,6 +137,14 @@ def o_mult_basis(a):
     return [tuple(d) for d in kept]
 
 
+def o_progression(base, ratios, lengths):
+    """Every base * r_1^e_1 * ... * r_s^e_s with 0 <= e_i < lengths[i]."""
+    return {
+        Fraction(base) * prod(Fraction(r) ** e for r, e in zip(ratios, tup))
+        for tup in product(*(range(j) for j in lengths))
+    }
+
+
 def o_contains(base, ratios, lengths, elems):
     """Per element, the lexicographically first exponent tuple hitting it, or
     None; every tuple of the grid is evaluated."""

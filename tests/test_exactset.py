@@ -24,6 +24,7 @@ from sumprod.exactset import (
     simple_closure,
     sum_diff,
 )
+from sumprod.extremal import f_value
 from sumprod.limits import CapExceeded, SetParseError, check_size
 
 
@@ -371,15 +372,22 @@ def _refused_count(call) -> int:
 
 
 def test_product_and_restricted_sets_refuse_as_they_grow(monkeypatch):
-    # 200 distinct ints have about 20,100 distinct pairwise products; the
-    # refusal comes at the first row (or pair) past the cap, not at the end
+    # 200 distinct ints have about 20,100 distinct pairwise sums and products;
+    # the refusal comes at the first row (or pair) past the cap, not at the
+    # end, so its count stays below the cap plus one row of 200
     a = FinSet(random.Random(7).sample(range(1, 10**9), 200))
     full = PairGraph.full(a)
     monkeypatch.setenv("SUMPROD_BUDGET", "1000")
-    assert _refused_count(lambda: combine(a, a, "product")) < 2000
-    assert _refused_count(lambda: iterate(a, 2, "product")) < 2000
+    assert _refused_count(lambda: combine(a, a, "product")) < 1200
+    assert _refused_count(lambda: iterate(a, 2, "product")) < 1200
+    assert _refused_count(lambda: combine(a, a, "sum")) < 1200
+    assert _refused_count(lambda: sum_diff(a, 1, 1)) < 1200
+    assert _refused_count(lambda: energy(a, 2)) < 1200
+    assert _refused_count(lambda: f_value(a)) < 1200
     assert _refused_count(lambda: restricted_combine(a, full, "product")) == 1001
     assert _refused_count(lambda: restricted_combine(a, full, "sum")) == 1001
+    # a set-path box sum grows one coefficient, a row of 601 sums, at a time
+    assert _refused_count(lambda: box_sum(FinSet([10**12, 3 * 10**12 + 7]), 600)) < 2000
 
 
 def test_env_budget_invalid(monkeypatch):
@@ -395,20 +403,6 @@ def test_pair_graph_constructors():
     a = fs(1, 2, 3)
     assert len(PairGraph.full(a).pairs) == 9
     assert len(PairGraph.diagonal(a).pairs) == 3
-    g = PairGraph.from_value_pairs(a, [(Fraction(1), Fraction(3))])
-    assert g.pairs == frozenset({(0, 2)})
-
-
-def test_pair_graph_rejects_outside_values():
-    a = fs(1, 2)
-    with pytest.raises(SetParseError):
-        PairGraph.from_value_pairs(a, [(Fraction(1), Fraction(5))])
-    b = fs(Fraction(1, 2), Fraction(2, 3), 2)
-    assert PairGraph.from_value_pairs(b, [(2, Fraction(1, 2))]).pairs == frozenset({(2, 0)})
-    with pytest.raises(SetParseError, match=r"pair \(1/3, 2\)"):
-        PairGraph.from_value_pairs(b, [(Fraction(1, 3), 2)])
-    with pytest.raises(SetParseError, match=r"pair \(2, inf\)"):
-        PairGraph.from_value_pairs(b, [(2, float("inf"))])
 
 
 def test_pair_graph_rejects_bad_indices():

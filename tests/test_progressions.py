@@ -83,6 +83,28 @@ def test_enumerate_two_ratios():
     assert is_proper(p)
 
 
+_RATIONAL = st.fractions(min_value=F(1, 9), max_value=9, max_denominator=9)
+
+
+@st.composite
+def rational_progression(draw):
+    # each ratio is a fresh positive rational or a repeat of an earlier one
+    ratios: list[Fraction] = []
+    for _ in range(draw(st.integers(min_value=0, max_value=4))):
+        fresh = not ratios or draw(st.booleans())
+        ratios.append(draw(_RATIONAL) if fresh else draw(st.sampled_from(ratios)))
+    lengths = [draw(st.integers(min_value=1, max_value=4)) for _ in ratios]
+    return desc(draw(_RATIONAL), ratios, lengths)
+
+
+@given(rational_progression())
+@settings(max_examples=200, deadline=None)
+def test_enumerate_matches_brute_force(p):
+    want = oracles.o_progression(p.base, p.ratios, p.lengths)
+    assert enumerate_progression(p) == FinSet(want)
+    assert is_proper(p) == (len(want) == p.nominal_size)
+
+
 def test_improper_when_ratios_collide():
     p = desc(1, (2, 4), (3, 2))
     # 4 = 2^2 so exponent grids overlap: 8 nominal cells, fewer values
