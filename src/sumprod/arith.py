@@ -116,9 +116,12 @@ def _brent_step(n: int, c: int, budget: int) -> tuple[int | None, int]:
 def factor_int(n: int) -> tuple[tuple[int, int], ...]:
     """Factor a positive integer into ((prime, exponent), ...) ascending.
 
-    Trial division up to _TRIAL_BOUND, then Brent cycles sharing
-    _RHO_BUDGET iterations.  If a cofactor survives both, the call fails
-    with FactorizationBudgetExceeded rather than guessing.
+    Trial division by d up to _TRIAL_BOUND, then Brent cycles sharing
+    _RHO_BUDGET iterations.  Trial division that stops at d * d > n leaves
+    a cofactor 1 < n < d * d with no prime factor below d, so a prime,
+    recorded without a primality test: every n below about 10**12 ends so.
+    If a cofactor survives both, the call fails with
+    FactorizationBudgetExceeded rather than guessing.
     """
     if n < 1:
         raise ValueError(f"need a positive integer, got {n}")
@@ -132,7 +135,9 @@ def factor_int(n: int) -> tuple[tuple[int, int], ...]:
             if n % p == 0:
                 factors[p], n = _valuation(n, p)
         d += 6
-    if n > 1:
+    if 1 < n < d * d:  # no prime below d divides n, so n is prime
+        factors[n] = 1
+    elif n > 1:
         remaining = _RHO_BUDGET
         stack = [n]
         while stack:
@@ -307,6 +312,7 @@ def mult_dim(a: FinSet) -> MultDim:
         raise ValueError("multiplicative dimension needs a nonempty set")
     primes, factored = _factored(a)
     base = factored[0]
+    column = {p: i for i, p in enumerate(primes)}
     echelon = Echelon()
     basis = []
     for f in factored[1:]:
@@ -314,7 +320,10 @@ def mult_dim(a: FinSet) -> MultDim:
         for p, e in base.items():
             diff[p] = diff.get(p, 0) - e
         if echelon.add(diff) is not None:
-            basis.append(tuple([diff.get(p, 0) for p in primes]))
+            row = [0] * len(primes)
+            for p, e in diff.items():
+                row[column[p]] = e
+            basis.append(tuple(row))
     return MultDim(
         dimension=len(basis),
         basepoint=a.min(),

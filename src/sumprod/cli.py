@@ -29,7 +29,7 @@ from .exactset import FinSet, PairGraph, parse_set, parse_token
 from . import exactset
 from .arith import mult_dim
 from .energy import energy as energy_fn
-from .progressions import contains, dim_chain_check, enumerate_progression, parse_progression
+from .progressions import _dim_chain, contains, enumerate_progression, parse_progression
 from .theorems import (
     verify_intro_suite,
     verify_lemma3,
@@ -267,7 +267,7 @@ def _cmd_progression(args) -> int:
     for elem, wit in zip(a.elements, result.witnesses):
         tail = "-" if wit is None else " ".join(str(j) for j in wit)
         print(f"witness {elem} {tail}")
-    chain = dim_chain_check(desc, a)
+    chain = _dim_chain(desc, a, result)
     print(format_verdict_line(chain))
     if args.report:
         objects = [

@@ -174,9 +174,17 @@ def parse_set(text: str) -> tuple[FinSet, int]:
     denominator, with no Fraction in between; equal values written
     differently (4/6 and 2/3) meet as one int there.  Returns the set and
     the number of duplicate tokens that were dropped.
+
+    A file whose every line is plain decimal digits (str.isdecimal, the
+    first branch of _parse_pair) is read in one pass, as one set of ints;
+    any other file goes line by line, so each error names its line.
     """
+    lines = text.splitlines()
+    if all(map(str.isdecimal, lines)):
+        ints = set(map(int, lines))
+        return _from_ints(ints, 1), len(lines) - len(ints)
     pairs: list[tuple[int, int]] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    for lineno, raw in enumerate(lines, start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
@@ -313,12 +321,16 @@ def _sumset(sets: list[FinSet], what: str) -> FinSet:
 def _productset(sets: list[FinSet], what: str) -> FinSet:
     """All x_1 * ... * x_m with each x_i in sets[i]; no sets give {1}.
 
-    Built on the ints over the product of the scales, one row per element y
-    of each factor: y times every value built so far.  The cap is checked
-    after every row.
+    Built on the ints over the product of the scales: the first factor's
+    values, then one row per element y of each later factor, y times every
+    value built so far.  The cap is checked on the first factor and after
+    every row.
     """
-    cap, values = size_cap(), {1}
-    for s in sets:
+    cap = size_cap()
+    values = set(sets[0]._ints) if sets else {1}
+    if len(values) > cap:
+        raise over_cap(len(values), what, cap)
+    for s in sets[1:]:
         built, values = values, set()
         for y in s._ints:
             values.update(map(y.__mul__, built))

@@ -168,7 +168,11 @@ def dim_chain_check(p: ProgressionDesc, a: FinSet) -> Verdict:
     rank of the exponent rows of its ratios with length >= 2, so no value
     is enumerated.
     """
-    inside = contains(p, a)
+    return _dim_chain(p, a, contains(p, a))
+
+
+def _dim_chain(p: ProgressionDesc, a: FinSet, inside: ContainsResult) -> Verdict:
+    """dim_chain_check on the result of contains(p, a), already at hand."""
     echelon = Echelon()
     rows = [factor_fraction(r) for r, j in zip(p.ratios, p.lengths) if j >= 2]
     m_p = sum(echelon.add(row) is not None for row in rows)

@@ -1,6 +1,7 @@
 """Factorization, exponent matrices, and multiplicative dimension."""
 
 import math
+import random
 import time
 from fractions import Fraction
 from itertools import combinations
@@ -112,6 +113,49 @@ def test_factor_int_roundtrip(n):
         prev = p
         prod *= p**e
     assert prod == n
+
+
+# the primes on either side of the trial bound 10**6, and the largest prime below 10**12
+_BELOW, _ABOVE, _TOP = 999_983, 1_000_003, 999_999_999_989
+
+
+@pytest.mark.parametrize(
+    "n",
+    [
+        1,
+        _BELOW,
+        _ABOVE,
+        _BELOW * _ABOVE,  # trial division ends on the cofactor _ABOVE
+        _ABOVE**2,  # beyond the trial bound: a perfect square for rho
+        _BELOW**2 * _ABOVE,
+        _TOP,
+        2**7 * 3 * _TOP,
+        _TOP * _ABOVE,  # beyond the trial bound: a semiprime for rho
+        1_000_000_000_039,  # the first prime above 10**12, still below d * d
+    ]
+    + [sympy.prevprime(10**k) for k in range(7, 13)]
+    + [sympy.nextprime(x) for x in random.Random(12).sample(range(10**6, 10**12), 8)],
+)
+def test_factor_int_matches_sympy_at_the_trial_bound(n):
+    factor_int.cache_clear()
+    assert dict(factor_int(n)) == sympy.factorint(n)
+
+
+def test_factor_int_trusts_a_cofactor_that_ends_trial_division(monkeypatch):
+    # below 10**12 trial division always stops at d * d > n, and what is left
+    # is recorded as prime without a Miller-Rabin test
+    tested = []
+    monkeypatch.setattr(arith, "is_prime", lambda m: tested.append(m) or is_prime(m))
+    factor_int.cache_clear()
+    try:
+        for n in (97, 2 * 999_983, _BELOW * _ABOVE, _TOP, 6 * _TOP, 10**12 - 1):
+            assert dict(factor_int(n)) == sympy.factorint(n)
+        assert tested == []
+        # a cofactor past the trial bound still goes through the primality test
+        assert factor_int(_TOP * _ABOVE) == ((_ABOVE, 1), (_TOP, 1))
+        assert tested
+    finally:
+        factor_int.cache_clear()
 
 
 def test_factor_fraction_signed_exponents():

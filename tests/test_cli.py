@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from sumprod import cli
+from sumprod import cli, progressions
 from sumprod.exactset import parse_set
 
 
@@ -488,6 +488,26 @@ def run_golden(capsys, case, directory):
 @pytest.mark.parametrize("case", GOLDEN, ids=[c["name"] for c in GOLDEN])
 def test_output_bytes_match_golden(case, tmp_path, capsys):
     run_golden(capsys, case, tmp_path)
+
+
+@pytest.mark.parametrize(
+    "case",
+    [c for c in GOLDEN if c["argv"][:1] == ["progression"] and "--set" in c["argv"]],
+    ids=lambda c: c["name"],
+)
+def test_progression_set_tests_containment_once(case, tmp_path, capsys, monkeypatch):
+    calls = []
+    original = progressions.contains
+
+    def counted(p, a):
+        calls.append(a)
+        return original(p, a)
+
+    # every binding of the name, as `from .progressions import contains` made one in cli
+    monkeypatch.setattr(progressions, "contains", counted)
+    monkeypatch.setattr(cli, "contains", counted)
+    run_golden(capsys, case, tmp_path)
+    assert len(calls) == 1
 
 
 def test_one_process_runs_every_call_apart(tmp_path, capsys):

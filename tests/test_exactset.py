@@ -9,6 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
+from sumprod import exactset
 from sumprod.energy import WeightVector, energy, rep_counts, weighted_energy
 from sumprod.exactset import (
     FinSet,
@@ -124,6 +125,49 @@ def test_parse_set_error_text_is_exact(text, message):
     with pytest.raises(SetParseError) as caught:
         parse_set(text)
     assert str(caught.value) == message
+
+
+# plain decimal lines: leading zeros, repeats from a small range, and
+# non-ASCII decimal digits (Arabic-Indic three, fullwidth seven)
+decimal_lines = st.one_of(
+    st.builds(lambda zeros, v: "0" * zeros + str(v), st.integers(0, 2), st.integers(0, 12)),
+    st.integers(0, 10**30).map(str),
+    st.sampled_from(["٣", "７", "0٣"]),
+)
+
+
+def parse_line_by_line(text):
+    """parse_set on the per-line path: a trailing comment line leaves the
+    elements alone but is not decimal."""
+    return parse_set(text + "\n# per line")
+
+
+@given(st.lists(decimal_lines, max_size=30), st.sampled_from(["\n", "\r\n"]), st.booleans())
+@example(["3", "1", "2", "3", "03", "٣"], "\r\n", True)
+def test_parse_set_decimal_files_take_one_pass(lines, newline, trailing):
+    text = newline.join(lines) + (newline if trailing and lines else "")
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(exactset, "_parse_pair", None)  # the one-pass path reads no token alone
+        fast = parse_set(text)
+    assert fast == parse_line_by_line(text) == reference_parse(text)
+    assert fast[0].is_integer
+
+
+@given(
+    st.lists(decimal_lines, max_size=12),
+    st.sampled_from([" 5", "+5", "5 6", "1/2", "#x", ""]),
+    st.integers(0, 12),
+    st.sampled_from(["\n", "\r\n"]),
+)
+def test_parse_set_one_odd_line_goes_line_by_line(lines, odd, at, newline):
+    at = min(at, len(lines))
+    text = newline.join(lines[:at] + [odd] + lines[at:])
+    if odd == "5 6":
+        with pytest.raises(SetParseError) as caught:
+            parse_set(text)
+        assert str(caught.value) == f"line {at + 1}: not a rational literal: '5 6'"
+    else:
+        assert parse_set(text) == parse_line_by_line(text) == reference_parse(text)
 
 
 @given(
@@ -388,6 +432,14 @@ def test_product_and_restricted_sets_refuse_as_they_grow(monkeypatch):
     assert _refused_count(lambda: restricted_combine(a, full, "sum")) == 1001
     # a set-path box sum grows one coefficient, a row of 601 sums, at a time
     assert _refused_count(lambda: box_sum(FinSet([10**12, 3 * 10**12 + 7]), 600)) < 2000
+
+
+def test_product_set_refuses_a_first_factor_past_the_cap_with_its_size(monkeypatch):
+    a, b = FinSet(range(1, 201)), fs(1, 3)
+    monkeypatch.setenv("SUMPROD_BUDGET", "100")
+    assert _refused_count(lambda: combine(a, b, "product")) == 200
+    # a later factor still grows row by row, here two values a row
+    assert _refused_count(lambda: combine(b, a, "product")) == 102
 
 
 def test_env_budget_invalid(monkeypatch):
