@@ -18,7 +18,7 @@ from typing import NamedTuple
 
 from .exactset import FinSet, _productset, parse_token
 from .limits import SetParseError, check_size
-from .arith import Echelon, factor_fraction, mult_dim
+from .arith import Echelon, _factored, factor_fraction, mult_dim
 from .verdicts import Verdict, compare, unmet
 
 
@@ -115,46 +115,51 @@ def contains(p: ProgressionDesc, a: FinSet) -> ContainsResult:
     """Whether every element of a is hit by some in-range exponent tuple.
 
     witnesses[i] is one exponent tuple producing a's i-th element, or None.
-    The ratio exponent rows are eliminated once, each with a tag column
-    after the prime columns recording its combination.  An element whose
-    exponent difference from the base leaves a residual in a prime column
-    is outside the progression.  Otherwise, with independent ratios, the
-    tag columns of the residual give the unique rational solution; with
-    dependent ratios a capped enumeration of the exponent grid finds the
-    lexicographically first witness.
+    The rows of the ratios of length >= 2 are eliminated once, each with a
+    tag column after the prime columns recording its combination.  An
+    element whose exponent difference from the base leaves a residual in a
+    prime column is outside the progression.  Otherwise, with independent
+    ratios, each tag column of the residual over its scale must be an
+    in-range integer exponent; with dependent ratios a capped enumeration
+    of the exponent grid finds the lexicographically first witness.
     """
     if not a.is_positive:
         raise ValueError("membership needs strictly positive elements")
     if a.size == 0:
         return ContainsResult(True, ())
-    factored = {v: factor_fraction(v) for v in {*a.elements, p.base, *p.ratios}}
-    base = factored[p.base]
-    tag = 1 + max((q for f in factored.values() for q in f), default=1)
+    primes, factored = _factored(a)
+    base = factor_fraction(p.base)
+    # A ratio of length 1 always has exponent 0, so it is never factored.
+    moving = [i for i, j in enumerate(p.lengths) if j >= 2]
+    rows = [factor_fraction(p.ratios[i]) for i in moving]
+    tag = 1 + max((*primes, *base, *(q for f in rows for q in f)), default=1)
     echelon = Echelon()
     independent = True
-    for i, r in enumerate(p.ratios):
-        lead = echelon.add({**factored[r], tag + i: 1})
+    for t, row in enumerate(rows):
+        lead = echelon.add({**row, tag + t: 1})
         independent = independent and lead < tag
     grid: dict[Fraction, tuple[int, ...]] | None = None
     witnesses: list[tuple[int, ...] | None] = []
-    for elem in a.elements:
-        f = factored[elem]
+    for elem, f in zip(a.elements, factored):
         target = {q: f.get(q, 0) - base.get(q, 0) for q in f.keys() | base.keys()}
         scale, residual = echelon.reduce(target)
         found: tuple[int, ...] | None = None
         if any(c < tag for c in residual):
             pass  # the exponent difference is outside the ratios' span
         elif independent:
-            x = [Fraction(-residual.get(tag + i, 0), scale) for i in range(p.rank)]
-            if all(v.denominator == 1 and 0 <= v < j for v, j in zip(x, p.lengths)):
-                found = tuple(int(v) for v in x)
+            exponents = [0] * p.rank
+            for t, i in enumerate(moving):
+                exponents[i], r = divmod(-residual.get(tag + t, 0), scale)
+                if r or not 0 <= exponents[i] < p.lengths[i]:
+                    break
+            else:
+                found = tuple(exponents)
         else:
             if grid is None:
                 check_size(p.nominal_size, "progression membership fallback")
                 grid = {}
                 for tup in product(*(range(j) for j in p.lengths)):
-                    v = p.value_at(tup)
-                    grid.setdefault(v, tup)
+                    grid.setdefault(p.value_at(tup), tup)
             found = grid.get(elem)
         witnesses.append(found)
     return ContainsResult(None not in witnesses, tuple(witnesses))

@@ -9,34 +9,31 @@ RationalPower by raising both sides to the power q, anything else by
 interval endpoints.  A claim the endpoints neither prove nor refute is
 reported as inconclusive, never rounded to a boolean.
 
-ln and exp run on plain integers, in fixed point with W fraction bits.  Each
-endpoint comes from its own pass in which every step rounds toward it (floor
-for the lower endpoint, ceiling for the upper), so each endpoint is a bound
-by monotonicity alone, and each is a dyadic fraction:
+ln and exp come from the decimal module, whose ln and exp are correctly
+rounded (half-even) at any precision.  Each endpoint has its own pass: x's
+numerator is divided by its denominator rounding toward the endpoint's side
+(floor for the lower endpoint, ceiling for the upper), ln or exp is taken,
+and an inexact result is moved one unit in its last place outward.  ln and
+exp are increasing, so each endpoint is a bound, and ln 1 and exp 0 stay
+exact points.
 
-- ln q: q = 2**e * m with m in [2/3, 4/3], ln m = 2 atanh(t) for
-  t = (m - 1)/(m + 1), |t| <= 1/5, and ln 2 = 2 atanh(1/3), computed once
-  per process.  W = prec + 20, plus log2(1/|t|) when e = 0.
-- exp x: x = k ln 2 + r with 0 <= r < 0.7, and exp r = exp(r / 2**s)**(2**s),
-  a Taylor series then s squarings.  The result is a mantissa times 2**k,
-  so exp(-200) is as precise as exp(200), relatively.  W = prec + 20 +
-  log2 |x|.
-
-The error bound, at prec = 200.  The two passes of an atanh series differ by
-at most 4.5 units of 2**-W per term, over at most W/4.6 + 2 terms and a
-tail of 4.5 units, so ln m is at most 2**9 units wide and ln 2 at most 3.
-As |ln q| >= 0.287 |e| when e != 0, and |ln m| >= 2 |t| when e = 0, ln q is
-at most 2**-(prec + 9) wide, relatively.  exp's reduced argument is off by
-at most 1 + 3 |k| < 2**(log2 |x| + 3) units, its series by at most 41 units
-of 2**-(W + s), and each squaring doubles the relative error and adds one
-unit, so exp x is at most 2**-(prec + 12) wide, relatively.
+The error bound.  A pass to `bits` works to p digits, so one unit in the
+last place is at most u = 10**(1 - p) <= 2**-(bits + 16), relatively.  The
+quotient is off by at most one unit, and the result by at most one and a
+half more.  For ln x, x = n/d, the quotient's unit moves ln x by about u,
+so ln adds to prec the bits b of d/|n - d|, as |ln x| > 2**-(b + 1), and
+each endpoint is off by at most 3.5 * 2**-(prec + 16), relatively.  exp x is
+2**k exp(r), with k = x // ln 2 and r = x - k ln 2 in [0, 1): exp r works to
+prec + 1 bits and ln 2 to prec + 2 + log2 |x|, so each endpoint is off by at
+most 1.25 + 1.5 units of 2**-(prec + 16).  So every enclosure is at most
+2**-(prec + 13) wide, relatively.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from decimal import MAX_EMAX, MIN_EMIN, ROUND_CEILING, ROUND_FLOOR, Decimal, Inexact
 from decimal import Context as DecimalContext
-from decimal import Decimal
 from fractions import Fraction
 from typing import Any, Mapping
 
@@ -48,7 +45,6 @@ HYPOTHESIS_NOT_MET = "hypothesis-not-met"
 _STATUSES = (TRUE, FALSE, INCONCLUSIVE, HYPOTHESIS_NOT_MET)
 
 _PREC = 200  # bits of relative precision every enclosure keeps
-_GUARD = 20  # extra fixed-point bits that absorb the rounding of the series
 
 _DECIMAL_30 = DecimalContext(prec=30)
 
@@ -129,98 +125,40 @@ def _as_enclosure(x) -> Enclosure:
     raise TypeError(f"cannot treat {type(x).__name__} as a number")
 
 
-def _div(a: int, b: int, up: bool) -> int:
-    """a / b for b > 0, rounded down, or up when up is true."""
-    return -(-a // b) if up else a // b
-
-
-def _atanh(n: int, d: int, bits: int, up: bool) -> int:
-    """atanh(n/d)*2**bits rounded down, or up when up is true, for 0 <= n/d <= 1/3.
-
-    t and t**2 are rounded to `bits` fraction bits, and each power
-    t**(2i+1) and each quotient by 2i+1 is rounded the same way, so every
-    term is bounded on the chosen side.  Rounding up runs the same floor
-    steps on negated terms, since floor(-x) = -ceil(x).  The sum stops when
-    the power is at most one unit; the terms left are below 9/8 of that
-    power, so the upward sum adds two units for them and the downward one
-    drops them.
-    """
-    t2 = _div(n * n << bits, d * d, up)
-    p = ((-n if up else n) << bits) // d
-    s, i = 0, 1
-    while not -1 <= p <= 1:
-        s += p // i
-        p = p * t2 >> bits
-        i += 2
-    return 2 * -p - s if up else s
-
-
-_LN2 = [0, 0, 0]  # [bits, lower, upper] of ln 2 * 2**bits, computed on first use
-
-
-def _ln2(bits: int) -> tuple[int, int]:
-    """Lower and upper bounds on ln 2 * 2**bits, from ln 2 = 2 atanh(1/3)."""
-    have, lo, hi = _LN2
-    if have < bits:
-        have = bits + 64
-        lo, hi = 2 * _atanh(1, 3, have, False), 2 * _atanh(1, 3, have, True)
-        _LN2[:] = have, lo, hi
-    return lo >> (have - bits), -(-hi >> (have - bits))
+def _bound(fn: str, x: Fraction, up: bool, bits: int) -> Fraction:
+    """A lower (or, when up is true, upper) bound on fn(x), fn "ln" or "exp",
+    to p digits with 10**(1 - p) <= 2**-(bits + 16), as 1234/4096 > log10 2."""
+    rounding = ROUND_CEILING if up else ROUND_FLOOR
+    ctx = DecimalContext(2 + (bits + 16) * 1234 // 4096, rounding, MIN_EMIN, MAX_EMAX)
+    arg = ctx.divide(Decimal(x.numerator), Decimal(x.denominator))
+    ctx.clear_flags()  # the quotient is rounded toward the bound already
+    y = getattr(ctx, fn)(arg)
+    if ctx.flags[Inexact]:
+        y = ctx.next_plus(y) if up else ctx.next_minus(y)
+    return Fraction(*y.as_integer_ratio())
 
 
 def _ln(q: Fraction, up: bool, prec: int = _PREC) -> Fraction:
-    """A dyadic lower (or, when up is true, upper) bound on ln q, q > 0.
+    """A lower (or, when up is true, upper) bound on ln q, q = n/d > 0.
 
-    The extra bits when e = 0 keep the relative precision of an argument
-    next to 1, where ln q is as small as t.
+    Next to 1, ln q is as small as q - 1, so the bits of d/|n - d| are added.
     """
-    a, b = q.numerator, q.denominator
-    e = a.bit_length() - b.bit_length()
-    num, den = (a, b << e) if e >= 0 else (a << -e, b)
-    if 3 * num > 4 * den:
-        e, den = e + 1, 2 * den
-    elif 3 * num < 2 * den:
-        e, num = e - 1, 2 * num
-    n, d = abs(num - den), num + den
-    bits = prec + _GUARD
-    if e == 0:
-        bits += max(0, d.bit_length() - n.bit_length())
-    negative = num < den
-    t = _atanh(n, d, bits, up != negative)
-    total = 2 * (-t if negative else t)
-    if e:
-        total += e * _ln2(bits)[up != (e < 0)]
-    return Fraction(total, 1 << bits)
+    n, d = q.numerator, q.denominator
+    near_one = (d // abs(n - d)).bit_length() if n != d else 0
+    return _bound("ln", q, up, prec + near_one)
 
 
 def _exp(x: Fraction, up: bool, prec: int = _PREC) -> Fraction:
-    """A dyadic lower (or, when up is true, upper) bound on exp x.
+    """A lower (or, when up is true, upper) bound on exp x = 2**k exp(x - k ln 2).
 
-    k is chosen from x and ln 2 rounded in this bound's direction so that
-    r >= 0; the Taylor series is summed as in _atanh, with a two-unit tail.
+    k = x // ln 2 keeps the decimal result in [1, 2], not a power of 10 the
+    size of exp x.  ln 2 is bounded on the side that moves x - k ln 2 toward
+    the bound, to the bits of |x| more, as k multiplies its error.
     """
     n, d = x.numerator, x.denominator
-    bits = prec + _GUARD + (abs(n) // d).bit_length()
-    l2 = _ln2(bits)
-    xf = _div(n << bits, d, up)
-    k = xf // l2[xf >= 0]
-    r = xf - k * l2[(k >= 0) != up]
-    s = bits.bit_length() * 2
-    f = bits + s  # r / 2**f = (r / 2**bits) / 2**s
-    term, total, i = -(1 << f) if up else 1 << f, 0, 1
-    while not -1 <= term <= 1:
-        total += term
-        term = (term * r >> f) // i
-        i += 1
-    if up:
-        total += 2 * term
-    for _ in range(s):  # abs keeps an upward total negated, so >> rounds it up
-        total = total * abs(total) >> f
-    if up:
-        total = -total
-    if k >= f:
-        return Fraction(total << (k - f))
-    return Fraction(total, 1 << (f - k))
+    ln2 = _ln(Fraction(2), (n >= 0) != up, prec + 2 + (abs(n) // d).bit_length())
+    k = x // ln2
+    return _bound("exp", x - k * ln2, up, prec + 1) * Fraction(2) ** k
 
 
 def log_of(x) -> Enclosure:
@@ -245,10 +183,12 @@ def power_of(base, exponent) -> Enclosure:
     """base**exponent for a positive base, as an Enclosure.
 
     An integral int or Fraction exponent on an exact base gives the exact
-    point; a non-integral rational one gives the exact RationalPower, which
-    compare decides by integer powers; any other goes through
-    exp(exponent * log(base)).  A bool raises TypeError, and a base that is
-    not positive under a non-integral exponent raises ValueError.
+    point, and on an enclosure with lo > 0 the endpoint powers; a
+    non-integral rational one on an exact base gives the exact
+    RationalPower, which compare decides by integer powers; any other goes
+    through exp(exponent * log(base)).  A bool raises TypeError, and a base
+    that is not positive under a non-integral exponent, or an enclosure
+    reaching 0 or below, raises ValueError.
     """
     if _exact(base) and _exact(exponent):
         if exponent.denominator == 1:
@@ -257,6 +197,10 @@ def power_of(base, exponent) -> Enclosure:
         if base <= 0:
             raise ValueError("log needs a strictly positive argument")
         return RationalPower(1, base, exponent)
+    if isinstance(base, Enclosure) and _exact(exponent) and exponent.denominator == 1:
+        n = int(exponent)
+        if base.lo > 0:
+            return Enclosure(*sorted((base.lo**n, base.hi**n)))
     return exp_of(log_of(base) * _as_enclosure(exponent))
 
 

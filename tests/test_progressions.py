@@ -209,6 +209,16 @@ def test_contains_rational_base_and_ratio():
     assert contains(p, values).contained
 
 
+def test_contains_never_factors_a_ratio_of_length_one():
+    # 2**89 - 1 is a prime past the factoring budget; its exponent is always 0
+    p = desc(3, (2, 2**89 - 1), (4, 1))
+    a = fs(3, 6, 24)
+    res = contains(p, a)
+    assert res.contained
+    assert res.witnesses == ((0, 0), (1, 0), (3, 0))
+    assert dim_chain_check(p, a).holds == "true"
+
+
 # --- dimension chain ----------------------------------------------------------------
 
 

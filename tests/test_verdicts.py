@@ -199,18 +199,29 @@ def test_ln_exp_kernels_meet_the_stated_bound_at_low_precision(prec):
 
 
 def test_atanh_and_exp_kernels_bound_at_a_few_working_bits():
-    """With 1 to 40 fraction bits the slack of the other roundings no longer
-    hides one step rounded the wrong way or a dropped tail term."""
+    """With one to four digits the slack of the other roundings no longer
+    hides one step rounded the wrong way or a missing outward step."""
     rng = random.Random(1)
     for _ in range(3000):
-        d = rng.randint(3, 10**6)
-        n, bits = rng.randint(0, d // 3), rng.randint(1, 40)
-        value = _mp600("atanh", F(n, d)) * 2**bits
-        assert verdicts._atanh(n, d, bits, False) <= value <= verdicts._atanh(n, d, bits, True)
+        q, prec = F(rng.randint(1, 3000), rng.randint(1, 1000)), rng.randint(-18, 0)
+        value = _mp600("log", q)
+        assert verdicts._ln(q, False, prec) <= value <= verdicts._ln(q, True, prec), (q, prec)
     for _ in range(3000):
         x, prec = F(rng.randint(-3000, 3000), rng.randint(1, 1000)), rng.randint(-18, 0)
         value = _mp600("exp", x)
         assert verdicts._exp(x, False, prec) <= value <= verdicts._exp(x, True, prec), (x, prec)
+
+
+@pytest.mark.parametrize(
+    "x, prec",
+    [(F(-5513, 3), 33), (F(-11833, 6), -17), (F(390205, 248), 13), (F(-840551, 454), 23),
+     (F(30257, 263), -17), (F(-415024, 243), 13), (F(4447, 292), -17), (F(-952158, 493), 13)],
+)
+def test_exp_bounds_ln2_on_the_side_of_each_endpoint(x, prec):
+    """Arguments at which ln 2 bounded on the wrong side of an endpoint (above
+    it for the upper endpoint when k > 0) would leave exp x outside the bounds."""
+    value = _mp600("exp", x)
+    assert verdicts._exp(x, False, prec) <= value <= verdicts._exp(x, True, prec)
 
 
 def test_exp_of_enclosure_spanning_zero():
@@ -242,6 +253,24 @@ def test_power_fractional_exponent_encloses_root():
     # contains sqrt(2)
     assert p.lo * p.lo <= F(2) <= p.hi * p.hi
     assert p.width < F(1, 10**40)
+
+
+def test_power_of_an_enclosure_to_an_integer_takes_endpoint_powers(monkeypatch):
+    def refuse(x):
+        raise AssertionError("no exp or log for an integer power")
+
+    monkeypatch.setattr(verdicts, "exp_of", refuse)
+    monkeypatch.setattr(verdicts, "log_of", refuse)
+    base = Enclosure(F(3, 2), F(5, 3))
+    assert power_of(base, 4) == Enclosure(F(3, 2) ** 4, F(5, 3) ** 4)
+    assert power_of(base, F(-3)) == Enclosure(F(3, 5) ** 3, F(2, 3) ** 3)
+    assert power_of(base, -3) == Enclosure(F(3, 5) ** 3, F(2, 3) ** 3)
+
+
+def test_power_of_an_enclosure_reaching_zero_is_refused():
+    for base in (Enclosure(F(0), F(2)), Enclosure(F(-1), F(2))):
+        with pytest.raises(ValueError):
+            power_of(base, 2)
 
 
 def test_power_zero_base():
