@@ -16,7 +16,7 @@ import functools
 import json
 import sys
 from dataclasses import asdict
-from itertools import combinations
+from itertools import chain, combinations
 from pathlib import Path
 
 from .limits import (
@@ -118,12 +118,18 @@ def _write_report(path: str, objects: list[dict]) -> None:
 
 
 def _emit_set(args, fs: FinSet, summary: str, kind: str, **extra) -> int:
-    strings = list(fs._strings())
+    """The set under a `# summary` line, one element per line.  The text is
+    built before anything is printed, so a value too long to print leaves
+    stdout empty; an integer set is formatted by one % call."""
+    if fs.is_integer:
+        text = ("%d\n" * fs.size) % fs._ints
+    else:
+        text = "".join(map("%s\n".__mod__, fs._strings()))
     print(f"# {summary}")
-    if strings:
-        print("\n".join(strings))
+    sys.stdout.write(text)
     if args.report:
-        obj = {"kind": kind, "size": fs.size, "elements": strings, **extra}
+        # no printed element holds whitespace, so the lines split back exactly
+        obj = {"kind": kind, "size": fs.size, "elements": text.split(), **extra}
         _write_report(args.report, [obj])
     return 0
 
@@ -230,8 +236,9 @@ def _cmd_multdim(args) -> int:
     print(f"basepoint {md.basepoint}")
     print("primes " + " ".join(map(str, md.primes)))
     print("projection " + " ".join(map(str, md.projection)))
-    for row in md.basis:
-        print("basis " + " ".join(map(str, row)))
+    # every basis row has one int per prime: one % call prints them all
+    row = "basis" + " %d" * len(md.primes) + "\n"
+    sys.stdout.write((row * md.dimension) % tuple(chain.from_iterable(md.basis)))
     if args.report:
         _write_report(
             args.report,

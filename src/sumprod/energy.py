@@ -2,10 +2,12 @@
 
 The h-fold representation count of n is the number of ordered h-tuples from
 a set summing to n; the energy is the sum of its squares.  Both are computed
-exactly by one integer convolution (exactset._convolve, packed into a big int
-or kept as a dict); a floating-point quadrature identity, exact for
-trigonometric polynomials up to rounding, gives an independent approximate
-check, and the p-adic layer decompositions serve the norm inequalities.
+exactly by one integer convolution, exactset._convolve: packed into one big
+int and read back slot by slot in C, or kept as a dict; the squares are
+summed by map over the counts, with no Python frame per count.  A
+floating-point quadrature identity, exact for trigonometric polynomials up
+to rounding, gives an independent approximate check, and the p-adic layer
+decompositions serve the norm inequalities.
 """
 
 from __future__ import annotations
@@ -14,6 +16,7 @@ import cmath
 from dataclasses import dataclass
 from fractions import Fraction
 from math import fsum, lcm
+from operator import mul
 
 from .exactset import FinSet, _convolve
 from .limits import check_size
@@ -82,8 +85,8 @@ def energy(a: FinSet, h: int) -> int:
     """h-fold additive energy: the sum of squared convolution coefficients."""
     if h < 1:
         raise ValueError(f"fold count must be >= 1, got {h}")
-    conv = _convolve([dict.fromkeys(a._ints, 1)] * h, "energy convolution")
-    return sum(c * c for c in conv.values())
+    counts = _convolve([dict.fromkeys(a._ints, 1)] * h, "energy convolution").values()
+    return sum(map(mul, counts, counts))
 
 
 def weighted_energy(a: FinSet, d: WeightVector, h: int) -> Fraction:
@@ -94,8 +97,8 @@ def weighted_energy(a: FinSet, d: WeightVector, h: int) -> Fraction:
         raise ValueError(f"{len(d)} weights for a set of size {a.size}")
     den = lcm(*(w.denominator for w in d.weights))
     scaled = {v: w.numerator * (den // w.denominator) for v, w in zip(a._ints, d.weights) if w}
-    conv = _convolve([scaled] * h, "weighted energy")
-    return Fraction(sum(c * c for c in conv.values()), den ** (2 * h))
+    counts = _convolve([scaled] * h, "weighted energy").values()
+    return Fraction(sum(map(mul, counts, counts)), den ** (2 * h))
 
 
 def quadrature_energy(a: FinSet, h: int, d: WeightVector | None = None) -> float:

@@ -12,10 +12,9 @@ import sys
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import compress, count, repeat
+from itertools import chain, compress, count, repeat
 from math import gcd, lcm, prod
 from operator import add, mul
-from struct import iter_unpack
 from typing import Iterable, Iterator, Literal, Sequence
 
 from .limits import SetParseError, check_size, over_cap, size_cap
@@ -162,7 +161,7 @@ def _from_ints(values: Iterable[int], scale: int) -> FinSet:
     g = gcd(scale, *ints) if scale > 1 else 1
     fs = object.__new__(FinSet)
     object.__setattr__(fs, "_scale", scale // g)
-    object.__setattr__(fs, "_ints", tuple(ints) if g == 1 else tuple(v // g for v in ints))
+    object.__setattr__(fs, "_ints", tuple(ints) if g == 1 else tuple(map(g.__rfloordiv__, ints)))
     return fs
 
 
@@ -242,22 +241,31 @@ def dilate(q: Fraction | int, a: FinSet) -> FinSet:
     return _from_ints((v * q.numerator for v in a._ints), a._scale * q.denominator)
 
 
-_FULL_WORD = (1 << 64) - 1
+_WINDOW = 1 << 12  # bytes of a mask expanded to one byte per bit at a time
+_BIT_BYTES = bytes.maketrans(b"01", b"\0\1")
 
 
 def _bit_positions(bits: int, start: int = 0) -> Iterator[int]:
-    """start + the index of each set bit, ascending, in one pass over the
-    nonzero 64-bit words; an all-ones word gives its 64 positions as one range."""
-    raw = bits.to_bytes(8 * ((bits.bit_length() + 63) // 64), sys.byteorder)
-    words = memoryview(raw).cast("Q")
-    for base, word in compress(zip(count(start, 64), words), words):
-        if word == _FULL_WORD:
-            yield from range(base, base + 64)
-            continue
-        while word:
-            low = word & -word
-            yield base + low.bit_length() - 1
-            word ^= low
+    """start + the index of each set bit of bits >= 0, ascending.
+
+    The mask's bytes are read in windows of _WINDOW bytes.  Each window is
+    written out by bin, least significant bit first, translated to one 0 or
+    1 byte per bit, and compress picks its positions from a counter; chain
+    runs the windows one after another.  So no Python frame runs per bit or
+    per position, and only one window is expanded at a time, however wide
+    the mask.
+    """
+    raw = bits.to_bytes((bits.bit_length() + 7) // 8, "little")
+    return chain.from_iterable(
+        compress(count(start + 8 * i), _bit_flags(raw[i : i + _WINDOW]))
+        for i in range(0, len(raw), _WINDOW)
+    )
+
+
+def _bit_flags(window: bytes) -> bytes:
+    """One 0 or 1 byte per bit of a little-endian window, low bit first, up
+    to its highest set bit."""
+    return bin(int.from_bytes(window, "little"))[:1:-1].encode("ascii").translate(_BIT_BYTES)
 
 
 def _packs(cost: int, values: int, cap: int) -> bool:
@@ -266,28 +274,61 @@ def _packs(cost: int, values: int, cap: int) -> bool:
     return cost <= 64 * min(values, cap)
 
 
-def _convolve(factors: list[dict[int, int]], what: str) -> dict[int, int]:
-    """The product of polynomials given as {exponent: positive count}.
+def _slot_width(factors: list[dict[int, int]], cap: int) -> int | None:
+    """k such that 2**k-byte slots hold every count of the product of the
+    nonempty polynomials `factors`, when k <= 3 and `_packs` passes the cost
+    of multiplying them packed; None otherwise."""
+    slots = 1 + sum(max(f) - min(f) for f in factors)
+    # the largest count is at most max(f_j) * the other factors' totals
+    totals = [sum(f.values()) for f in factors]
+    top = min((max(f.values()) * prod(totals) // t for f, t in zip(factors, totals)), default=1)
+    k = ((top.bit_length() - 1) // 8).bit_length()
+    # Karatsuba triples the word products each time it halves a product
+    cost = 3 ** ((slots << k) // 8).bit_length()
+    return k if k <= 3 and _packs(cost, prod(map(len, factors)), cap) else None
 
-    Packed by Kronecker substitution, each factor one big int with a 1, 2, 4 or
-    8 byte little-endian slot per exponent, when `_packs` passes the cost of
-    multiplying them; else convolved as dicts.  The cap bounds the nonzero
-    coefficients of the product, and of each partial product of the dicts,
-    checked after each term u of the running product is spread over a factor.
+
+def _packed_counts(factors: list[dict[int, int]], k: int) -> tuple[int, memoryview]:
+    """The product of one or more nonempty polynomials `factors` by Kronecker
+    substitution, as (low, slots): slots[i] is the count of exponent low + i.
+
+    Each factor is one big int with a native 2**k-byte slot per exponent, and
+    each count goes in with one store through a memoryview cast to that slot
+    format; a factor that repeats the one before it reuses its int, so A * A
+    is a square.  The product comes back as one buffer cast the same way.
+    """
+    fmt = "BHIQ"[k]
+    packed = last = None
+    for f in factors:
+        if f is not last:
+            low = min(f)
+            buf = bytearray((max(f) - low + 1) << k)
+            with memoryview(buf).cast(fmt) as view:
+                for e, c in f.items():
+                    view[e - low] = c
+            piece, last = int.from_bytes(buf, sys.byteorder), f
+        packed = piece if packed is None else packed * piece
+    low = sum(map(min, factors))
+    slots = 1 + sum(max(f) for f in factors) - low
+    return low, memoryview(packed.to_bytes(slots << k, sys.byteorder)).cast(fmt)
+
+
+def _convolve(factors: list[dict[int, int]], what: str) -> dict[int, int]:
+    """The product of polynomials given as {exponent: positive count}, for the
+    callers that need the counts (energy, rep_counts, weighted_energy); a sum
+    set needs only their support and takes _sumset.
+
+    Packed by `_packed_counts` when `_slot_width` passes, and unpacked by
+    compress over the slots, with no Python frame per slot; else convolved
+    as dicts.  The cap bounds the nonzero coefficients of the product, and of
+    each partial product of the dicts, checked after each term u of the
+    running product is spread over a factor.
     """
     if not all(factors):
         return {}
     cap = size_cap()
-    lows = [min(f) for f in factors]
-    slots = 1 + sum(max(f) - low for f, low in zip(factors, lows))
-    # 2**k bytes per slot hold the largest count, at most max(f_j) * other totals
-    totals = [sum(f.values()) for f in factors]
-    top = min((max(f.values()) * prod(totals) // t for f, t in zip(factors, totals)), default=1)
-    k = ((top.bit_length() - 1) // 8).bit_length()
-    size = 1 << k
-    # Karatsuba triples the word products each time it halves a product
-    cost = 3 ** (slots * size // 8).bit_length()
-    if k > 3 or not _packs(cost, prod(map(len, factors)), cap):
+    k = _slot_width(factors, cap)
+    if k is None:
         result = {0: 1}
         for f in factors:
             out: dict[int, int] = {}
@@ -298,45 +339,69 @@ def _convolve(factors: list[dict[int, int]], what: str) -> dict[int, int]:
                     raise over_cap(len(out), what, cap)
             result = out
         return result
-    packed = 1
-    for f, low in zip(factors, lows):
-        buf = bytearray(size * (max(f) - low + 1))
-        for e, c in f.items():
-            buf[size * (e - low) : size * (e - low + 1)] = c.to_bytes(size, "little")
-        packed *= int.from_bytes(buf, "little")
-    slot_values = iter_unpack("<" + "BHIQ"[k], packed.to_bytes(size * slots, "little"))
-    result = {sum(lows) + i: c for i, (c,) in enumerate(slot_values) if c}
+    low, slots = _packed_counts(factors, k)
+    result = dict(compress(zip(count(low), slots), slots))
     if len(result) > cap:
         raise over_cap(len(result), what, cap)
     return result
 
 
+def _rows(factors: list[tuple[int, ...]], pair, what: str) -> dict[int, None]:
+    """All x_1 o ... o x_m with each x_i in factors[i], o the `pair` operation
+    (operator.add or operator.mul on ints), as the keys of a dict.
+
+    The first factor's values, then one row per element y of each later
+    factor: y o every value built so far.  o commutes, so when the first two
+    factors are equal, row i of the second pairs its y = a_i only with a_j,
+    j >= i, and each unordered pair is formed once.  A row's values enter an
+    insertion-ordered dict, so the caller's sort meets one ascending run per
+    row rather than hash order.  The cap is checked on the first factor and
+    after every row.
+    """
+    cap = size_cap()
+    first = factors[0] if factors else (1 if pair is mul else 0,)
+    built = dict.fromkeys(first)
+    if len(built) > cap:
+        raise over_cap(len(built), what, cap)
+    triangle = len(factors) > 1 and factors[1] == first
+    for ys in factors[1:]:
+        prev, built = built, {}
+        for i, y in enumerate(ys):
+            built.update(zip(map(pair, repeat(y), first[i:] if triangle else prev), repeat(None)))
+            if len(built) > cap:
+                raise over_cap(len(built), what, cap)
+        triangle = False
+    return built
+
+
 def _sumset(sets: list[FinSet], what: str) -> FinSet:
-    """All x_1 + ... + x_m with each x_i in sets[i]; no sets give {0}."""
+    """All x_1 + ... + x_m with each x_i in sets[i]; no sets give {0}.
+
+    On the ints over the common scale: by `_packed_counts`, whose nonzero
+    slots are the sums in ascending order, when `_slot_width` passes; else
+    by `_rows`.
+    """
     scale = lcm(*(s._scale for s in sets))
-    factors = [dict.fromkeys((v * (scale // s._scale) for v in s._ints), 1) for s in sets]
-    return _from_ints(_convolve(factors, what), scale)
+    factors = [
+        s._ints if s._scale == scale else tuple(map((scale // s._scale).__mul__, s._ints))
+        for s in sets
+    ]
+    counts = [dict.fromkeys(f, 1) for f in factors]
+    cap = size_cap()
+    k = _slot_width(counts, cap) if counts and all(counts) else None
+    if k is None:
+        return _from_ints(_rows(factors, add, what), scale)
+    low, slots = _packed_counts(counts, k)
+    sums = list(compress(count(low), slots))
+    if len(sums) > cap:
+        raise over_cap(len(sums), what, cap)
+    return _from_ints(sums, scale)
 
 
 def _productset(sets: list[FinSet], what: str) -> FinSet:
     """All x_1 * ... * x_m with each x_i in sets[i]; no sets give {1}.
-
-    Built on the ints over the product of the scales: the first factor's
-    values, then one row per element y of each later factor, y times every
-    value built so far.  The cap is checked on the first factor and after
-    every row.
-    """
-    cap = size_cap()
-    values = set(sets[0]._ints) if sets else {1}
-    if len(values) > cap:
-        raise over_cap(len(values), what, cap)
-    for s in sets[1:]:
-        built, values = values, set()
-        for y in s._ints:
-            values.update(map(y.__mul__, built))
-            if len(values) > cap:
-                raise over_cap(len(values), what, cap)
-    return _from_ints(values, prod(s._scale for s in sets))
+    Built by `_rows` on the ints over the product of the scales."""
+    return _from_ints(_rows([s._ints for s in sets], mul, what), prod(s._scale for s in sets))
 
 
 def _box_mask(ints: Sequence[int], h: int, what: str) -> tuple[int, int | set[int]]:

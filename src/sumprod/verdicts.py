@@ -48,6 +48,8 @@ _PREC = 200  # bits of relative precision every enclosure keeps
 
 _DECIMAL_30 = DecimalContext(prec=30)
 
+_WIDE = 16  # operands past _WIDE times the working bits (+ 64) are rounded by shifts
+
 
 class Enclosure:
     """A closed rational interval certified to contain a real number.
@@ -60,7 +62,7 @@ class Enclosure:
     __slots__ = ("lo", "hi")
 
     def __init__(self, lo: Fraction, hi: Fraction) -> None:
-        if lo > hi:
+        if lo is not hi and lo > hi:  # a point is not compared with itself
             raise ValueError(f"empty enclosure [{lo}, {hi}]")
         self.lo = lo
         self.hi = hi
@@ -127,7 +129,27 @@ def _as_enclosure(x) -> Enclosure:
 
 def _bound(fn: str, x: Fraction, up: bool, bits: int) -> Fraction:
     """A lower (or, when up is true, upper) bound on fn(x), fn "ln" or "exp",
-    to p digits with 10**(1 - p) <= 2**-(bits + 16), as 1234/4096 > log10 2."""
+    to p digits with 10**(1 - p) <= 2**-(bits + 16), as 1234/4096 > log10 2.
+
+    An operand of more than _WIDE * (bits + 64) bits would cost a quadratic
+    conversion to Decimal, so x is first rounded toward the bound's side by
+    integer shifts: for exp (x - k ln 2 in [0, 1) here) to w = bits + 24 bits
+    after the point, for ln to y * 2**e with y in [1/2, 2) to w bits after
+    the point, and ln x = ln y + e ln 2, with ln 2 to the bits of e more.
+    Either way the endpoint stays within 2**-(bits + 17) of fn(x), relatively
+    for exp and absolutely for ln, inside the bound in the module docstring.
+    """
+    n, d = x.numerator, x.denominator
+    if max(n.bit_length(), d.bit_length()) > _WIDE * (bits + 64):
+        w = bits + 24
+        e = n.bit_length() - d.bit_length() if fn == "ln" else 0
+        y, r = divmod(n << w - e, d) if w >= e else divmod(n, d << e - w)
+        if up and r:
+            y += 1
+        if fn == "exp":
+            return _bound(fn, Fraction(y, 1 << w), up, bits)
+        ln2 = _ln(Fraction(2), (e > 0) == up, bits + 4 + e.bit_length())
+        return _bound(fn, Fraction(y, 1 << w), up, bits + 4) + e * ln2
     rounding = ROUND_CEILING if up else ROUND_FLOOR
     ctx = DecimalContext(2 + (bits + 16) * 1234 // 4096, rounding, MIN_EMIN, MAX_EMAX)
     arg = ctx.divide(Decimal(x.numerator), Decimal(x.denominator))

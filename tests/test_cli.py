@@ -285,6 +285,27 @@ def test_section3_is_the_verify_suite(tmp_path, capsys):
     assert outputs[0][0] == 0 and outputs[0][2]
 
 
+# Python's own refusal of an int of more than 4300 digits, after "error: "
+_TOO_LONG = (
+    "error: Exceeds the limit (4300 digits) for integer string conversion; "
+    "use sys.set_int_max_str_digits() to increase the limit\n"
+)
+
+
+@pytest.mark.parametrize("scale", ["", "/3"], ids=["integer", "rational"])
+def test_a_value_too_long_to_print_exits_1_with_nothing_on_stdout(tmp_path, capsys, scale):
+    """A product of two 2500-digit values has about 5000 digits: computed,
+    but refused when printed, before the # line, with the error text of
+    str and %d alike."""
+    a = write_set(tmp_path / "a.txt", [f"{7 ** 2958}{scale}", 2])
+    b = write_set(tmp_path / "b.txt", [3 ** 5239, 5])
+    assert len(str(7**2958)) == len(str(3**5239)) == 2500
+    rc, out, err = run(capsys, "combine", "--op", "product", "--a", a, "--b", b)
+    assert (rc, out, err) == (1, "", _TOO_LONG)
+    rc, out, err = run(capsys, "combine", "--op", "sum", "--a", a, "--b", b)
+    assert rc == 0 and out.startswith("# combine op=sum left=2 right=2 size=4\n")
+
+
 def test_example_command(capsys):
     rc, out, _ = run(capsys, "example", "--J", "2")
     assert rc == 0

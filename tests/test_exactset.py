@@ -2,6 +2,8 @@
 
 import random
 import time
+import tracemalloc
+from collections import deque
 from fractions import Fraction
 
 import pytest
@@ -26,7 +28,7 @@ from sumprod.exactset import (
     sum_diff,
 )
 from sumprod.extremal import f_value
-from sumprod.limits import CapExceeded, SetParseError, check_size
+from sumprod.limits import CapExceeded, SetParseError, check_size, size_cap
 
 
 def fs(*values) -> FinSet:
@@ -228,6 +230,49 @@ def test_bit_positions_over_mixed_words(words, start):
     assert list(_bit_positions(bits, start)) == naive_positions(bits, start)
 
 
+WINDOW_BITS = 8 * exactset._WINDOW
+
+
+@pytest.mark.parametrize(
+    "bits",
+    [
+        1 << WINDOW_BITS - 1,  # the last bit of the first window
+        1 << WINDOW_BITS,  # the first bit of the second
+        3 << WINDOW_BITS - 1,  # one bit on each side of the boundary
+        (1 << WINDOW_BITS) - 1,  # one whole window of ones
+        (1 << WINDOW_BITS + 64) - 1,  # a window of ones and one word more
+        FULL_WORD << WINDOW_BITS - 32,  # an all-ones word across the boundary
+        (1 << 3 * WINDOW_BITS + 5) | (1 << WINDOW_BITS // 2),  # an all-zero window between bits
+        int("9" * 4000),  # over 1.6 windows of mixed bits
+    ],
+    ids=["last-of-first", "first-of-second", "both-sides", "full-window", "full-window+word",
+         "ones-across", "zero-window-between", "mixed-wide"],
+)
+@pytest.mark.parametrize("start", [0, -5, -(10**20)])
+def test_bit_positions_across_window_boundaries(bits, start):
+    assert list(_bit_positions(bits, start)) == naive_positions(bits, start)
+
+
+def test_bit_positions_expand_one_window_at_a_time():
+    # a sparse mask of 64 KiB, 16 windows: all of it expanded to one byte per
+    # bit would take 512 KiB, and the bin string as much again
+    raw = bytearray(1 << 16)
+    for s in random.Random(3).sample(range(1 << 19), 3000):
+        raw[s >> 3] |= 1 << (s & 7)
+    raw[-1] = 0x80
+    bits = int.from_bytes(raw, "little")
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        deque(_bit_positions(bits), maxlen=0)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    # the mask's own bytes once, and a quarter of its whole expansion at most
+    assert peak < (1 << 16) + (1 << 17), peak
+
+
 # --- FinSet basics ---------------------------------------------------------
 
 
@@ -323,6 +368,97 @@ def test_dilate_refuses_floats_as_finset_does():
     assert str(refused.value) == str(finset_refused.value)
 
 
+# --- the row kernel ----------------------------------------------------------
+
+
+ROW_SETS = [
+    (5,),
+    (0,),
+    (Fraction(-3, 4),),
+    (-7, -1, 0, 2, 10**12),
+    (-(10**15), 3, 10**15),
+    (Fraction(1, 3), Fraction(-5, 2), 7, 10**13),
+    (1, 2, 4, 8, 10**9 + 7),
+    (0, 1, Fraction(1, 2), -(10**9)),
+    tuple(range(-3, 9)),
+]
+
+
+@pytest.mark.parametrize("left", ROW_SETS, ids=str)
+@pytest.mark.parametrize("right", ROW_SETS[:6], ids=str)
+def test_row_kernel_matches_the_oracle_on_equal_and_unequal_factors(left, right):
+    """Sums and products of two sets, the same set twice (the triangle of
+    rows) and two different sets (full rows), on both sides of the packed
+    sum path: spans up to 10^15 leave the sums to the rows."""
+    a, b = fs(*left), fs(*right)
+    for x, y in ((a, a), (a, b), (b, a), (a, fs(*left))):
+        ex, ey = x.elements, y.elements
+        assert set(combine(x, y, "sum").elements) == oracles.o_combine(ex, ey, "sum")
+        if 0 not in x and 0 not in y:
+            got = combine(x, y, "product")
+            assert set(got.elements) == oracles.o_combine(ex, ey, "product")
+            assert got == FinSet(got.elements)  # canonical: sorted, lowest scale
+    for h in (2, 3):
+        assert set(iterate(a, h, "sum").elements) == oracles.o_iterate(a.elements, h, "sum")
+        if 0 not in a:
+            got = iterate(a, h, "product")
+            assert set(got.elements) == oracles.o_iterate(a.elements, h, "product")
+
+
+@given(
+    st.sets(
+        st.one_of(
+            st.integers(-50, 50),
+            st.integers(-(10**14), 10**14),
+            st.fractions(min_value=-30, max_value=30, max_denominator=9),
+        ),
+        min_size=1,
+        max_size=7,
+    ),
+    st.integers(0, 3),
+)
+@settings(max_examples=150, deadline=None)
+def test_row_kernel_property_against_the_oracle(values, tail):
+    a = FinSet(values)
+    b = FinSet(list(values)[:tail] or [Fraction(1, 7)])
+    e = a.elements
+    assert set(combine(a, a, "sum").elements) == oracles.o_combine(e, e, "sum")
+    assert set(combine(a, b, "sum").elements) == oracles.o_combine(e, b.elements, "sum")
+    assert set(sum_diff(a, 2, 1).elements) == oracles.o_sumdiff(e, 2, 1)
+    if 0 not in a:
+        assert set(combine(a, a, "product").elements) == oracles.o_combine(e, e, "product")
+        assert set(combine(a, b, "product").elements) == oracles.o_combine(e, b.elements, "product")
+    if a.is_integer and a.is_positive:
+        both = oracles.o_combine(e, e, "sum") | oracles.o_combine(e, e, "product")
+        assert f_value(a) == len(both)
+
+
+def _triangle_refusal(values, op, cap):
+    """The size at which rows i = 0, 1, ... of a_i o a_j, j >= i, first pass
+    the cap, by a plain loop; None when they never do."""
+    seen = set()
+    for i, x in enumerate(values):
+        seen.update(x + y if op == "sum" else x * y for y in values[i:])
+        if len(seen) > cap:
+            return len(seen)
+    return None
+
+
+@pytest.mark.parametrize("op", ["sum", "product"])
+def test_combine_of_a_set_with_itself_is_refused_within_one_row_of_the_cap(monkeypatch, op):
+    values = sorted(random.Random(11).sample(range(1, 10**9), 300))
+    a = FinSet(values)
+    for cap in (299, 300, 1000, 4321):
+        monkeypatch.setenv("SUMPROD_BUDGET", str(cap))
+        count = _refused_count(lambda: combine(a, a, op))
+        # each unordered pair once, so row i adds at most 300 - i values
+        assert cap < count <= cap + 300
+        assert count == _triangle_refusal(values, op, cap)
+    want = oracles.o_combine(values, values, op)
+    monkeypatch.setenv("SUMPROD_BUDGET", str(len(want)))
+    assert set(combine(a, a, op).elements) == want
+
+
 # --- closures ----------------------------------------------------------------
 
 
@@ -381,6 +517,59 @@ def test_small_universe_sweep_all_ops():
             assert weighted_energy(a, WeightVector(weights), h) == (
                 oracles.o_weighted_energy(tup, by_elem, h)
             )
+
+
+# --- the packed convolution --------------------------------------------------
+
+
+def naive_convolution(factors):
+    out = {0: 1}
+    for f in factors:
+        grown = {}
+        for u, cu in out.items():
+            for v, cv in f.items():
+                grown[u + v] = grown.get(u + v, 0) + cu * cv
+        out = grown
+    return out
+
+
+@pytest.mark.parametrize(
+    "weights, h, width",
+    [
+        ((1, 1, 1, 1), 2, 0),
+        ((255,), 1, 0),  # the largest count one byte holds
+        ((256,), 1, 1),
+        ((255, 1), 2, 1),  # 255 * 256 needs a second byte
+        ((256, 3), 2, 2),
+        ((256, 255, 1), 3, 2),
+        ((65536, 7), 1, 2),
+        ((65536, 65535, 1), 3, 3),
+        ((2**40, 1), 1, 3),
+        ((2**40, 1), 2, None),  # past 8 bytes: the dict path
+    ],
+)
+def test_packed_counts_unpack_at_every_slot_width(weights, h, width):
+    """Every slot width, 1, 2, 4 and 8 bytes, packed and read back, against
+    a plain dict convolution and the oracles; the weights sit at and past
+    the largest count of each width (255, 256, 65,536 and more).  The width
+    is sized from max(f) * total**(h - 1), a bound on the largest count."""
+    values = [-4, 0, 3, 17, 40][: len(weights)]
+    a = FinSet(values)
+    factor = dict(zip(a._ints, weights))
+    assert exactset._slot_width([factor] * h, size_cap()) == width
+    assert exactset._convolve([factor] * h, "test") == naive_convolution([factor] * h)
+    by_elem = {Fraction(v): Fraction(w) for v, w in zip(values, weights)}
+    got = weighted_energy(a, WeightVector(tuple(by_elem[x] for x in a.elements)), h)
+    assert got == oracles.o_weighted_energy(a.elements, by_elem, h)
+
+
+@pytest.mark.parametrize("h", [1, 2, 3, 4])
+def test_packed_representation_counts_match_the_oracle(h):
+    # 1..12 for h = 4 has counts above 256, so the slots take two bytes
+    a = FinSet(range(1, 13))
+    counts = rep_counts(a, h).as_dict()
+    assert counts == oracles.o_rep_counts(a.elements, h)
+    assert energy(a, h) == oracles.o_energy(a.elements, h)
 
 
 # --- caps ---------------------------------------------------------------------

@@ -181,6 +181,46 @@ def test_exp_of_worst_arguments(x):
     _assert_certified(exp_of(x), "exp", x)
 
 
+_WIDE_ARGUMENTS = [
+    F(2**100000),
+    F(3**200000, 2**317000 - 1),  # 317k bits over 317k bits, ln about -5.2
+    F(1, 2**100000 + 7),
+    F(5**60000 + 1, 2**139316),  # about 0.81, over a power of two
+]
+
+
+@pytest.mark.parametrize("q", _WIDE_ARGUMENTS, ids=["2^100000", "3^200000/(2^317000-1)", "2^-100000", "5^60000/2^139316"])
+def test_log_of_huge_operands_is_fast_and_certified(q):
+    """Operands far wider than the working precision are rounded by shifts
+    before they meet the decimal module, whose conversion of them would be
+    quadratic: each enclosure is built in under 5 ms and contains ln q."""
+    start = time.perf_counter()
+    got = log_of(q)
+    assert time.perf_counter() - start < 0.005
+    _assert_certified(got, "log", q)
+
+
+@pytest.mark.parametrize("x", [F(2**100000 + 1, 2**100001), F(3**200000, 2**317000 - 1), -F(3**200000, 2**316990 - 1)])
+def test_exp_of_huge_operands_is_fast_and_certified(x):
+    start = time.perf_counter()
+    got = exp_of(x)
+    assert time.perf_counter() - start < 0.005
+    _assert_certified(got, "exp", x)
+
+
+def test_huge_operands_keep_their_bounds_at_a_few_working_bits():
+    """Rounding by shifts stays on the bound's side at low precision too."""
+    rng = random.Random(23)
+    for _ in range(40):
+        q = F(rng.getrandbits(rng.randint(3000, 9000)) + 1, rng.getrandbits(rng.randint(3000, 9000)) + 1)
+        prec = rng.randint(-18, 8)
+        value = _mp600("log", q)
+        assert verdicts._ln(q, False, prec) <= value <= verdicts._ln(q, True, prec), (q, prec)
+        x = q - q.numerator // q.denominator  # in [0, 1), as _exp reduces it
+        value = _mp600("exp", x)
+        assert verdicts._exp(x, False, prec) <= value <= verdicts._exp(x, True, prec), (x, prec)
+
+
 @pytest.mark.parametrize("prec", [0, 8, 40])
 def test_ln_exp_kernels_meet_the_stated_bound_at_low_precision(prec):
     """The private kernels at low precision, where a bound rounded the wrong
