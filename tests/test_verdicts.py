@@ -189,7 +189,9 @@ _WIDE_ARGUMENTS = [
 ]
 
 
-@pytest.mark.parametrize("q", _WIDE_ARGUMENTS, ids=["2^100000", "3^200000/(2^317000-1)", "2^-100000", "5^60000/2^139316"])
+@pytest.mark.parametrize(
+    "q", _WIDE_ARGUMENTS, ids=["2^100000", "3^200000/(2^317000-1)", "2^-100000", "5^60000/2^139316"]
+)
 def test_log_of_huge_operands_is_fast_and_certified(q):
     """Operands far wider than the working precision are rounded by shifts
     before they meet the decimal module, whose conversion of them would be
@@ -200,7 +202,9 @@ def test_log_of_huge_operands_is_fast_and_certified(q):
     _assert_certified(got, "log", q)
 
 
-@pytest.mark.parametrize("x", [F(2**100000 + 1, 2**100001), F(3**200000, 2**317000 - 1), -F(3**200000, 2**316990 - 1)])
+@pytest.mark.parametrize(
+    "x", [F(2**100000 + 1, 2**100001), F(3**200000, 2**317000 - 1), -F(3**200000, 2**316990 - 1)]
+)
 def test_exp_of_huge_operands_is_fast_and_certified(x):
     start = time.perf_counter()
     got = exp_of(x)
@@ -212,7 +216,8 @@ def test_huge_operands_keep_their_bounds_at_a_few_working_bits():
     """Rounding by shifts stays on the bound's side at low precision too."""
     rng = random.Random(23)
     for _ in range(40):
-        q = F(rng.getrandbits(rng.randint(3000, 9000)) + 1, rng.getrandbits(rng.randint(3000, 9000)) + 1)
+        n, d = (rng.getrandbits(rng.randint(3000, 9000)) + 1 for _ in range(2))
+        q = F(n, d)
         prec = rng.randint(-18, 8)
         value = _mp600("log", q)
         assert verdicts._ln(q, False, prec) <= value <= verdicts._ln(q, True, prec), (q, prec)
