@@ -5,9 +5,13 @@ _RHO_BUDGET, so its cache is keyed on n alone.
 
 The multiplicative dimension of a set of positive rationals is the affine
 rank of its prime-exponent vectors: the dimension of the span of the
-differences from any fixed member.  Rank is computed by Echelon, the
-package's one exact eliminator: a sparse, fraction-free row echelon form on
-{column: int} rows, exact for arbitrarily large exponents.  Progression
+differences from any fixed member.  Each element is factored as its own
+numerator over its own denominator; an integer set's elements are factored
+as they are, with no gcd and no denominator.  Rank is computed by Echelon,
+the package's one exact eliminator: a sparse, fraction-free row echelon
+form on {column: int} rows, exact for arbitrarily large exponents, which
+refuses a row without reducing it when its pivot rows already span every
+row on its columns (on an interval, each composite).  Progression
 membership (progressions.contains) runs on the same eliminator.  Subset
 products are counted over a pairwise coprime base found by gcds alone, with
 no factoring (vector_simple_sum_count).
@@ -19,6 +23,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from heapq import heapify, heappop, heappush
+from itertools import repeat
 from math import gcd, isqrt, prod
 from typing import Iterable
 
@@ -173,7 +178,8 @@ def factor_fraction(q: Fraction) -> dict[int, int]:
 def _quotient_exponents(n: int, d: int) -> dict[int, int]:
     """Signed prime exponents of n / d for coprime positive ints n and d."""
     exps = dict(factor_int(n))
-    exps.update((p, -e) for p, e in factor_int(d))
+    if d != 1:
+        exps.update((p, -e) for p, e in factor_int(d))
     return exps
 
 
@@ -215,6 +221,8 @@ def _reduced(a: FinSet) -> list[tuple[int, int]]:
     lowest terms."""
     if not a.is_positive:
         raise ValueError("exponent vectors need strictly positive elements")
+    if a._scale == 1:
+        return list(zip(a._ints, repeat(1)))
     return [(v // g, a._scale // g) for v in a._ints for g in (gcd(v, a._scale),)]
 
 
@@ -245,10 +253,18 @@ class Echelon:
     column order.  Elimination is fraction-free in the spirit of Bareiss:
     it cross-multiplies by gcd-reduced leading entries, so every value
     stays an integer, and only columns that hold a pivot are visited.
+
+    free holds the columns that some pivot row uses but that are not pivot
+    columns.  While it is empty, the r pivot rows are r independent vectors
+    (their leads differ) supported on exactly the r pivot columns, so they
+    span every vector on those columns: add then refuses a row supported
+    inside the pivot columns as dependent without reducing it.  That is the
+    same answer reduce would reach, so the shortcut is exact.
     """
 
     def __init__(self) -> None:
         self.pivots: dict[int, dict[int, int]] = {}
+        self.free: set[int] = set()
 
     def reduce(self, row: dict[int, int]) -> tuple[int, dict[int, int]]:
         """(scale, residual): residual = scale * row minus a rational
@@ -286,6 +302,9 @@ class Echelon:
 
     def add(self, row: dict[int, int]) -> int | None:
         """Insert a row; its new leading column, or None if it is dependent."""
+        pivots = self.pivots
+        if not self.free and all(c in pivots for c, v in row.items() if v):
+            return None
         _, residual = self.reduce(row)
         if not residual:
             return None
@@ -295,7 +314,11 @@ class Echelon:
             g = -g
         if g != 1:
             residual = {c: v // g for c, v in residual.items()}
-        self.pivots[lead] = residual
+        pivots[lead] = residual
+        # the residual is zero in every old pivot column, so only its own
+        # columns can become free, and only its lead stops being free
+        self.free.update(residual)
+        self.free.discard(lead)
         return lead
 
 

@@ -120,11 +120,8 @@ def _write_report(path: str, objects: list[dict]) -> None:
 def _emit_set(args, fs: FinSet, summary: str, kind: str, **extra) -> int:
     """The set under a `# summary` line, one element per line.  The text is
     built before anything is printed, so a value too long to print leaves
-    stdout empty; an integer set is formatted by one % call."""
-    if fs.is_integer:
-        text = ("%d\n" * fs.size) % fs._ints
-    else:
-        text = "".join(map("%s\n".__mod__, fs._strings()))
+    stdout empty."""
+    text = fs._text()
     print(f"# {summary}")
     sys.stdout.write(text)
     if args.report:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, compress, count, repeat
 from math import gcd, lcm, prod
-from operator import add, mul
+from operator import add, floordiv, mul
 from typing import Iterable, Iterator, Literal, Sequence
 
 from .limits import SetParseError, check_size, over_cap, size_cap
@@ -115,7 +115,7 @@ class FinSet:
         return hash((self._scale, self._ints))
 
     def __repr__(self) -> str:
-        return f"FinSet({{{', '.join(self._strings())}}})"
+        return f"FinSet({{{', '.join(self._text().split())}}})"
 
     def __setattr__(self, name: str, value) -> None:
         raise AttributeError("FinSet is immutable")
@@ -132,15 +132,24 @@ class FinSet:
 
     def to_lines(self) -> str:
         """One element per line, the same format parse_set accepts."""
-        return "\n".join(self._strings())
+        return self._text()[:-1]
 
-    def _strings(self) -> Iterator[str]:
-        """The elements as printed, each as str(Fraction) does, formatted from
-        the ints: v / scale in lowest terms, without a denominator of 1."""
-        scale = self._scale
+    def _text(self) -> str:
+        """The set's text: every element as str(Fraction) prints it, each on
+        a line of its own ended by a newline, ascending.
+
+        The whole text comes from one % call, with no Python frame per
+        element: an integer set's ints as they are; any other set's
+        v / scale in lowest terms, with the gcds, numerators and
+        denominators taken by map.  A denominator of 1 is then dropped:
+        a numerator holds no '/', so "/1\n" matches exactly those.
+        """
+        ints, scale = self._ints, self._scale
         if scale == 1:
-            return map(str, self._ints)
-        return map(_ratio_str, self._ints, repeat(scale))
+            return ("%d\n" * len(ints)) % ints
+        gs = list(map(gcd, ints, repeat(scale)))
+        pairs = zip(map(floordiv, ints, gs), map(floordiv, repeat(scale), gs))
+        return (("%d/%d\n" * len(ints)) % tuple(chain.from_iterable(pairs))).replace("/1\n", "\n")
 
 
 def _exact(e: Fraction | int) -> Fraction | int:
@@ -148,11 +157,6 @@ def _exact(e: Fraction | int) -> Fraction | int:
     if isinstance(e, float):
         raise TypeError("floats are not exact; pass Fraction or int")
     return e if isinstance(e, (int, Fraction)) else Fraction(e)
-
-
-def _ratio_str(v: int, scale: int) -> str:
-    g = gcd(v, scale)
-    return str(v // g) if g == scale else f"{v // g}/{scale // g}"
 
 
 def _from_ints(values: Iterable[int], scale: int) -> FinSet:

@@ -25,8 +25,13 @@ so ln adds to prec the bits b of d/|n - d|, as |ln x| > 2**-(b + 1), and
 each endpoint is off by at most 3.5 * 2**-(prec + 16), relatively.  exp x is
 2**k exp(r), with k = x // ln 2 and r = x - k ln 2 in [0, 1): exp r works to
 prec + 1 bits and ln 2 to prec + 2 + log2 |x|, so each endpoint is off by at
-most 1.25 + 1.5 units of 2**-(prec + 16).  So every enclosure is at most
-2**-(prec + 13) wide, relatively.
+most 1.25 + 1.5 units of 2**-(prec + 16).  When d/|n - d| has more bits
+than both prec and 200, ln x comes from at most three terms of the series of
+ln(1 + t), t = (n - d)/d, worked in integers to prec + 24 bits beyond the
+leading bit of t, with no decimal at all: t rounded to the working bits,
+each term rounded, and the dropped tail cost at most one unit each, five at
+most, so each endpoint is off by at most 2**-(prec + 20), relatively.  So
+every enclosure is at most 2**-(prec + 13) wide, relatively.
 """
 
 from __future__ import annotations
@@ -163,11 +168,47 @@ def _bound(fn: str, x: Fraction, up: bool, bits: int) -> Fraction:
 def _ln(q: Fraction, up: bool, prec: int = _PREC) -> Fraction:
     """A lower (or, when up is true, upper) bound on ln q, q = n/d > 0.
 
-    Next to 1, ln q is as small as q - 1, so the bits of d/|n - d| are added.
+    Next to 1, ln q is as small as q - 1, so the bits of d/|n - d| are added;
+    once they outnumber both prec and _PREC, the series of ln(1 + t) bounds
+    it instead (_ln_near_one), as decimal would work to all of those bits.
     """
     n, d = q.numerator, q.denominator
     near_one = (d // abs(n - d)).bit_length() if n != d else 0
+    if near_one > max(prec, _PREC):
+        return _ln_near_one(n - d, d, up, prec)
     return _bound("ln", q, up, prec + near_one)
+
+
+def _ln_near_one(u: int, d: int, up: bool, prec: int) -> Fraction:
+    """A lower (or, when up is true, upper) bound on ln(1 + t), t = u/d with
+    0 < |t| < 2**-200, from partial sums of t - t**2/2 + t**3/3 - ...
+
+    In units of 2**-s, with |t| * 2**s about 2**w: t is rounded toward the
+    bound's side to x = m / 2**s, which bounds ln(1 + t) on that side as ln
+    is increasing, and each term x**j / j, j >= 2, is rounded to that side
+    too.  k terms are taken, with |x|**(k + 1) < 2**-s.  For x > 0 the
+    series alternates with falling terms, so a sum of an odd number of them
+    is an upper bound and of an even number a lower one.  For x < 0 every
+    term is negative, so the sum is an upper bound, and less one unit a
+    lower one: the geometric bound on the tail,
+    |x|**(k + 1) / ((k + 1)(1 - |x|)), is below one unit, as k >= 1 and
+    |x| < 1/2.
+    """
+    w = max(prec, 0) + 24
+    s = d.bit_length() - abs(u).bit_length() + w
+    m, r = divmod(u << s, d)
+    if up and r:
+        m += 1
+    k = -(-s // (s - abs(m).bit_length())) - 1
+    if m > 0 and k % 2 != up:
+        k += 1
+    total = 0
+    for j in range(1, k + 1):
+        term, den = -((-m) ** j), j << (j - 1) * s  # the j-th term is term / den units
+        total += -(-term // den) if up else term // den
+    if m < 0 and not up:
+        total -= 1
+    return Fraction(total, 1 << s)
 
 
 def _exp(x: Fraction, up: bool, prec: int = _PREC) -> Fraction:

@@ -202,7 +202,8 @@ def test_exponent_matrix_factors_each_elements_own_numerator_and_denominator(mon
     asked = []
     monkeypatch.setattr(arith, "factor_int", lambda n, *bounds: asked.append(n) or factor_int(n))
     exponent_matrix(fs(Fraction(1, P15), Fraction(3, 2), 5))
-    assert sorted(asked) == [1, 1, 2, 3, 5, P15]
+    # a denominator of 1 is never looked up; the numerator 1 of 1/P15 is
+    assert sorted(asked) == [1, 2, 3, 5, P15]
 
 
 def test_exponent_matrix_of_ones():
@@ -365,6 +366,45 @@ def test_echelon_reduce_stays_in_the_row_space(rows, row):
     assert sympy.Matrix(span + [moved]).rank() == base_rank
     # and the residual is zero exactly when the row was in the span
     assert (not residual) == (sympy.Matrix(span + [_dense(row)]).rank() == base_rank)
+
+
+@given(st.lists(
+    st.dictionaries(st.integers(0, 3), st.integers(-3, 3), max_size=4), max_size=8
+))
+@settings(max_examples=150, deadline=None)
+def test_echelon_on_four_columns_matches_sympy_row_by_row(rows):
+    """Four columns fill up after a few rows, so add often refuses a row
+    without reducing it: each answer must still be sympy's."""
+    echelon = Echelon()
+    for i, row in enumerate(rows):
+        lead = echelon.add(row)
+        before = sympy.Matrix([_dense(r, 4) for r in rows[:i]]) if i else sympy.zeros(0, 4)
+        grown = sympy.Matrix([_dense(r, 4) for r in rows[: i + 1]])
+        assert (lead is None) == (grown.rank() == before.rank())
+    if rows:
+        matrix = sympy.Matrix([_dense(r, 4) for r in rows])
+        assert len(echelon.pivots) == matrix.rank()
+        assert tuple(sorted(echelon.pivots)) == matrix.rref()[1]
+
+
+def test_echelon_reduces_a_row_on_pivot_columns_while_a_column_is_free():
+    # {0: 1} lies on the pivot column 0, but the pivot row also uses column 2,
+    # which no pivot holds, so the row is independent with lead 2
+    echelon = Echelon()
+    assert echelon.add({0: 1, 2: 1}) == 0
+    assert echelon.add({0: 1}) == 2
+    assert echelon.pivots == {0: {0: 1, 2: 1}, 2: {2: 1}}
+    assert echelon.add({0: 5, 2: -3}) is None
+
+
+def test_mult_dim_of_an_interval_reduces_one_row_per_prime(monkeypatch):
+    # each prime p <= 500 brings a new pivot; every composite's row lies on
+    # the pivot columns of its smaller prime factors, all single-entry rows
+    calls = []
+    reduce = Echelon.reduce
+    monkeypatch.setattr(Echelon, "reduce", lambda self, row: calls.append(row) or reduce(self, row))
+    assert mult_dim(FinSet(range(1, 501))).dimension == 95
+    assert len(calls) == sympy.primepi(500) == 95
 
 
 # --- simple sums of exponent vectors ---------------------------------------------

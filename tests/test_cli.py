@@ -1,17 +1,23 @@
 """End-to-end command line behavior: formats, exit codes, reports."""
 
+import argparse
 import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
 import time
+from contextlib import redirect_stdout
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from sumprod import cli, progressions
-from sumprod.exactset import parse_set
+from sumprod.exactset import FinSet, parse_set
 
 
 def write_set(path, values):
@@ -304,6 +310,37 @@ def test_a_value_too_long_to_print_exits_1_with_nothing_on_stdout(tmp_path, caps
     assert (rc, out, err) == (1, "", _TOO_LONG)
     rc, out, err = run(capsys, "combine", "--op", "sum", "--a", a, "--b", b)
     assert rc == 0 and out.startswith("# combine op=sum left=2 right=2 size=4\n")
+
+
+# members whose numerator or denominator ends in 1, so "/1" starts a line's tail
+_ENDS_IN_ONE = [Fraction(11), Fraction(1, 11), Fraction(21, 31), Fraction(-1), Fraction(-31, 21)]
+
+
+@given(st.sets(
+    st.integers(-50, 50)
+    | st.fractions(max_denominator=40)
+    | st.sampled_from(_ENDS_IN_ONE)
+    | st.builds(Fraction, st.integers(-(10**30), 10**30), st.integers(2**64 + 1, 2**80)),
+    max_size=12,
+))
+@example(set())
+@example(set(_ENDS_IN_ONE) | {0, Fraction(3, 2)})
+@example({Fraction(1, 2**64 + 13), 1, Fraction(-7, 3)})
+@settings(max_examples=150, deadline=None)
+def test_set_text_is_each_fractions_str(values):
+    """to_lines, repr, a printed set and its --report elements all read as
+    str(Fraction) of each element, in ascending order."""
+    a = FinSet(values)
+    want = [str(Fraction(v)) for v in sorted(values)]
+    assert a.to_lines() == "\n".join(want)
+    assert repr(a) == "FinSet({" + ", ".join(want) + "})"
+    with tempfile.TemporaryDirectory() as tmp:
+        report = os.path.join(tmp, "set.jsonl")
+        out = io.StringIO()
+        with redirect_stdout(out):
+            assert cli._emit_set(argparse.Namespace(report=report), a, "s", "k") == 0
+        assert out.getvalue() == "# s\n" + "".join(f"{w}\n" for w in want)
+        assert json.loads(Path(report).read_text())["elements"] == want
 
 
 def test_example_command(capsys):

@@ -184,7 +184,7 @@ def test_parse_set_one_odd_line_goes_line_by_line(lines, odd, at, newline):
 )
 def test_printed_elements_are_fraction_strings(values):
     a = FinSet(values)
-    assert list(a._strings()) == [str(e) for e in a.elements]
+    assert a._text() == "".join(f"{e}\n" for e in a.elements)
     assert a.to_lines() == "\n".join(str(v) for v in sorted(values))
     assert parse_set(a.to_lines()) == (a, 0)
 

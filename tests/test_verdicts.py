@@ -212,6 +212,51 @@ def test_exp_of_huge_operands_is_fast_and_certified(x):
     _assert_certified(got, "exp", x)
 
 
+def _mp600_log1p(u, d):
+    """ln(1 + u/d) at 600 bits, as an exact fraction."""
+    y = _MP600.log1p(_MP600.mpf(u) / d)
+    sign, man, exp, _ = y._mpf_
+    return (-1) ** sign * F(man) * F(2) ** exp
+
+
+@pytest.mark.parametrize("u", [1, -1], ids=["above", "below"])
+def test_log_next_to_one_of_a_huge_argument_is_fast_and_certified(u):
+    """(3**200000 + u) / 3**200000: ln q is about u * 3**-200000, and decimal
+    would work to 317,000 more bits for it; the series bounds it at once,
+    within the module docstring's 2**-(prec + 13), relatively."""
+    d = 3**200000
+    start = time.perf_counter()
+    got = log_of(F(d + u, d))
+    assert time.perf_counter() - start < 0.05
+    value = _mp600_log1p(u, d)
+    assert got.lo <= value <= got.hi
+    assert got.width <= abs(value) / 2 ** (verdicts._PREC + 13)
+
+
+def test_ln_next_to_one_by_its_series_meets_the_stated_bound():
+    """The series kernel on both sides of 1, at precisions from below 0 to
+    past the default, with each bound rounded toward its own side.  Over a
+    power of two every term is a whole number of units, so no rounding
+    slack hides a term too few or a missing tail."""
+    rng = random.Random(25)
+    cases = []
+    for _ in range(300):
+        prec = rng.choice([-18, 0, 13, 40, 200, 390])
+        u = rng.choice([1, -1]) * rng.randint(1, 2**rng.randint(1, 40))
+        extra = rng.choice([rng.randint(2, 30), rng.randint(2, 2000)])
+        cases.append((u, rng.getrandbits(u.bit_length() + max(prec, 200) + extra) | 1, prec))
+    for prec in (-18, 200, 390):
+        for a in range(max(prec, 200) + 2, max(prec, 200) + 30):
+            cases += [(u, 2**a, prec) for u in (1, -1, 3, -3)]
+    for u, d, prec in cases:
+        if d // abs(u) < 2 ** max(prec, 200):
+            continue
+        lo, hi = verdicts._ln_near_one(u, d, False, prec), verdicts._ln_near_one(u, d, True, prec)
+        value = _mp600_log1p(u, d)
+        assert lo <= value <= hi, (u, d, prec)
+        assert hi - lo <= abs(value) / F(2) ** (prec + 13), (u, d, prec)
+
+
 def test_huge_operands_keep_their_bounds_at_a_few_working_bits():
     """Rounding by shifts stays on the bound's side at low precision too."""
     rng = random.Random(23)
