@@ -1,7 +1,10 @@
 """Integer factorization, prime-exponent vectors, and multiplicative dimension.
 
 factor_int(n) spends a fixed effort, the module constants _TRIAL_BOUND and
-_RHO_BUDGET, so its cache is keyed on n alone.
+_RHO_BUDGET, so its cache is keyed on n alone.  Its trial division runs
+through _SMALL_PRIMES, the primes below 2**10 sieved once at import, and
+then through the 6k +- 1 wheel from 1025 up to _TRIAL_BOUND: a table that
+far would hold 78,498 primes.
 
 The multiplicative dimension of a set of positive rationals is the affine
 rank of its prime-exponent vectors: the dimension of the span of the
@@ -23,7 +26,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from heapq import heapify, heappop, heappush
-from itertools import repeat
+from itertools import compress, repeat
 from math import gcd, isqrt, prod
 from typing import Iterable
 
@@ -32,10 +35,25 @@ from .limits import FactorizationBudgetExceeded
 
 _TRIAL_BOUND = 10**6
 _RHO_BUDGET = 2_000_000
+_TABLE_BOUND = 1 << 10  # trial division by a table of the primes below this
+_WHEEL_START = _TABLE_BOUND + 1  # then by d, d + 2 for d = 5 mod 6 from here on
 
 # Witness bases making Miller-Rabin deterministic below this threshold.
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 _MR_LIMIT = 3_317_044_064_679_887_385_961_981
+
+
+def _primes_below(limit: int) -> tuple[int, ...]:
+    """The primes below limit >= 2, by the sieve of Eratosthenes."""
+    sieve = bytearray([1]) * limit
+    sieve[0:2] = b"\x00\x00"
+    for i in range(2, isqrt(limit - 1) + 1):
+        if sieve[i]:
+            sieve[i * i :: i] = bytes(len(range(i * i, limit, i)))
+    return tuple(compress(range(limit), sieve))
+
+
+_SMALL_PRIMES = _primes_below(_TABLE_BOUND)
 
 
 def _valuation(n: int, b: int) -> tuple[int, int]:
@@ -122,24 +140,30 @@ def factor_int(n: int) -> tuple[tuple[int, int], ...]:
     """Factor a positive integer into ((prime, exponent), ...) ascending.
 
     Trial division by d up to _TRIAL_BOUND, then Brent cycles sharing
-    _RHO_BUDGET iterations.  Trial division that stops at d * d > n leaves
-    a cofactor 1 < n < d * d with no prime factor below d, so a prime,
-    recorded without a primality test: every n below about 10**12 ends so.
+    _RHO_BUDGET iterations.  The divisors d are the primes of _SMALL_PRIMES,
+    all those below 2**10, and past the table the wheel's d and d + 2 for d
+    = 5 mod 6, from _WHEEL_START = 1025 on.  Trial division that stops at
+    d * d > n leaves a cofactor 1 < n < d * d with no prime factor below d,
+    so a prime, recorded without a primality test: every n below about
+    10**12 ends so.
     If a cofactor survives both, the call fails with
     FactorizationBudgetExceeded rather than guessing.
     """
     if n < 1:
         raise ValueError(f"need a positive integer, got {n}")
     factors: dict[int, int] = {}
-    for p in (2, 3):
-        if n % p == 0:
-            factors[p], n = _valuation(n, p)
-    d = 5
-    while d <= _TRIAL_BOUND and d * d <= n:
-        for p in (d, d + 2):
-            if n % p == 0:
-                factors[p], n = _valuation(n, p)
-        d += 6
+    for d in _SMALL_PRIMES:
+        if d * d > n:
+            break
+        if n % d == 0:
+            factors[d], n = _valuation(n, d)
+    else:  # the table ran out with d * d <= n: the wheel goes on
+        d = _WHEEL_START
+        while d <= _TRIAL_BOUND and d * d <= n:
+            for p in (d, d + 2):
+                if n % p == 0:
+                    factors[p], n = _valuation(n, p)
+            d += 6
     if 1 < n < d * d:  # no prime below d divides n, so n is prime
         factors[n] = 1
     elif n > 1:
@@ -436,14 +460,9 @@ def first_primes(count: int) -> tuple[int, ...]:
         return ()
     limit = max(16, count * 2)
     while True:
-        sieve = bytearray([1]) * (limit + 1)
-        sieve[0:2] = b"\x00\x00"
-        for i in range(2, isqrt(limit) + 1):
-            if sieve[i]:
-                sieve[i * i :: i] = b"\x00" * len(sieve[i * i :: i])
-        primes = [i for i in range(limit + 1) if sieve[i]]
+        primes = _primes_below(limit + 1)
         if len(primes) >= count:
-            return tuple(primes[:count])
+            return primes[:count]
         limit *= 2
 
 

@@ -16,7 +16,7 @@ import functools
 import json
 import sys
 from dataclasses import asdict
-from itertools import chain, combinations
+from itertools import combinations, compress
 from pathlib import Path
 
 from .limits import (
@@ -233,9 +233,18 @@ def _cmd_multdim(args) -> int:
     print(f"basepoint {md.basepoint}")
     print("primes " + " ".join(map(str, md.primes)))
     print("projection " + " ".join(map(str, md.projection)))
-    # every basis row has one int per prime: one % call prints them all
-    row = "basis" + " %d" * len(md.primes) + "\n"
-    sys.stdout.write((row * md.dimension) % tuple(chain.from_iterable(md.basis)))
+    # a basis row has one int per prime, mostly 0: each line is cut from one
+    # line of zeros, and only the entries that compress finds nonzero are formatted
+    cols, zeros = range(len(md.primes)), " 0" * len(md.primes)
+    out = []
+    for row in md.basis:
+        out.append("basis")
+        at = 0
+        for c in compress(cols, row):
+            out += (zeros[at : 2 * c], " %d" % row[c])
+            at = 2 * c + 2
+        out.append(zeros[at:] + "\n")
+    sys.stdout.write("".join(out))
     if args.report:
         _write_report(
             args.report,

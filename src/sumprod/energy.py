@@ -3,11 +3,11 @@
 The h-fold representation count of n is the number of ordered h-tuples from
 a set summing to n; the energy is the sum of its squares.  Both are computed
 exactly by one integer convolution, exactset._convolve: packed into one big
-int and read back slot by slot in C, or kept as a dict; the squares are
-summed by map over the counts, with no Python frame per count.  A
-floating-point quadrature identity, exact for trigonometric polynomials up
-to rounding, gives an independent approximate check, and the p-adic layer
-decompositions serve the norm inequalities.
+int and read back slot by slot in C, zero slots included, or kept as a dict;
+the squares are summed by map over the counts as they come, with no Python
+frame per count.  A floating-point quadrature identity, exact for
+trigonometric polynomials up to rounding, gives an independent approximate
+check, and the p-adic layer decompositions serve the norm inequalities.
 """
 
 from __future__ import annotations
@@ -15,6 +15,7 @@ from __future__ import annotations
 import cmath
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import compress
 from math import fsum, lcm
 from operator import mul
 
@@ -76,8 +77,9 @@ def rep_counts(a: FinSet, h: int) -> RepCounts:
     """Exact h-fold representation counts by polynomial self-convolution."""
     if h < 1:
         raise ValueError(f"fold count must be >= 1, got {h}")
-    conv = _convolve([dict.fromkeys(a._ints, 1)] * h, "representation counts")
-    counts = tuple((Fraction(v, a._scale), c) for v, c in sorted(conv.items()))
+    exponents, conv = _convolve([dict.fromkeys(a._ints, 1)] * h, "representation counts")
+    terms = sorted(compress(zip(exponents, conv), conv))
+    counts = tuple((Fraction(v, a._scale), c) for v, c in terms)
     return RepCounts(base=a, h=h, counts=counts)
 
 
@@ -85,7 +87,7 @@ def energy(a: FinSet, h: int) -> int:
     """h-fold additive energy: the sum of squared convolution coefficients."""
     if h < 1:
         raise ValueError(f"fold count must be >= 1, got {h}")
-    counts = _convolve([dict.fromkeys(a._ints, 1)] * h, "energy convolution").values()
+    _, counts = _convolve([dict.fromkeys(a._ints, 1)] * h, "energy convolution")
     return sum(map(mul, counts, counts))
 
 
@@ -97,7 +99,7 @@ def weighted_energy(a: FinSet, d: WeightVector, h: int) -> Fraction:
         raise ValueError(f"{len(d)} weights for a set of size {a.size}")
     den = lcm(*(w.denominator for w in d.weights))
     scaled = {v: w.numerator * (den // w.denominator) for v, w in zip(a._ints, d.weights) if w}
-    counts = _convolve([scaled] * h, "weighted energy").values()
+    _, counts = _convolve([scaled] * h, "weighted energy")
     return Fraction(sum(map(mul, counts, counts)), den ** (2 * h))
 
 

@@ -15,7 +15,7 @@ from fractions import Fraction
 from itertools import chain, compress, count, repeat
 from math import gcd, lcm, prod
 from operator import add, floordiv, mul
-from typing import Iterable, Iterator, Literal, Sequence
+from typing import Collection, Iterable, Iterator, Literal, Sequence
 
 from .limits import SetParseError, check_size, over_cap, size_cap
 
@@ -159,10 +159,17 @@ def _exact(e: Fraction | int) -> Fraction | int:
     return e if isinstance(e, (int, Fraction)) else Fraction(e)
 
 
-def _from_ints(values: Iterable[int], scale: int) -> FinSet:
-    """The set of v / scale for distinct ints v, with gcd(scale, *v) divided out."""
-    ints = sorted(values)
-    g = gcd(scale, *ints) if scale > 1 else 1
+def _from_ints(
+    values: Iterable[int], scale: int, *, ascending: bool = False, g: int | None = None
+) -> FinSet:
+    """The set of v / scale for distinct ints v, with g = gcd(scale, *v) divided out.
+
+    A kernel whose values already come ascending, in a sequence, says so and
+    skips the sort; one that already knows g passes it and skips the gcd.
+    """
+    ints = values if ascending else sorted(values)
+    if g is None:
+        g = gcd(scale, *ints) if scale > 1 else 1
     fs = object.__new__(FinSet)
     object.__setattr__(fs, "_scale", scale // g)
     object.__setattr__(fs, "_ints", tuple(ints) if g == 1 else tuple(map(g.__rfloordiv__, ints)))
@@ -285,7 +292,8 @@ def _slot_width(factors: list[dict[int, int]], cap: int) -> int | None:
     slots = 1 + sum(max(f) - min(f) for f in factors)
     # the largest count is at most max(f_j) * the other factors' totals
     totals = [sum(f.values()) for f in factors]
-    top = min((max(f.values()) * prod(totals) // t for f, t in zip(factors, totals)), default=1)
+    whole = prod(totals)
+    top = min((max(f.values()) * whole // t for f, t in zip(factors, totals)), default=1)
     k = ((top.bit_length() - 1) // 8).bit_length()
     # Karatsuba triples the word products each time it halves a product
     cost = 3 ** ((slots << k) // 8).bit_length()
@@ -317,19 +325,22 @@ def _packed_counts(factors: list[dict[int, int]], k: int) -> tuple[int, memoryvi
     return low, memoryview(packed.to_bytes(slots << k, sys.byteorder)).cast(fmt)
 
 
-def _convolve(factors: list[dict[int, int]], what: str) -> dict[int, int]:
+def _convolve(factors: list[dict[int, int]], what: str) -> tuple[Collection[int], Collection[int]]:
     """The product of polynomials given as {exponent: positive count}, for the
     callers that need the counts (energy, rep_counts, weighted_energy); a sum
     set needs only their support and takes _sumset.
 
-    Packed by `_packed_counts` when `_slot_width` passes, and unpacked by
-    compress over the slots, with no Python frame per slot; else convolved
-    as dicts.  The cap bounds the nonzero coefficients of the product, and of
-    each partial product of the dicts, checked after each term u of the
-    running product is spread over a factor.
+    Returned as (exponents, counts), two aligned collections that hold every
+    nonzero count and possibly zeros, which a sum of squares reads as they
+    are.  Packed by `_packed_counts` when `_slot_width` passes: the
+    exponents are a range and the counts its slots as a list, with no
+    Python frame per slot.  Else convolved as dicts, whose keys and values
+    are returned.  The cap bounds the nonzero coefficients of the product,
+    and of each partial product of the dicts, checked after each term u of
+    the running product is spread over a factor.
     """
     if not all(factors):
-        return {}
+        return (), ()
     cap = size_cap()
     k = _slot_width(factors, cap)
     if k is None:
@@ -342,12 +353,13 @@ def _convolve(factors: list[dict[int, int]], what: str) -> dict[int, int]:
                 if len(out) > cap:
                     raise over_cap(len(out), what, cap)
             result = out
-        return result
+        return result.keys(), result.values()
     low, slots = _packed_counts(factors, k)
-    result = dict(compress(zip(count(low), slots), slots))
-    if len(result) > cap:
-        raise over_cap(len(result), what, cap)
-    return result
+    counts = slots.tolist()
+    nonzero = len(counts) - counts.count(0)
+    if nonzero > cap:
+        raise over_cap(nonzero, what, cap)
+    return range(low, low + len(counts)), counts
 
 
 def _rows(factors: list[tuple[int, ...]], pair, what: str) -> dict[int, None]:
@@ -399,13 +411,21 @@ def _sumset(sets: list[FinSet], what: str) -> FinSet:
     sums = list(compress(count(low), slots))
     if len(sums) > cap:
         raise over_cap(len(sums), what, cap)
-    return _from_ints(sums, scale)
+    return _from_ints(sums, scale, ascending=True)
 
 
 def _productset(sets: list[FinSet], what: str) -> FinSet:
     """All x_1 * ... * x_m with each x_i in sets[i]; no sets give {1}.
-    Built by `_rows` on the ints over the product of the scales."""
-    return _from_ints(_rows([s._ints for s in sets], mul, what), prod(s._scale for s in sets))
+
+    Built by `_rows` on the ints over the product of the scales.  The common
+    factor of the result is gcd(product of the scales, product of the gcds
+    of each factor's ints): for a fixed y the products y * x, x in X, have
+    gcd |y| * gcd(X), so the gcd of all products is the product of the
+    factors' gcds, and no gcd runs over the products themselves.
+    """
+    scale = prod(s._scale for s in sets)
+    g = gcd(scale, prod(gcd(*s._ints) for s in sets)) if scale > 1 else 1
+    return _from_ints(_rows([s._ints for s in sets], mul, what), scale, g=g)
 
 
 def _box_mask(ints: Sequence[int], h: int, what: str) -> tuple[int, int | set[int]]:
@@ -467,11 +487,9 @@ def _box_sums(a: FinSet, h: int, what: str) -> FinSet:
     """All sums of c_i * a_i with every c_i in 0..h, on the set's ints over
     its scale, by _box_mask."""
     offset, mask = _box_mask(a._ints, h, what)
-    if isinstance(mask, int):
-        sums: Iterable[int] = _bit_positions(mask, offset)
-    else:
-        sums = map(offset.__add__, mask) if offset else mask
-    return _from_ints(sums, a._scale)
+    if isinstance(mask, int):  # the bit positions come ascending
+        return _from_ints(tuple(_bit_positions(mask, offset)), a._scale, ascending=True)
+    return _from_ints(map(offset.__add__, mask) if offset else mask, a._scale)
 
 
 def simple_closure(a: FinSet, op: Op) -> FinSet:

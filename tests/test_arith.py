@@ -117,6 +117,7 @@ def test_factor_int_roundtrip(n):
 
 # the primes on either side of the trial bound 10**6, and the largest prime below 10**12
 _BELOW, _ABOVE, _TOP = 999_983, 1_000_003, 999_999_999_989
+_NEAR_TABLE_END = list(sympy.primerange(900, 1200))
 
 
 @pytest.mark.parametrize(
@@ -132,13 +133,31 @@ _BELOW, _ABOVE, _TOP = 999_983, 1_000_003, 999_999_999_989
         2**7 * 3 * _TOP,
         _TOP * _ABOVE,  # beyond the trial bound: a semiprime for rho
         1_000_000_000_039,  # the first prime above 10**12, still below d * d
+        # the prime table's edges: 1021 is its last prime, the wheel starts at 1025
+        997,
+        1009,
+        1021,
+        1031,
+        997**2,
+        997 * 1009,
+        1009**2,
+        1021**2,
+        1021 * 1031,
+        1031**2,
+        1023,
+        1025,
+        1027,
+        2**10 * 1031**3,
     ]
     + [sympy.prevprime(10**k) for k in range(7, 13)]
-    + [sympy.nextprime(x) for x in random.Random(12).sample(range(10**6, 10**12), 8)],
+    + [sympy.nextprime(x) for x in random.Random(12).sample(range(10**6, 10**12), 8)]
+    + random.Random(26).sample(range(2, 10**12), 12)
+    # products of two primes on either side of the table's end
+    + [p * q for p, q in zip(*(random.Random(k).sample(_NEAR_TABLE_END, 6) for k in (1, 2)))],
 )
 def test_factor_int_matches_sympy_at_the_trial_bound(n):
     factor_int.cache_clear()
-    assert dict(factor_int(n)) == sympy.factorint(n)
+    assert factor_int(n) == tuple(sorted(sympy.factorint(n).items()))
 
 
 def test_factor_int_trusts_a_cofactor_that_ends_trial_division(monkeypatch):

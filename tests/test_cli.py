@@ -17,6 +17,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sumprod import cli, progressions
+from sumprod.arith import mult_dim
 from sumprod.exactset import FinSet, parse_set
 
 
@@ -126,6 +127,28 @@ def test_multdim_command(tmp_path, capsys):
     assert lines[0] == "dimension 2"
     assert any(line.startswith("basepoint ") for line in lines)
     assert any(line.startswith("primes ") for line in lines)
+
+
+@pytest.mark.parametrize(
+    "values",
+    [
+        [2, 3, 6],
+        # negative and multi-digit exponents, nonzero in the first and last columns
+        [Fraction(2**12, 3**11), Fraction(1, 5**10), Fraction(7**13, 2), Fraction(11**23, 2**15), 1],
+        [Fraction(3**120, 2**17 * 13**45), Fraction(2**200), Fraction(1, 13**3), Fraction(97, 89)],
+        list(range(2, 200)),
+    ],
+    ids=["2-3-6", "signed", "wide", "interval"],
+)
+def test_multdim_basis_lines_match_per_entry_formatting(tmp_path, capsys, values):
+    """The basis text, written from a line of zeros and the nonzero entries,
+    is what formatting every entry with %d gives."""
+    a = write_set(tmp_path / "a.txt", values)
+    rc, out, _ = run(capsys, "multdim", "--set", a)
+    assert rc == 0
+    md = mult_dim(FinSet(values))
+    want = ["basis" + "".join(" %d" % e for e in row) for row in md.basis]
+    assert [line for line in out.splitlines() if line.startswith("basis")] == want
 
 
 def test_progression_command(tmp_path, capsys):

@@ -20,8 +20,9 @@ from sumprod.energy import (
     tail_monotonicity_check,
     weighted_energy,
 )
+from sumprod import exactset
 from sumprod.exactset import FinSet, dilate
-from sumprod.limits import CapExceeded
+from sumprod.limits import CapExceeded, size_cap
 
 
 def fs(*values) -> FinSet:
@@ -96,6 +97,45 @@ def test_counts_at_the_byte_boundary(n):
     assert max(counts.values()) == n
     assert counts == oracles.o_rep_counts(a.elements, 2)
     assert energy(a, 2) == oracles.o_energy(a.elements, 2)
+
+
+@pytest.mark.parametrize(
+    "values, h, width",
+    [
+        ((1, 2, 5, 9), 2, 0),
+        (tuple(range(1, 13)), 4, 1),  # counts past 255
+        ((0, 1), 17, 2),  # the count bound is 2**16
+        ((0, 1), 34, 3),  # the count bound is 2**33
+        ((0, 1), 70, None),  # past 8 bytes: the dict path
+        ((1, 10**9, 10**12), 3, None),  # a sparse span: the dict path
+        ((-7, 0, Fraction(1, 3), 4), 3, 0),
+    ],
+)
+def test_energy_matches_the_oracle_at_every_slot_width(values, h, width):
+    """energy sums the squares of the packed slots, zeros included, or of the
+    dict's counts.  {0, 1} at h = 34 and 70 is past what the oracle can
+    enumerate, and there its rep counts are binomial: E_h = C(2h, h)."""
+    a = FinSet(values)
+    assert exactset._slot_width([dict.fromkeys(a._ints, 1)] * h, size_cap()) == width
+    want = comb(2 * h, h) if h > 20 else oracles.o_energy(a.elements, h)
+    assert energy(a, h) == want
+
+
+@pytest.mark.parametrize(
+    "values, h, cap, needs",
+    [
+        # packed: the 52 nonzero slots of 123, one per distinct sum
+        ((0, 1, 3, 7, 12, 20, 30, 44, 60, 61), 2, 40, 52),
+        # the dict path refuses a partial product
+        (tuple(random.Random(4).sample(range(1, 10**12), 60)), 2, 1000, 1010),
+        ((1, 10**9, 10**12), 3, 5, 6),
+    ],
+)
+def test_energy_refuses_on_the_count_of_nonzero_coefficients(monkeypatch, values, h, cap, needs):
+    monkeypatch.setenv("SUMPROD_BUDGET", str(cap))
+    with pytest.raises(CapExceeded) as refused:
+        energy(FinSet(values), h)
+    assert str(refused.value) == f"energy convolution needs {needs} values, cap is {cap}"
 
 
 def test_energy_of_a_wide_set_fails_fast_over_the_cap(monkeypatch):

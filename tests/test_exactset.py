@@ -5,6 +5,8 @@ import time
 import tracemalloc
 from collections import deque
 from fractions import Fraction
+from itertools import product
+from math import gcd, prod
 
 import pytest
 from hypothesis import example, given, settings
@@ -533,6 +535,12 @@ def naive_convolution(factors):
     return out
 
 
+def convolved(factors):
+    """exactset._convolve's nonzero terms as a dict; it may also return zeros."""
+    exponents, counts = exactset._convolve(factors, "test")
+    return {e: c for e, c in zip(exponents, counts) if c}
+
+
 @pytest.mark.parametrize(
     "weights, h, width",
     [
@@ -557,10 +565,72 @@ def test_packed_counts_unpack_at_every_slot_width(weights, h, width):
     a = FinSet(values)
     factor = dict(zip(a._ints, weights))
     assert exactset._slot_width([factor] * h, size_cap()) == width
-    assert exactset._convolve([factor] * h, "test") == naive_convolution([factor] * h)
+    assert convolved([factor] * h) == naive_convolution([factor] * h)
     by_elem = {Fraction(v): Fraction(w) for v, w in zip(values, weights)}
     got = weighted_energy(a, WeightVector(tuple(by_elem[x] for x in a.elements)), h)
     assert got == oracles.o_weighted_energy(a.elements, by_elem, h)
+
+
+def slot_width_reference(factors, cap):
+    """_slot_width as first written, with prod(totals) taken once per factor."""
+    slots = 1 + sum(max(f) - min(f) for f in factors)
+    totals = [sum(f.values()) for f in factors]
+    top = min((max(f.values()) * prod(totals) // t for f, t in zip(factors, totals)), default=1)
+    k = ((top.bit_length() - 1) // 8).bit_length()
+    cost = 3 ** ((slots << k) // 8).bit_length()
+    return k if k <= 3 and exactset._packs(cost, prod(map(len, factors)), cap) else None
+
+
+def test_slot_width_matches_its_reference_on_repeated_and_mixed_factors():
+    """Every width and the dict path, on one factor repeated up to 80 times
+    (past 8 bytes) and on mixed weighted factors, under the default cap and a
+    small one."""
+    rng = random.Random(26)
+    pool = [
+        {0: 1, 1: 1},
+        dict.fromkeys(range(-3, 40, 3), 1),
+        {-4: 255, 0: 1, 17: 3},
+        {5: 2**20, 6: 7},
+        dict.fromkeys(rng.sample(range(10**6), 30), 1),
+    ]
+    seen = set()
+    for cap in (size_cap(), 50):
+        assert exactset._slot_width([], cap) == slot_width_reference([], cap)
+        for f in pool:
+            for h in (1, 2, 3, 7, 17, 34, 80):
+                want = slot_width_reference([f] * h, cap)
+                assert exactset._slot_width([f] * h, cap) == want, (f, h, cap)
+                seen.add(want)
+        for _ in range(200):
+            factors = [rng.choice(pool) for _ in range(rng.randint(1, 6))]
+            want = slot_width_reference(factors, cap)
+            assert exactset._slot_width(factors, cap) == want, (factors, cap)
+            seen.add(want)
+    assert seen == {0, 1, 2, 3, None}
+
+
+_small_fractions = st.fractions(min_value=-30, max_value=30, max_denominator=12)
+
+
+@given(st.lists(st.lists(_small_fractions, max_size=6), min_size=3, max_size=3),
+       st.lists(st.integers(min_value=0, max_value=2), max_size=3))
+@settings(max_examples=300, deadline=None)
+@example([[0, Fraction(-3, 2)], [Fraction(4, 9), 6], []], [0, 1])
+@example([[Fraction(2, 3), Fraction(4, 3)], [Fraction(-6, 5)], []], [0, 0, 1])
+@example([[Fraction(1, 2), Fraction(3, 2)], [2, 4], []], [0, 1, 2])
+@example([[Fraction(1, 2), Fraction(3, 2)], [2, 4], []], [])
+def test_productset_takes_its_common_factor_from_the_factors(pool, picks):
+    """_productset's scale and ints equal those that a gcd over every product
+    gives, with 0, negatives, an empty factor, repeated factors and 0 to 3
+    factors."""
+    sets = [FinSet(pool[i]) for i in picks]
+    got = exactset._productset(sets, "test")
+    scale = prod(s._scale for s in sets)
+    products = {prod(t) for t in product(*(s._ints for s in sets))}
+    g = gcd(scale, *products)
+    assert got._scale == scale // g
+    assert got._ints == tuple(sorted(v // g for v in products))
+    assert set(got) == {prod(t, start=Fraction(1)) for t in product(*sets)}
 
 
 @pytest.mark.parametrize("h", [1, 2, 3, 4])
