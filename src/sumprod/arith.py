@@ -10,14 +10,22 @@ The multiplicative dimension of a set of positive rationals is the affine
 rank of its prime-exponent vectors: the dimension of the span of the
 differences from any fixed member.  Each element is factored as its own
 numerator over its own denominator; an integer set's elements are factored
-as they are, with no gcd and no denominator.  Rank is computed by Echelon,
-the package's one exact eliminator: a sparse, fraction-free row echelon
-form on {column: int} rows, exact for arbitrarily large exponents, which
-refuses a row without reducing it when its pivot rows already span every
-row on its columns (on an interval, each composite).  Progression
-membership (progressions.contains) runs on the same eliminator.  Subset
-products are counted over a pairwise coprime base found by gcds alone, with
-no factoring (vector_simple_sum_count).
+as they are, with no gcd and no denominator.  mult_dim inserts each
+element's homogeneous row (f_i, 1) instead of its difference f_i - f_0,
+which would carry the base's columns into every row: f_i - f_0 is in the
+span of the earlier differences exactly when (f_i, 1) is in the span of
+the earlier rows, and the pivots of the differences are those of the rows
+less the largest lead of a row with a nonzero 1-column.  A prime that every
+element has is shifted by the base's exponent first, so a column constant
+over the set is left out.  Rank is computed by Echelon, the package's one
+exact eliminator: a sparse, fraction-free row echelon form on {column: int}
+rows, exact for arbitrarily large exponents, which refuses a row without
+reducing it when its pivot rows already span every row on its columns (on
+an interval, each composite), and which reduces each pivot row by the later
+pivots in its own columns before applying it, and keeps the result.
+Progression membership (progressions.contains) runs on the same
+eliminator.  Subset products are counted over a pairwise coprime base found
+by gcds alone, with no factoring (vector_simple_sum_count).
 """
 
 from __future__ import annotations
@@ -25,7 +33,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from heapq import heapify, heappop, heappush
 from itertools import compress, repeat
 from math import gcd, isqrt, prod
 from typing import Iterable
@@ -254,8 +261,8 @@ def _factored(a: FinSet) -> tuple[tuple[int, ...], list[dict[int, int]]]:
     """The ascending primes occurring in a, and each element's exponents."""
     # Each element's own numerator and denominator, never the scale (the lcm of
     # the denominators), which can be a product of primes too large to split.
-    factored = [_quotient_exponents(n, d) for n, d in _reduced(a)]
-    return tuple(sorted({p for f in factored for p in f})), factored
+    factored = [dict(factor_int(n)) if d == 1 else _quotient_exponents(n, d) for n, d in _reduced(a)]
+    return tuple(sorted(set().union(*factored))), factored
 
 
 def exponent_matrix(a: FinSet) -> ExponentMatrix:
@@ -278,58 +285,104 @@ class Echelon:
     it cross-multiplies by gcd-reduced leading entries, so every value
     stays an integer, and only columns that hold a pivot are visited.
 
+    A pivot row is clean when its lead is its only pivot column: applying
+    it then brings no other pivot column into the row it reduces.  A new
+    pivot row is clean, and stays so until a later row takes one of its
+    other columns as a lead; stale records that this has happened.  Before
+    reduce applies a dirty pivot row, it reduces that row by the later
+    pivots in its own columns and stores the result, which keeps the lead
+    and the row space, so a chain of pivot rows is walked once, not once
+    per row reduced.  Rows reached that way are cleaned from a stack, not
+    by recursion.
+
     free holds the columns that some pivot row uses but that are not pivot
-    columns.  While it is empty, the r pivot rows are r independent vectors
-    (their leads differ) supported on exactly the r pivot columns, so they
-    span every vector on those columns: add then refuses a row supported
-    inside the pivot columns as dependent without reducing it.  That is the
-    same answer reduce would reach, so the shortcut is exact.
+    columns (and any that cleaning cancelled from every row).  While it is
+    empty, the r pivot rows are r independent vectors (their leads differ)
+    supported on exactly the r pivot columns, so they span every vector on
+    those columns: add then refuses a row whose columns are all pivot
+    columns as dependent without reducing it.  That is the same answer
+    reduce would reach, so the shortcut is exact.
     """
 
     def __init__(self) -> None:
         self.pivots: dict[int, dict[int, int]] = {}
         self.free: set[int] = set()
+        self.stale = False
 
     def reduce(self, row: dict[int, int]) -> tuple[int, dict[int, int]]:
         """(scale, residual): residual = scale * row minus a rational
         combination of the pivot rows, zero in every pivot column; scale > 0.
+        The dirty pivot rows it needs are cleaned first, and stay clean.
         """
         pivots = self.pivots
-        residual = {c: v for c, v in row.items() if v}
-        todo = [c for c in residual if c in pivots]
-        heapify(todo)
-        scale = 1
+        residual = dict(row)
+        if 0 in residual.values():
+            residual = {c: v for c, v in row.items() if v}
+        cols = residual.keys() & pivots.keys()
+        if not cols:
+            return 1, residual
+        if self.stale:
+            dirty = [c for c in cols if len(pivots[c].keys() & pivots.keys()) > 1]
+            if dirty:
+                self._clean(dirty)
+        return self._eliminate(residual, cols), residual
+
+    def _clean(self, todo: list[int]) -> None:
+        """Clean the dirty pivot rows of the columns todo, each once every
+        pivot row of its other pivot columns is clean.  Those have larger
+        leads, so the rows wait on a stack, not in recursive calls.
+        """
+        pivots = self.pivots
+        keys = pivots.keys()
         while todo:
-            col = heappop(todo)
-            entry = residual.get(col)
-            if entry is None:
+            col = todo[-1]
+            later = pivots[col].keys() & keys
+            later.discard(col)
+            waiting = [c for c in later if len(pivots[c].keys() & keys) > 1]
+            if waiting:
+                todo += waiting
                 continue
+            todo.pop()
+            if later:
+                row = dict(pivots[col])
+                self._eliminate(row, later)
+                g = gcd(*row.values())
+                pivots[col] = {c: v // g for c, v in row.items()} if g != 1 else row
+
+    def _eliminate(self, residual: dict[int, int], cols: Iterable[int]) -> int:
+        """Clear the pivot columns cols of residual, in place, by their clean
+        pivot rows; return the positive factor residual was scaled by.  A
+        clean row changes no other pivot column, so any order will do.
+        """
+        pivots = self.pivots
+        scale = 1
+        for col in cols:
             pivot = pivots[col]
-            g = gcd(pivot[col], entry)
-            mult, entry = pivot[col] // g, entry // g
+            mult, entry = pivot[col], residual[col]
             if mult != 1:
-                scale *= mult
-                for c in residual:
-                    residual[c] *= mult
+                g = gcd(mult, entry)
+                mult, entry = mult // g, entry // g
+                if mult != 1:
+                    scale *= mult
+                    for c in residual:
+                        residual[c] *= mult
             for c, v in pivot.items():
-                if c in residual:
-                    w = residual[c] - entry * v
-                    if w:
-                        residual[c] = w
-                    else:
-                        del residual[c]
+                w = residual.get(c, 0) - entry * v
+                if w:
+                    residual[c] = w
                 else:
-                    residual[c] = -entry * v
-                    if c in pivots:
-                        heappush(todo, c)
-        return scale, residual
+                    del residual[c]
+        return scale
 
     def add(self, row: dict[int, int]) -> int | None:
         """Insert a row; its new leading column, or None if it is dependent."""
         pivots = self.pivots
-        if not self.free and all(c in pivots for c, v in row.items() if v):
+        if not pivots:
+            residual = {c: v for c, v in row.items() if v}
+        elif not self.free and row.keys() <= pivots.keys():
             return None
-        _, residual = self.reduce(row)
+        else:
+            _, residual = self.reduce(row)
         if not residual:
             return None
         lead = min(residual)
@@ -339,6 +392,7 @@ class Echelon:
         if g != 1:
             residual = {c: v // g for c, v in residual.items()}
         pivots[lead] = residual
+        self.stale = self.stale or lead in self.free
         # the residual is zero in every old pivot column, so only its own
         # columns can become free, and only its lead stops being free
         self.free.update(residual)
@@ -349,34 +403,64 @@ class Echelon:
 def mult_dim(a: FinSet) -> MultDim:
     """Multiplicative dimension of a set of positive rationals.
 
-    Zero for singletons; in general the rank of the differences of the
-    exponent rows from the smallest element's row.  The differences are
-    inserted in ascending element order, and the basis keeps those that
-    were independent of the earlier ones.  The projection onto the pivot
-    coordinates is injective on the set.
+    Zero for singletons; in general the rank of the differences f_i - f_0
+    of the exponent rows from the smallest element's row.  Each element's
+    homogeneous row (f_i, 1), with the 1 in a column past every prime, is
+    inserted in ascending element order: f_i - f_0 lies in the span of the
+    earlier differences exactly when (f_i, 1) lies in the span of the
+    earlier rows, so the basis keeps the differences of the rows the
+    echelon accepts, built for those rows only.  The pivots of the
+    differences are the pivots of the rows less one, the largest lead of a
+    stored row with a nonzero 1-column (the same for every echelon basis of
+    the rows, so the rows as first stored give it).  Both hold for any
+    fixed shift of the rows, so a prime that every element has is shifted
+    by the base's exponent: a column constant over the set is left out, and
+    c * A costs what A does.  The projection onto the pivots is injective
+    on the set.
     """
     if a.size == 0:
         raise ValueError("multiplicative dimension needs a nonempty set")
     primes, factored = _factored(a)
     base = factored[0]
-    column = {p: i for i, p in enumerate(primes)}
+    common = base.keys()
+    for f in factored:
+        if not common:
+            break
+        common &= f.keys()
+    one = primes[-1] + 1 if primes else 1
     echelon = Echelon()
+    pivots = echelon.pivots
+    kept = []
+    last = 0
+    for f in factored:
+        row = {**f, one: 1}
+        for p in common:
+            v = row[p] - base[p]
+            if v:
+                row[p] = v
+            else:
+                del row[p]
+        lead = echelon.add(row)
+        if lead is not None:
+            kept.append(f)
+            if lead > last and one in pivots[lead]:
+                last = lead
+    column = {p: i for i, p in enumerate(primes)}
+    start = [0] * len(primes)
+    for p, e in base.items():
+        start[column[p]] = -e
     basis = []
-    for f in factored[1:]:
-        diff = dict(f)
-        for p, e in base.items():
-            diff[p] = diff.get(p, 0) - e
-        if echelon.add(diff) is not None:
-            row = [0] * len(primes)
-            for p, e in diff.items():
-                row[column[p]] = e
-            basis.append(tuple(row))
+    for f in kept[1:]:
+        diff = start.copy()
+        for p, e in f.items():
+            diff[column[p]] += e
+        basis.append(tuple(diff))
     return MultDim(
         dimension=len(basis),
         basepoint=a.min(),
         primes=primes,
         basis=tuple(basis),
-        projection=tuple(i for i, p in enumerate(primes) if p in echelon.pivots),
+        projection=tuple(i for i, p in enumerate(primes) if p in pivots and p != last),
     )
 
 

@@ -124,6 +124,17 @@ def o_mult_dim(a):
     return sympy.Matrix(diffs).rank()
 
 
+def o_mult_projection(a):
+    """sympy's rref pivot columns of the difference matrix, as indices into
+    the sorted primes."""
+    import sympy
+
+    _, diffs = _o_exponent_differences(a)
+    if not diffs:
+        return ()
+    return tuple(sympy.Matrix(diffs).rref()[1])
+
+
 def o_mult_basis(a):
     """The differences, in ascending element order, that raise the sympy rank
     of the differences kept before them."""

@@ -2,13 +2,14 @@
 
 import math
 import random
+import sys
 import time
 from fractions import Fraction
 from itertools import combinations
 
 import pytest
 import sympy
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
@@ -333,6 +334,78 @@ def test_mult_dim_interval_to_3000_is_prime_count():
     assert mult_dim(FinSet(range(1, 3001))).dimension == 430
 
 
+_PRIMES_BELOW_200 = first_primes(46)
+_PRIMES_BELOW_400 = first_primes(78)
+
+mult_dim_sets = st.builds(
+    lambda values, c, one: {c * Fraction(v) for v in values} | ({Fraction(1)} if one else set()),
+    st.one_of(
+        st.sets(st.integers(min_value=1, max_value=400), min_size=1, max_size=10),
+        # every element has two prime factors, so no element is 1
+        st.sets(
+            st.lists(st.sampled_from(_PRIMES_BELOW_200), min_size=2, max_size=2, unique=True).map(math.prod),
+            min_size=1,
+            max_size=10,
+        ),
+        st.sets(
+            st.fractions(min_value=Fraction(1, 40), max_value=40, max_denominator=40), min_size=1, max_size=10
+        ),
+        st.integers(min_value=1, max_value=10**6).map(lambda v: {v}),
+    ),
+    st.sampled_from([1, 2, 6, 30, Fraction(1, 12)]),
+    st.booleans(),
+)
+
+
+@given(mult_dim_sets)
+@example({Fraction(6 * k) for k in range(1, 13)})
+@example({Fraction(k, 12) for k in range(1, 13)})
+@example({Fraction(30 * p * q) for p, q in combinations(_PRIMES_BELOW_200[:6], 2)})
+@example({Fraction(1), Fraction(3, 4), Fraction(9, 2)})
+@example({Fraction(1)})
+@example({Fraction(1, 12)})
+@settings(max_examples=120, deadline=None)
+def test_mult_dim_matches_the_oracles(values):
+    """Common factors c*A, sets of products of two primes, sets holding 1,
+    singletons and rationals: dimension, basis and projection are sympy's."""
+    a = FinSet(values)
+    md = mult_dim(a)
+    assert md.dimension == oracles.o_mult_dim(a.elements)
+    assert list(md.basis) == oracles.o_mult_basis(a.elements)
+    assert md.projection == oracles.o_mult_projection(a.elements)
+
+
+def test_mult_dim_reduce_calls_match_the_difference_rows(monkeypatch):
+    # the free-column shortcut refuses as many rows without reducing them as
+    # it did when mult_dim inserted the differences from the base row
+    calls = []
+    reduce = Echelon.reduce
+    monkeypatch.setattr(Echelon, "reduce", lambda self, row: calls.append(row) or reduce(self, row))
+    semiprimes = sorted(p * q for p, q in combinations(_PRIMES_BELOW_400, 2))[:300]
+    for values, count in (
+        (range(13, 513), 97),
+        ([6 * k for k in range(1, 201)], 46),
+        ([Fraction(k, 12) for k in range(1, 201)], 46),
+        (semiprimes, 299),
+    ):
+        calls.clear()
+        mult_dim(FinSet(values))
+        assert len(calls) == count, values
+
+
+def test_mult_dim_of_prime_chains_under_the_default_recursion_limit():
+    # consecutive products chain every prime to the next one; the second
+    # chain ties each pair to a third prime from the far end as well
+    p = first_primes(2101)
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)
+    try:
+        assert mult_dim(FinSet(p[i] * p[i + 1] for i in range(2000))).dimension == 1999
+        assert mult_dim(FinSet(p[i] * p[i + 1] * p[2100 - i] for i in range(2000))).dimension == 1999
+    finally:
+        sys.setrecursionlimit(limit)
+
+
 # --- the sparse echelon ---------------------------------------------------------------
 
 
@@ -404,6 +477,36 @@ def test_echelon_on_four_columns_matches_sympy_row_by_row(rows):
         matrix = sympy.Matrix([_dense(r, 4) for r in rows])
         assert len(echelon.pivots) == matrix.rank()
         assert tuple(sorted(echelon.pivots)) == matrix.rref()[1]
+
+
+@given(st.lists(
+    st.tuples(
+        st.booleans(),
+        st.dictionaries(st.integers(0, 5), st.integers(-4, 4), max_size=5),
+    ),
+    max_size=12,
+))
+@settings(max_examples=150, deadline=None)
+def test_echelon_pivot_rows_stay_primitive_and_span_the_added_rows(ops):
+    """reduce stores the pivot rows it cleans: after any mix of add and
+    reduce calls, each is keyed by its smallest column, with a positive lead
+    and content 1, and the stored rows span the rows that were added."""
+    echelon = Echelon()
+    added = []
+    for is_add, row in ops:
+        if is_add:
+            echelon.add(row)
+            added.append(_dense(row, 6))
+        else:
+            echelon.reduce(row)
+        for lead, pivot in echelon.pivots.items():
+            assert min(pivot) == lead and pivot[lead] > 0 and all(pivot.values())
+            assert math.gcd(*pivot.values()) == 1
+    rank = sympy.Matrix(added).rank() if added else 0
+    stored = [_dense(r, 6) for r in echelon.pivots.values()]
+    assert len(stored) == rank
+    if stored:
+        assert sympy.Matrix(added + stored).rank() == rank
 
 
 def test_echelon_reduces_a_row_on_pivot_columns_while_a_column_is_free():
