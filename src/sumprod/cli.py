@@ -70,8 +70,28 @@ def _read_text(path: str) -> str:
     return Path(path).read_text(encoding="utf-8")
 
 
-def _load_set(path: str) -> FinSet:
-    fs, dropped = parse_set(_read_text(path))
+# each flag that names a file, with the kind of text the file holds
+_FILE_KINDS = {"a": "set", "b": "set", "set": "set", "m": "set", "n": "set",
+               "pairs": "pair", "file": "progression"}
+
+
+def _check_stdin(args) -> None:
+    """Standard input is read once per command, so every flag that names '-'
+    must name a set, and those flags share that one set."""
+    named = [flag for flag in _FILE_KINDS if getattr(args, flag, None) == "-"]
+    if len({_FILE_KINDS[flag] for flag in named}) > 1:
+        flags = " and ".join(f"--{flag}" for flag in named)
+        raise ValueError(f"{flags} cannot share standard input")
+
+
+def _load_set(args, flag: str) -> FinSet:
+    """The set in the file that --flag names.  Each path is read and parsed
+    once per command, however many operands name it, and each operand gets
+    its own duplicate warning."""
+    path = getattr(args, flag)
+    if path not in args.sets:
+        args.sets[path] = parse_set(_read_text(path))
+    fs, dropped = args.sets[path]
     if dropped:
         print(
             f"# warning: {dropped} duplicate value(s) dropped from {path}",
@@ -146,8 +166,8 @@ def _emit_verdicts(args, verdicts: list[Verdict], prelude: list[str] = ()) -> in
 
 
 def _cmd_combine(args) -> int:
-    a = _load_set(args.a)
-    b = _load_set(args.b)
+    a = _load_set(args, "a")
+    b = _load_set(args, "b")
     fs = exactset.combine(a, b, args.op)
     return _emit_set(
         args,
@@ -158,7 +178,7 @@ def _cmd_combine(args) -> int:
 
 
 def _cmd_iterate(args) -> int:
-    a = _load_set(args.set)
+    a = _load_set(args, "set")
     fs = exactset.iterate(a, args.h, args.op)
     return _emit_set(
         args,
@@ -169,7 +189,7 @@ def _cmd_iterate(args) -> int:
 
 
 def _cmd_simple(args) -> int:
-    a = _load_set(args.set)
+    a = _load_set(args, "set")
     fs = exactset.simple_closure(a, args.op)
     return _emit_set(
         args,
@@ -180,7 +200,7 @@ def _cmd_simple(args) -> int:
 
 
 def _cmd_boxsum(args) -> int:
-    a = _load_set(args.set)
+    a = _load_set(args, "set")
     fs = exactset.box_sum(a, args.h)
     return _emit_set(
         args,
@@ -191,7 +211,7 @@ def _cmd_boxsum(args) -> int:
 
 
 def _cmd_sumdiff(args) -> int:
-    a = _load_set(args.set)
+    a = _load_set(args, "set")
     fs = exactset.sum_diff(a, args.h, args.l)
     return _emit_set(
         args,
@@ -202,7 +222,7 @@ def _cmd_sumdiff(args) -> int:
 
 
 def _cmd_restricted(args) -> int:
-    a = _load_set(args.set)
+    a = _load_set(args, "set")
     graph = _graph_from_args(args, a)
     fs = exactset.restricted_combine(a, graph, args.op)
     return _emit_set(
@@ -214,7 +234,7 @@ def _cmd_restricted(args) -> int:
 
 
 def _cmd_energy(args) -> int:
-    a = _load_set(args.set)
+    a = _load_set(args, "set")
     value = energy_fn(a, args.h)
     print(value)
     if args.report:
@@ -227,7 +247,7 @@ def _cmd_energy(args) -> int:
 
 
 def _cmd_multdim(args) -> int:
-    a = _load_set(args.set)
+    a = _load_set(args, "set")
     md = mult_dim(a)
     print(f"dimension {md.dimension}")
     print(f"basepoint {md.basepoint}")
@@ -274,7 +294,7 @@ def _cmd_progression(args) -> int:
             f"proper={'true' if proper else 'false'} size={fs.size}",
             "progression", rank=desc.rank, proper=proper,
         )
-    a = _load_set(args.set)
+    a = _load_set(args, "set")
     result = contains(desc, a)
     print(f"contained {'true' if result.contained else 'false'}")
     for elem, wit in zip(a.elements, result.witnesses):
@@ -315,22 +335,22 @@ def _section3(args) -> list[Verdict]:
 
 
 def _theorem3(args) -> list[Verdict]:
-    a = _load_set(args.set)
+    a = _load_set(args, "set")
     return [verify_theorem3_chain(a, _graph_from_args(args, a))]
 
 
 # suite -> (flags it needs, verdict builder); the order is the CLI's choices
 _VERIFY = {
-    "theorem1": (("set",), lambda args: verify_theorem1(_load_set(args.set), args.h)),
-    "lemma3": (("set",), lambda args: [verify_lemma3(_load_set(args.set), args.h)]),
-    "prop10": (("set",), lambda args: [verify_prop10(_load_set(args.set), args.h)]),
-    "prop11": (("set",), lambda args: [verify_prop11(_load_set(args.set))]),
-    "prop13": (("set",), lambda args: [verify_prop13(_load_set(args.set), args.h1)]),
+    "theorem1": (("set",), lambda args: verify_theorem1(_load_set(args, "set"), args.h)),
+    "lemma3": (("set",), lambda args: [verify_lemma3(_load_set(args, "set"), args.h)]),
+    "prop10": (("set",), lambda args: [verify_prop10(_load_set(args, "set"), args.h)]),
+    "prop11": (("set",), lambda args: [verify_prop11(_load_set(args, "set"))]),
+    "prop13": (("set",), lambda args: [verify_prop13(_load_set(args, "set"), args.h1)]),
     "ruzsa": (
         ("m", "n"),
-        lambda args: [verify_ruzsa(_load_set(args.m), _load_set(args.n), args.h, args.l)],
+        lambda args: [verify_ruzsa(_load_set(args, "m"), _load_set(args, "n"), args.h, args.l)],
     ),
-    "intro": (("set",), lambda args: verify_intro_suite(_load_set(args.set))),
+    "intro": (("set",), lambda args: verify_intro_suite(_load_set(args, "set"))),
     "theorem3": (("set",), _theorem3),
     "section3": ((), _section3),
 }
@@ -550,6 +570,8 @@ def run(argv: list[str]) -> int:
             return 1
         set_size_cap_override(args.budget)
     try:
+        _check_stdin(args)
+        args.sets = {}  # path -> (set, duplicates dropped), for _load_set
         return args.fn(args)
     except SetParseError as exc:
         print(f"error: {exc}", file=sys.stderr)

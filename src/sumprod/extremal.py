@@ -30,20 +30,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product as iproduct
 from math import prod
-from typing import Callable, NamedTuple
+from typing import TYPE_CHECKING, Callable, NamedTuple
 
 from .exactset import FinSet, _box_size, _productset, _require_positive_integers, _sumset
 from .limits import check_size, over_cap, size_cap
 from .arith import first_primes, mult_dim, vector_simple_sum_count
-from .verdicts import (
-    HYPOTHESIS_NOT_MET,
-    TRUE,
-    Verdict,
-    compare,
-    log_of,
-    power_of,
-    verdict_from_compare,
-)
+
+if TYPE_CHECKING:
+    from .verdicts import Verdict
 
 CHECKPOINT_HEADER = "sumprod search checkpoint v2"
 CHECKPOINT_FIELDS = ("objective", "k", "universe", "cursor", "nodes", "minimum")
@@ -322,6 +316,8 @@ def search_min(
 
 def _gated(name: str, gate_met: bool, lhs, rhs, relation: str, witness: dict) -> Verdict:
     """A verdict on the gate; the comparison is kept in the witness as raw."""
+    from .verdicts import HYPOTHESIS_NOT_MET, Verdict, compare
+
     raw = compare(lhs, rhs, relation)
     return Verdict(name, lhs, rhs, raw if gate_met else HYPOTHESIS_NOT_MET, dict(witness, raw=raw))
 
@@ -336,6 +332,9 @@ def verify_section3(j: int, eps3: Fraction | int = Fraction(1, 10)) -> list[Verd
     and neither closure is built: |A[1]| by exactset._box_size and |A{1}| by
     vector_simple_sum_count.  Logs are 200-bit enclosures.
     """
+    # a search never decides a verdict, so it does not load the verdicts layer
+    from .verdicts import TRUE, Verdict, compare, log_of, power_of, verdict_from_compare
+
     if j < 2:
         raise ValueError(f"need j >= 2, got {j}")
     eps3 = Fraction(eps3)

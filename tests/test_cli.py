@@ -61,6 +61,37 @@ def test_stdin_dash(tmp_path, capsys, monkeypatch):
     assert parse_set(out)[0].size == 2
 
 
+def test_two_set_operands_share_stdin(capsys, monkeypatch):
+    monkeypatch.setattr("sys.stdin", io.StringIO("1\n2\n5\n"))
+    rc, out, _ = run(capsys, "combine", "--op", "sum", "--a", "-", "--b", "-")
+    assert rc == 0
+    assert out == "# combine op=sum left=3 right=3 size=6\n2\n3\n4\n6\n7\n10\n"
+
+
+def test_ruzsa_reads_stdin_for_both_sets(tmp_path, capsys, monkeypatch):
+    s = write_set(tmp_path / "s.txt", [1, 2, 5])
+    want = run(capsys, "verify", "ruzsa", "--m", s, "--n", s)
+    monkeypatch.setattr("sys.stdin", io.StringIO("1\n2\n5\n"))
+    got = run(capsys, "verify", "ruzsa", "--m", "-", "--n", "-")
+    assert got == want
+    assert got[1].startswith("ruzsa true 12 24 ")
+
+
+def test_stdin_as_both_set_and_pair_file_exits_1(capsys, monkeypatch):
+    monkeypatch.setattr("sys.stdin", io.StringIO("1\n2\n5\n"))
+    argv = ("restricted", "--op", "sum", "--set", "-", "--pairs", "-")
+    rc, out, err = run(capsys, *argv)
+    assert (rc, out) == (1, "")
+    assert err == "error: --set and --pairs cannot share standard input\n"
+
+
+def test_duplicate_warning_once_per_operand_of_one_file(tmp_path, capsys):
+    a = write_set(tmp_path / "a.txt", [1, "2/2", 2])
+    rc, _, err = run(capsys, "combine", "--op", "sum", "--a", a, "--b", a)
+    assert rc == 0
+    assert err == f"# warning: 1 duplicate value(s) dropped from {a}\n" * 2
+
+
 def test_duplicate_warning_on_stderr(tmp_path, capsys):
     a = write_set(tmp_path / "a.txt", [1, "2/2", 2])
     rc, out, err = run(capsys, "simple", "--op", "sum", "--set", a)
