@@ -137,16 +137,16 @@ def _write_report(path: str, objects: list[dict]) -> None:
     Path(path).write_text(content, encoding="utf-8")
 
 
-def _emit_set(args, fs: FinSet, summary: str, kind: str, **extra) -> int:
-    """The set under a `# summary` line, one element per line.  The text is
-    built before anything is printed, so a value too long to print leaves
-    stdout empty."""
+def _emit_set(args, fs: FinSet, fields: str, **extra) -> int:
+    """The set under a `# <command> <fields> size=<n>` line, one element per
+    line; a --report object's kind is the command.  The text is built before
+    anything is printed, so a value too long to print leaves stdout empty."""
     text = fs._text()
-    print(f"# {summary}")
+    print(f"# {args.subcommand} {fields} size={fs.size}")
     sys.stdout.write(text)
     if args.report:
         # no printed element holds whitespace, so the lines split back exactly
-        obj = {"kind": kind, "size": fs.size, "elements": text.split(), **extra}
+        obj = {"kind": args.subcommand, "size": fs.size, "elements": text.split(), **extra}
         _write_report(args.report, [obj])
     return 0
 
@@ -166,71 +166,36 @@ def _emit_verdicts(args, verdicts: list[Verdict], prelude: list[str] = ()) -> in
 
 
 def _cmd_combine(args) -> int:
-    a = _load_set(args, "a")
-    b = _load_set(args, "b")
+    a, b = _load_set(args, "a"), _load_set(args, "b")
     fs = exactset.combine(a, b, args.op)
-    return _emit_set(
-        args,
-        fs,
-        f"combine op={args.op} left={a.size} right={b.size} size={fs.size}",
-        "combine", op=args.op,
-    )
+    return _emit_set(args, fs, f"op={args.op} left={a.size} right={b.size}", op=args.op)
 
 
 def _cmd_iterate(args) -> int:
-    a = _load_set(args, "set")
-    fs = exactset.iterate(a, args.h, args.op)
-    return _emit_set(
-        args,
-        fs,
-        f"iterate op={args.op} h={args.h} size={fs.size}",
-        "iterate", op=args.op, h=args.h,
-    )
+    fs = exactset.iterate(_load_set(args, "set"), args.h, args.op)
+    return _emit_set(args, fs, f"op={args.op} h={args.h}", op=args.op, h=args.h)
 
 
 def _cmd_simple(args) -> int:
-    a = _load_set(args, "set")
-    fs = exactset.simple_closure(a, args.op)
-    return _emit_set(
-        args,
-        fs,
-        f"simple op={args.op} size={fs.size}",
-        "simple", op=args.op,
-    )
+    fs = exactset.simple_closure(_load_set(args, "set"), args.op)
+    return _emit_set(args, fs, f"op={args.op}", op=args.op)
 
 
 def _cmd_boxsum(args) -> int:
-    a = _load_set(args, "set")
-    fs = exactset.box_sum(a, args.h)
-    return _emit_set(
-        args,
-        fs,
-        f"boxsum h={args.h} size={fs.size}",
-        "boxsum", h=args.h,
-    )
+    fs = exactset.box_sum(_load_set(args, "set"), args.h)
+    return _emit_set(args, fs, f"h={args.h}", h=args.h)
 
 
 def _cmd_sumdiff(args) -> int:
-    a = _load_set(args, "set")
-    fs = exactset.sum_diff(a, args.h, args.l)
-    return _emit_set(
-        args,
-        fs,
-        f"sumdiff h={args.h} l={args.l} size={fs.size}",
-        "sumdiff", h=args.h, l=args.l,
-    )
+    fs = exactset.sum_diff(_load_set(args, "set"), args.h, args.l)
+    return _emit_set(args, fs, f"h={args.h} l={args.l}", h=args.h, l=args.l)
 
 
 def _cmd_restricted(args) -> int:
     a = _load_set(args, "set")
     graph = _graph_from_args(args, a)
     fs = exactset.restricted_combine(a, graph, args.op)
-    return _emit_set(
-        args,
-        fs,
-        f"restricted op={args.op} edges={graph.size} size={fs.size}",
-        "restricted", op=args.op, edges=graph.size,
-    )
+    return _emit_set(args, fs, f"op={args.op} edges={graph.size}", op=args.op, edges=graph.size)
 
 
 def _cmd_energy(args) -> int:
@@ -287,13 +252,9 @@ def _cmd_progression(args) -> int:
     if not args.set:
         fs = enumerate_progression(desc)
         proper = fs.size == desc.nominal_size
-        return _emit_set(
-            args,
-            fs,
-            f"progression rank={desc.rank} nominal={desc.nominal_size} "
-            f"proper={'true' if proper else 'false'} size={fs.size}",
-            "progression", rank=desc.rank, proper=proper,
-        )
+        fields = (f"rank={desc.rank} nominal={desc.nominal_size} "
+                  f"proper={'true' if proper else 'false'}")
+        return _emit_set(args, fs, fields, rank=desc.rank, proper=proper)
     a = _load_set(args, "set")
     result = contains(desc, a)
     print(f"contained {'true' if result.contained else 'false'}")
@@ -321,13 +282,7 @@ def _cmd_progression(args) -> int:
 
 
 def _cmd_example(args) -> int:
-    fs = es_example(args.j)
-    return _emit_set(
-        args,
-        fs,
-        f"example J={args.j} size={fs.size}",
-        "example", j=args.j,
-    )
+    return _emit_set(args, es_example(args.j), f"J={args.j}", j=args.j)
 
 
 def _section3(args) -> list[Verdict]:
@@ -444,81 +399,58 @@ def _add_graph_flags(p: argparse.ArgumentParser) -> None:
     grp.add_argument("--diagonal", action="store_true", help="pairs (a, a) only")
 
 
+# the flags that several subcommands share, each required; a subcommand whose
+# flag differs (progression's --set, verify's defaults) adds its own
+_SHARED_FLAGS = {
+    "a": {"metavar": "PATH"},
+    "b": {"metavar": "PATH"},
+    "set": {"metavar": "PATH"},
+    "h": {"type": int},
+    "l": {"type": int},
+    "op": {"choices": ("sum", "product")},
+    "J": {"dest": "j", "type": int},
+}
+
+
 @functools.cache
 def build_parser() -> _Parser:
     """The CLI's parser, built on first use and then shared by every call."""
     parser = _Parser(prog="sumprod", description=__doc__)
     sub = parser.add_subparsers(dest="subcommand", required=True, parser_class=_Parser)
 
-    p = sub.add_parser("combine", help="pairwise sum or product of two sets")
-    p.add_argument("--a", required=True, metavar="PATH")
-    p.add_argument("--b", required=True, metavar="PATH")
-    p.add_argument("--op", choices=("sum", "product"), required=True)
-    _add_common(p)
-    p.set_defaults(fn=_cmd_combine)
+    def command(name: str, summary: str, fn, *shared: str) -> argparse.ArgumentParser:
+        p = sub.add_parser(name, help=summary)
+        for flag in shared:
+            p.add_argument(f"--{flag}", required=True, **_SHARED_FLAGS[flag])
+        p.set_defaults(fn=fn)
+        return p
 
-    p = sub.add_parser("iterate", help="h-fold sum or product set")
-    p.add_argument("--set", required=True, metavar="PATH")
-    p.add_argument("--h", type=int, required=True)
-    p.add_argument("--op", choices=("sum", "product"), required=True)
-    _add_common(p)
-    p.set_defaults(fn=_cmd_iterate)
-
-    p = sub.add_parser("simple", help="subset sums or subset products")
-    p.add_argument("--set", required=True, metavar="PATH")
-    p.add_argument("--op", choices=("sum", "product"), required=True)
-    _add_common(p)
-    p.set_defaults(fn=_cmd_simple)
-
-    p = sub.add_parser("boxsum", help="sums with coefficients in 0..h")
-    p.add_argument("--set", required=True, metavar="PATH")
-    p.add_argument("--h", type=int, required=True)
-    _add_common(p)
-    p.set_defaults(fn=_cmd_boxsum)
-
-    p = sub.add_parser("sumdiff", help="h-fold sums minus l-fold sums")
-    p.add_argument("--set", required=True, metavar="PATH")
-    p.add_argument("--h", type=int, required=True)
-    p.add_argument("--l", type=int, required=True)
-    _add_common(p)
-    p.set_defaults(fn=_cmd_sumdiff)
-
-    p = sub.add_parser("restricted", help="sums or products over a pair graph")
-    p.add_argument("--set", required=True, metavar="PATH")
-    p.add_argument("--op", choices=("sum", "product"), required=True)
+    _add_common(command("combine", "pairwise sum or product of two sets", _cmd_combine,
+                        "a", "b", "op"))
+    _add_common(command("iterate", "h-fold sum or product set", _cmd_iterate, "set", "h", "op"))
+    _add_common(command("simple", "subset sums or subset products", _cmd_simple, "set", "op"))
+    _add_common(command("boxsum", "sums with coefficients in 0..h", _cmd_boxsum, "set", "h"))
+    _add_common(command("sumdiff", "h-fold sums minus l-fold sums", _cmd_sumdiff,
+                        "set", "h", "l"))
+    p = command("restricted", "sums or products over a pair graph", _cmd_restricted, "set", "op")
     _add_graph_flags(p)
     _add_common(p)
-    p.set_defaults(fn=_cmd_restricted)
+    _add_common(command("energy", "h-fold additive energy", _cmd_energy, "set", "h"))
+    _add_common(command("multdim", "multiplicative dimension", _cmd_multdim, "set"))
 
-    p = sub.add_parser("energy", help="h-fold additive energy")
-    p.add_argument("--set", required=True, metavar="PATH")
-    p.add_argument("--h", type=int, required=True)
-    _add_common(p)
-    p.set_defaults(fn=_cmd_energy)
-
-    p = sub.add_parser("multdim", help="multiplicative dimension")
-    p.add_argument("--set", required=True, metavar="PATH")
-    _add_common(p)
-    p.set_defaults(fn=_cmd_multdim)
-
-    p = sub.add_parser("progression", help="enumerate or test a progression")
+    p = command("progression", "enumerate or test a progression", _cmd_progression)
     p.add_argument("--file", required=True, metavar="PATH")
     p.add_argument("--set", metavar="PATH", help="test membership of this set")
     _add_common(p, assertable=True)
-    p.set_defaults(fn=_cmd_progression)
 
-    p = sub.add_parser("example", help="prime-grid example set")
-    p.add_argument("--J", dest="j", type=int, required=True)
-    _add_common(p)
-    p.set_defaults(fn=_cmd_example)
+    _add_common(command("example", "prime-grid example set", _cmd_example, "J"))
 
-    p = sub.add_parser("section3", help="growth-rate verdicts for the grid example")
-    p.add_argument("--J", dest="j", type=int, required=True)
+    p = command("section3", "growth-rate verdicts for the grid example", _cmd_verify, "J")
     p.add_argument("--eps3", default="1/10", metavar="RAT")
     _add_common(p, assertable=True)
-    p.set_defaults(fn=_cmd_verify, suite="section3")
+    p.set_defaults(suite="section3")
 
-    p = sub.add_parser("verify", help="named verdict suites")
+    p = command("verify", "named verdict suites", _cmd_verify)
     p.add_argument("suite", choices=VERIFY_SUITES)
     p.add_argument("--set", metavar="PATH")
     p.add_argument("--m", metavar="PATH")
@@ -530,9 +462,8 @@ def build_parser() -> _Parser:
     p.add_argument("--eps3", default="1/10", metavar="RAT")
     _add_graph_flags(p)
     _add_common(p, assertable=True)
-    p.set_defaults(fn=_cmd_verify)
 
-    p = sub.add_parser("search", help="exhaustive k-subset minimization")
+    p = command("search", "exhaustive k-subset minimization", _cmd_search)
     p.add_argument("--objective", choices=("f", "g"), required=True)
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--max", type=int, required=True, metavar="N")
@@ -552,7 +483,6 @@ def build_parser() -> _Parser:
         help="exit 2 unless the result matches a plain-loop oracle",
     )
     _add_common(p)
-    p.set_defaults(fn=_cmd_search)
 
     return parser
 

@@ -19,7 +19,7 @@ from itertools import compress
 from math import fsum, lcm
 from operator import mul
 
-from .exactset import FinSet, _convolve
+from .exactset import FinSet, _convolve, _require_fold
 from .limits import check_size
 from .arith import _valuation, is_prime
 from .verdicts import Verdict, power_of, verdict_from_compare
@@ -27,8 +27,7 @@ from .verdicts import Verdict, power_of, verdict_from_compare
 
 def fold_constant(h: int) -> int:
     """The per-dimension energy growth constant 2h^2 - h."""
-    if h < 1:
-        raise ValueError(f"fold count must be >= 1, got {h}")
+    _require_fold(h)
     return 2 * h * h - h
 
 
@@ -75,8 +74,7 @@ class WeightVector:
 
 def rep_counts(a: FinSet, h: int) -> RepCounts:
     """Exact h-fold representation counts by polynomial self-convolution."""
-    if h < 1:
-        raise ValueError(f"fold count must be >= 1, got {h}")
+    _require_fold(h)
     exponents, conv = _convolve([dict.fromkeys(a._ints, 1)] * h, "representation counts")
     terms = sorted(compress(zip(exponents, conv), conv))
     counts = tuple((Fraction(v, a._scale), c) for v, c in terms)
@@ -85,16 +83,14 @@ def rep_counts(a: FinSet, h: int) -> RepCounts:
 
 def energy(a: FinSet, h: int) -> int:
     """h-fold additive energy: the sum of squared convolution coefficients."""
-    if h < 1:
-        raise ValueError(f"fold count must be >= 1, got {h}")
+    _require_fold(h)
     _, counts = _convolve([dict.fromkeys(a._ints, 1)] * h, "energy convolution")
     return sum(map(mul, counts, counts))
 
 
 def weighted_energy(a: FinSet, d: WeightVector, h: int) -> Fraction:
     """Energy with elementwise weights: sum over n of (weighted count)^2."""
-    if h < 1:
-        raise ValueError(f"fold count must be >= 1, got {h}")
+    _require_fold(h)
     if len(d) != a.size:
         raise ValueError(f"{len(d)} weights for a set of size {a.size}")
     den = lcm(*(w.denominator for w in d.weights))
@@ -112,8 +108,7 @@ def quadrature_energy(a: FinSet, h: int, d: WeightVector | None = None) -> float
     roundoff.  Needs positive integer elements; the node count is checked
     against the size cap before any node is built.
     """
-    if h < 1:
-        raise ValueError(f"fold count must be >= 1, got {h}")
+    _require_fold(h)
     if not (a.is_integer and a.is_positive):
         raise ValueError("quadrature path needs positive integer elements")
     if a.size == 0:
@@ -200,8 +195,7 @@ def layer_inequality_check(
 
 def tail_monotonicity_check(a: FinSet, p: int, j: int, h: int) -> Verdict:
     """Check E_h(a) >= E_h of the subset divisible by p^j.  Exact."""
-    if h < 1:
-        raise ValueError(f"fold count must be >= 1, got {h}")
+    _require_fold(h)
     if j < 0:
         raise ValueError(f"valuation threshold must be >= 0, got {j}")
     if not is_prime(p):

@@ -223,6 +223,11 @@ def _require_positive_integers(a: FinSet, who: str) -> None:
         raise ValueError(f"{who} needs a set of positive integers")
 
 
+def _require_fold(h: int) -> None:
+    if h < 1:
+        raise ValueError(f"fold count must be >= 1, got {h}")
+
+
 def combine(a: FinSet, b: FinSet, op: Op) -> FinSet:
     """Pairwise sum set or product set of two sets."""
     _check_op(op)
@@ -235,8 +240,7 @@ def combine(a: FinSet, b: FinSet, op: Op) -> FinSet:
 def iterate(a: FinSet, h: int, op: Op) -> FinSet:
     """h-fold sum set or product set (h = 1 gives the set itself)."""
     _check_op(op)
-    if h < 1:
-        raise ValueError(f"fold count must be >= 1, got {h}")
+    _require_fold(h)
     if op == "product":
         _require_nonzero(a)
     if h == 1:  # a itself, never checked against the cap

@@ -18,6 +18,7 @@ from .exactset import (
     FinSet,
     PairGraph,
     _box_hits,
+    _require_fold,
     _require_positive_integers,
     combine,
     iterate,
@@ -33,8 +34,7 @@ from .verdicts import Verdict, compare, log_of, power_of, unmet, verdict_from_co
 
 def verify_lemma3(a: FinSet, h: int) -> Verdict:
     """|hA| * E_h(A) >= |A|^(2h): the Cauchy-Schwarz lower bound, exact."""
-    if h < 1:
-        raise ValueError(f"fold count must be >= 1, got {h}")
+    _require_fold(h)
     if a.size == 0:
         raise ValueError("need a nonempty set")
     hsum = iterate(a, h, "sum")
@@ -85,8 +85,7 @@ def verify_prop10(a: FinSet, h: int) -> Verdict:
         raise ValueError("this check needs strictly positive elements")
     if a.size == 0:
         raise ValueError("need a nonempty set")
-    if h < 1:
-        raise ValueError(f"fold count must be >= 1, got {h}")
+    _require_fold(h)
     m = mult_dim(a).dimension
     c = fold_constant(h)
     lhs = energy(a, h)
@@ -101,8 +100,7 @@ def verify_prop9(a: FinSet, d: WeightVector, h: int) -> Verdict:
         raise ValueError("this check needs strictly positive elements")
     if a.size == 0:
         raise ValueError("need a nonempty set")
-    if h < 1:
-        raise ValueError(f"fold count must be >= 1, got {h}")
+    _require_fold(h)
     if len(d) != a.size:
         raise ValueError(f"{len(d)} weights for a set of size {a.size}")
     m = mult_dim(a).dimension
@@ -154,8 +152,7 @@ def verify_prop13(b: FinSet, h1: int) -> Verdict:
     """
     if not b.is_positive:
         raise ValueError("this check needs strictly positive elements")
-    if h1 < 1:
-        raise ValueError(f"fold count must be >= 1, got {h1}")
+    _require_fold(h1)
     if h1 > b.size:
         raise ValueError(f"fold count {h1} exceeds the set size {b.size}")
     hsum = iterate(b, h1, "sum")

@@ -392,8 +392,9 @@ def test_set_text_is_each_fractions_str(values):
         report = os.path.join(tmp, "set.jsonl")
         out = io.StringIO()
         with redirect_stdout(out):
-            assert cli._emit_set(argparse.Namespace(report=report), a, "s", "k") == 0
-        assert out.getvalue() == "# s\n" + "".join(f"{w}\n" for w in want)
+            args = argparse.Namespace(report=report, subcommand="k")
+            assert cli._emit_set(args, a, "s") == 0
+        assert out.getvalue() == f"# k s size={a.size}\n" + "".join(f"{w}\n" for w in want)
         assert json.loads(Path(report).read_text())["elements"] == want
 
 
@@ -644,6 +645,88 @@ def test_importing_the_cli_builds_no_parser():
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
     )
     assert (out.returncode, out.stdout) == (0, "0\n"), out.stderr
+
+
+# each option as (strings, dest, required, type, choices, default, metavar)
+_OP = (("--op",), "op", True, None, ("sum", "product"), None, None)
+_SET = (("--set",), "set", True, None, None, None, "PATH")
+_H = (("--h",), "h", True, "int", None, None, None)
+_J = (("--J",), "j", True, "int", None, None, None)
+_EPS3 = (("--eps3",), "eps3", False, None, None, "1/10", "RAT")
+_GRAPH = [
+    (("--pairs",), "pairs", False, None, None, None, "PATH"),
+    (("--full",), "full", False, None, None, False, None),
+    (("--diagonal",), "diagonal", False, None, None, False, None),
+]
+_COMMON = [
+    (("--report",), "report", False, None, None, None, "PATH"),
+    (("--budget",), "budget", False, "int", None, None, "N"),
+]
+_ASSERT = (("--assert",), "assert_", False, None, None, False, None)
+_PARSER_SHAPE = [
+    ("combine", "_cmd_combine", [
+        (("--a",), "a", True, None, None, None, "PATH"),
+        (("--b",), "b", True, None, None, None, "PATH"),
+        _OP, *_COMMON,
+    ]),
+    ("iterate", "_cmd_iterate", [_SET, _H, _OP, *_COMMON]),
+    ("simple", "_cmd_simple", [_SET, _OP, *_COMMON]),
+    ("boxsum", "_cmd_boxsum", [_SET, _H, *_COMMON]),
+    ("sumdiff", "_cmd_sumdiff", [
+        _SET, _H, (("--l",), "l", True, "int", None, None, None), *_COMMON,
+    ]),
+    ("restricted", "_cmd_restricted", [_SET, _OP, *_GRAPH, *_COMMON]),
+    ("energy", "_cmd_energy", [_SET, _H, *_COMMON]),
+    ("multdim", "_cmd_multdim", [_SET, *_COMMON]),
+    ("progression", "_cmd_progression", [
+        (("--file",), "file", True, None, None, None, "PATH"),
+        (("--set",), "set", False, None, None, None, "PATH"),
+        *_COMMON, _ASSERT,
+    ]),
+    ("example", "_cmd_example", [_J, *_COMMON]),
+    ("section3", "_cmd_verify", [_J, _EPS3, *_COMMON, _ASSERT]),
+    ("verify", "_cmd_verify", [
+        ((), "suite", True, None, cli.VERIFY_SUITES, None, None),
+        (("--set",), "set", False, None, None, None, "PATH"),
+        (("--m",), "m", False, None, None, None, "PATH"),
+        (("--n",), "n", False, None, None, None, "PATH"),
+        (("--h",), "h", False, "int", None, 2, None),
+        (("--l",), "l", False, "int", None, 1, None),
+        (("--h1",), "h1", False, "int", None, 2, None),
+        (("--J",), "j", False, "int", None, 2, None),
+        _EPS3, *_GRAPH, *_COMMON, _ASSERT,
+    ]),
+    ("search", "_cmd_search", [
+        (("--objective",), "objective", True, None, ("f", "g"), None, None),
+        (("--k",), "k", True, "int", None, None, None),
+        (("--max",), "max", True, "int", None, None, "N"),
+        (("--threads",), "threads", False, "int", None, 1, "N"),
+        (("--node-budget",), "node_budget", False, "int", None, None, "NODES"),
+        (("--checkpoint",), "checkpoint", False, None, None, None, "PATH"),
+        (("--assert-oracle",), "assert_oracle", False, None, None, False, None),
+        *_COMMON,
+    ]),
+]
+
+
+def test_parser_shape_is_pinned():
+    """Every subcommand in order, its handler, and each of its options with
+    the attributes that valid commands alone would never exercise: a dropped
+    `required` or `metavar` changes no golden output."""
+    sub = next(
+        a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction)
+    )
+    shape = [
+        (name, p.get_default("fn").__name__, [
+            (tuple(a.option_strings), a.dest, a.required,
+             getattr(a.type, "__name__", a.type), a.choices, a.default, a.metavar)
+            for a in p._actions
+            if a.dest != "help"
+        ])
+        for name, p in sub.choices.items()
+    ]
+    assert shape == _PARSER_SHAPE
+    assert sub.choices["section3"].get_default("suite") == "section3"
 
 
 def test_the_cli_module_runs_as_a_script():
