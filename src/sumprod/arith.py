@@ -522,8 +522,7 @@ def vector_simple_sum_count(a: FinSet) -> int:
     factored.  Each is encoded as one int in mixed radix, the radix of a
     column being 1 plus the sum of its absolute entries, which maps subset
     sums of vectors one-to-one onto subset sums of the codes.  Those are
-    counted, not built, by exactset._box_size, with the cap checked after
-    every element.
+    counted, not built, by exactset._box_size on the sum kernel of sum sets.
     """
     base, exponents = _coprime_exponents(a)
     codes = [0] * len(exponents)

@@ -12,9 +12,10 @@ import sys
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
 from itertools import chain, compress, count, repeat
 from math import gcd, lcm, prod
-from operator import add, floordiv, mul
+from operator import add, floordiv, mul, or_
 from typing import Collection, Iterable, Iterator, Literal, Sequence
 
 from .limits import SetParseError, check_size, over_cap, size_cap
@@ -232,7 +233,12 @@ def combine(a: FinSet, b: FinSet, op: Op) -> FinSet:
     """Pairwise sum set or product set of two sets."""
     _check_op(op)
     if op == "sum":
-        return _sumset([a, b], "combine result")
+        scale = lcm(a._scale, b._scale)
+        factors = [
+            s._ints if s._scale == scale else tuple(map((scale // s._scale).__mul__, s._ints))
+            for s in (a, b)
+        ]
+        return _sumset(factors, scale, "combine result")
     _require_nonzero(a, b)
     return _productset([a, b], "combine result")
 
@@ -245,7 +251,9 @@ def iterate(a: FinSet, h: int, op: Op) -> FinSet:
         _require_nonzero(a)
     if h == 1:  # a itself, never checked against the cap
         return a
-    return (_sumset if op == "sum" else _productset)([a] * h, "combine result")
+    if op == "sum":
+        return _sumset([a._ints] * h, a._scale, "combine result")
+    return _productset([a] * h, "combine result")
 
 
 def dilate(q: Fraction | int, a: FinSet) -> FinSet:
@@ -284,8 +292,8 @@ def _bit_flags(window: bytes) -> bytes:
 
 
 def _packs(cost: int, values: int, cap: int) -> bool:
-    """Whether big-int work of `cost` bits, or word products, is at most 64 per
-    value that a result can hold, or per value the cap allows if that is fewer."""
+    """Whether big-int work of `cost` words is at most 64 per step that the
+    dict path would take, `values`, or per value the cap allows if fewer."""
     return cost <= 64 * min(values, cap)
 
 
@@ -366,7 +374,7 @@ def _convolve(factors: list[dict[int, int]], what: str) -> tuple[Collection[int]
     return range(low, low + len(counts)), counts
 
 
-def _rows(factors: list[tuple[int, ...]], pair, what: str) -> dict[int, None]:
+def _rows(factors: list[Sequence[int]], pair, what: str) -> dict[int, None]:
     """All x_1 o ... o x_m with each x_i in factors[i], o the `pair` operation
     (operator.add or operator.mul on ints), as the keys of a dict.
 
@@ -375,14 +383,14 @@ def _rows(factors: list[tuple[int, ...]], pair, what: str) -> dict[int, None]:
     factors are equal, row i of the second pairs its y = a_i only with a_j,
     j >= i, and each unordered pair is formed once.  A row's values enter an
     insertion-ordered dict, so the caller's sort meets one ascending run per
-    row rather than hash order.  The cap is checked on the first factor and
-    after every row.
+    row rather than hash order.  The cap is checked on the first factor's
+    length, before it is built, and after every row.
     """
     cap = size_cap()
     first = factors[0] if factors else (1 if pair is mul else 0,)
+    if len(first) > cap:
+        raise over_cap(len(first), what, cap)
     built = dict.fromkeys(first)
-    if len(built) > cap:
-        raise over_cap(len(built), what, cap)
     triangle = len(factors) > 1 and factors[1] == first
     for ys in factors[1:]:
         prev, built = built, {}
@@ -394,28 +402,58 @@ def _rows(factors: list[tuple[int, ...]], pair, what: str) -> dict[int, None]:
     return built
 
 
-def _sumset(sets: list[FinSet], what: str) -> FinSet:
-    """All x_1 + ... + x_m with each x_i in sets[i]; no sets give {0}.
+def _sums(factors: list[Sequence[int]], what: str) -> tuple[int, int | dict[int, None]]:
+    """All x_1 + ... + x_m with each x_i in factors[i], an ascending sequence
+    of distinct ints; no factors give {0}.  Returned as (offset, sums): a
+    bitmask with bit s set iff offset + s is a sum, or `_rows`' dict of the
+    sums with offset 0.  Factors go longest first: there are at least as many
+    sums as any factor has values, so `_rows` refuses one past the cap unbuilt.
 
-    On the ints over the common scale: by `_packed_counts`, whose nonzero
-    slots are the sums in ascending order, when `_slot_width` passes; else
-    by `_rows`.
+    The mask adds a `range` {r, r + v, ..., r + hv} by O(log h) halvings,
+    {0..h} = {0..h - take} + {0, take}, and any other factor by one shift per
+    value, streamed into one OR.  It is taken when it spans at most 64 bits
+    per value the cap allows and `_packs` passes its shift words against the
+    inserts `_rows` would make: each factor's length times the sums before
+    it, at most their span plus 1 and the product of comb(n + r - 1, r) over
+    the runs of r equal factors of n values; the cap is checked per factor.
     """
-    scale = lcm(*(s._scale for s in sets))
-    factors = [
-        s._ints if s._scale == scale else tuple(map((scale // s._scale).__mul__, s._ints))
-        for s in sets
-    ]
-    counts = [dict.fromkeys(f, 1) for f in factors]
+    if not all(factors):  # an empty factor has no sums
+        return 0, {}
+    factors = sorted(factors, key=len, reverse=True)
+    words = inserts = width = run = 0
+    bound = built = 1
+    for i, f in enumerate(factors):
+        run = run + 1 if i and f == factors[i - 1] else 1
+        bound = bound * (len(f) + run - 1) // run  # exact: a binomial times the runs before
+        width += f[-1] - f[0]
+        words += (width // 64 + 1) * ((len(f) - 1).bit_length() if type(f) is range else len(f))
+        inserts += len(f) * built
+        built = bound if bound <= width else width + 1
     cap = size_cap()
-    k = _slot_width(counts, cap) if counts and all(counts) else None
-    if k is None:
-        return _from_ints(_rows(factors, add, what), scale)
-    low, slots = _packed_counts(counts, k)
-    sums = list(compress(count(low), slots))
-    if len(sums) > cap:
-        raise over_cap(len(sums), what, cap)
-    return _from_ints(sums, scale, ascending=True)
+    # `_rows` can stop at the cap early only when the sums can pass it
+    if width > 64 * cap or not _packs(words, inserts, cap if built > cap else inserts):
+        return 0, _rows(factors, add, what)
+    bits = 1
+    for f in factors:
+        if type(f) is range:
+            left = len(f) - 1
+            while left:
+                take = (left + 1) // 2
+                bits |= bits << take * f.step
+                left -= take
+        else:
+            bits = reduce(or_, map(bits.__lshift__, map(f[0].__rsub__, f)))
+        if bits.bit_count() > cap:
+            raise over_cap(bits.bit_count(), what, cap)
+    return sum(f[0] for f in factors), bits
+
+
+def _sumset(factors: list[Sequence[int]], scale: int, what: str) -> FinSet:
+    """The set of v / scale for the sums v of `_sums` over factors."""
+    offset, sums = _sums(factors, what)
+    if isinstance(sums, int):
+        return _from_ints(tuple(_bit_positions(sums, offset)), scale, ascending=True)
+    return _from_ints(sums, scale)
 
 
 def _productset(sets: list[FinSet], what: str) -> FinSet:
@@ -432,68 +470,29 @@ def _productset(sets: list[FinSet], what: str) -> FinSet:
     return _from_ints(_rows([s._ints for s in sets], mul, what), scale, g=g)
 
 
-def _box_mask(ints: Sequence[int], h: int, what: str) -> tuple[int, int | set[int]]:
-    """All sums of c_i * v_i with every c_i in 0..h, as (offset, mask).
-
-    A negative v enters as h*v + c*|v|, leaving the offset plus sums of
-    non-negative steps s.  The mask holds those s: a big-int bitmask (bit s
-    set iff offset + s is reachable) when it needs at most 64 bits per value
-    the coefficients and the cap allow, else a set of ints.  The cap is
-    checked after every element, and in a set after every coefficient.
-    """
-    offset = h * sum(v for v in ints if v < 0)
-    steps = [abs(v) for v in ints]
-    cap = size_cap()
-    # (h+1)^k > cap once k reaches cap's bit length, so k stays small
-    if _packs(h * sum(steps), (h + 1) ** min(len(steps), cap.bit_length()), cap):
-        bits = 1
-        for step in steps:
-            # {0..left} = {0..left-take} + {0, take}: O(log h) shifts
-            left = h
-            while left:
-                take = (left + 1) // 2
-                bits |= bits << take * step
-                left -= take
-            if bits.bit_count() > cap:
-                raise over_cap(bits.bit_count(), what, cap)
-        return offset, bits
-    sums = {0}
-    for step in steps:
-        grown = set(sums)
-        for j in range(1, h + 1):
-            grown.update(map((j * step).__add__, sums))
-            if len(grown) > cap:
-                raise over_cap(len(grown), what, cap)
-        sums = grown
-    return offset, sums
+def _box_factors(ints: Sequence[int], h: int) -> list[range]:
+    """One ascending range {0, v, ..., hv} per v, so {hv, ..., v, 0} for v < 0:
+    their sums are the sums of c_i * v_i with every c_i in 0..h."""
+    return [range(h * v, 1, -v) if v < 0 else range(0, h * v + 1, v or 1) for v in ints]
 
 
 def _box_size(ints: Sequence[int], what: str) -> int:
-    """The number of subset sums of ints, the empty sum included, by
-    _box_mask with h = 1; the sums are counted, not built."""
-    _, mask = _box_mask(ints, 1, what)
-    return mask.bit_count() if isinstance(mask, int) else len(mask)
+    """The number of subset sums of ints, the empty sum included, by `_sums`
+    over the box factors with h = 1; the sums are counted, not built."""
+    _, sums = _sums(_box_factors(ints, 1), what)
+    return sums.bit_count() if isinstance(sums, int) else len(sums)
 
 
 def _box_hits(ints: Sequence[int], values: Iterable[int], what: str) -> int:
-    """How many of values (repeats counted) are subset sums of ints, looked
-    up in the mask of _box_mask with h = 1: in its bytes, or in its set."""
-    offset, mask = _box_mask(ints, 1, what)
+    """How many of values (repeats counted) are subset sums of ints, looked up
+    in `_sums` over the box factors with h = 1: in a mask's bytes, or a dict."""
+    offset, mask = _sums(_box_factors(ints, 1), what)
     wanted = [v - offset for v in values]
     if isinstance(mask, int):
         width = mask.bit_length()
         raw = mask.to_bytes((width + 7) // 8, "little")
         return sum(0 <= s < width and raw[s >> 3] >> (s & 7) & 1 for s in wanted)
     return sum(s in mask for s in wanted)
-
-
-def _box_sums(a: FinSet, h: int, what: str) -> FinSet:
-    """All sums of c_i * a_i with every c_i in 0..h, on the set's ints over
-    its scale, by _box_mask."""
-    offset, mask = _box_mask(a._ints, h, what)
-    if isinstance(mask, int):  # the bit positions come ascending
-        return _from_ints(tuple(_bit_positions(mask, offset)), a._scale, ascending=True)
-    return _from_ints(map(offset.__add__, mask) if offset else mask, a._scale)
 
 
 def simple_closure(a: FinSet, op: Op) -> FinSet:
@@ -504,7 +503,7 @@ def simple_closure(a: FinSet, op: Op) -> FinSet:
     """
     _check_op(op)
     if op == "sum":
-        return _box_sums(a, 1, "simple sum closure")
+        return _sumset(_box_factors(a._ints, 1), a._scale, "simple sum closure")
     _require_nonzero(a)
     # one factor {1, v} per element v: a left-out element contributes 1
     scale = a._scale
@@ -515,7 +514,7 @@ def box_sum(a: FinSet, h: int) -> FinSet:
     """Sums with per-element coefficients drawn from {0, 1, ..., h}."""
     if h < 0:
         raise ValueError(f"coefficient bound must be >= 0, got {h}")
-    return _box_sums(a, h, "box sum")
+    return _sumset(_box_factors(a._ints, h), a._scale, "box sum")
 
 
 def sum_diff(n: FinSet, h: int, l: int) -> FinSet:
@@ -525,7 +524,7 @@ def sum_diff(n: FinSet, h: int, l: int) -> FinSet:
     """
     if h < 0 or l < 0:
         raise ValueError("fold counts must be >= 0")
-    return _sumset([n] * h + [dilate(-1, n)] * l, "signed sumset")
+    return _sumset([n._ints] * h + [dilate(-1, n)._ints] * l, n._scale, "signed sumset")
 
 
 @dataclass(frozen=True)

@@ -64,7 +64,8 @@ def es_example(j: int) -> FinSet:
 def f_value(a: FinSet) -> int:
     """|2A u A*A| exactly, from the sum set and the product set kernels."""
     _require_positive_integers(a, "the f objective")
-    return len({*_sumset([a, a], "f objective")._ints, *_productset([a, a], "f objective")._ints})
+    sums = _sumset([a._ints] * 2, 1, "f objective")
+    return len({*sums._ints, *_productset([a, a], "f objective")._ints})
 
 
 def g_value(a: FinSet) -> int:

@@ -5,6 +5,7 @@ import time
 import tracemalloc
 from collections import deque
 from fractions import Fraction
+from functools import reduce
 from itertools import product
 from math import gcd, prod
 
@@ -30,7 +31,7 @@ from sumprod.exactset import (
     sum_diff,
 )
 from sumprod.extremal import f_value
-from sumprod.limits import CapExceeded, SetParseError, check_size, size_cap
+from sumprod.limits import CapExceeded, SetParseError, check_size, set_size_cap_override, size_cap
 
 
 def fs(*values) -> FinSet:
@@ -689,7 +690,8 @@ def test_product_and_restricted_sets_refuse_as_they_grow(monkeypatch):
     assert _refused_count(lambda: f_value(a)) < 1200
     assert _refused_count(lambda: restricted_combine(a, full, "product")) == 1001
     assert _refused_count(lambda: restricted_combine(a, full, "sum")) == 1001
-    # a set-path box sum grows one coefficient, a row of 601 sums, at a time
+    # a sparse box sum goes by rows: the first factor's 601 values, then a
+    # row of 601 sums at a time
     assert _refused_count(lambda: box_sum(FinSet([10**12, 3 * 10**12 + 7]), 600)) < 2000
 
 
@@ -897,3 +899,127 @@ def test_sum_kernels_raise_exactly_above_the_cap(monkeypatch, values, h):
                     kernel()
             else:
                 assert kernel() == len(want)
+
+
+# --- the sum kernel ----------------------------------------------------------
+
+
+def folded(values, h):
+    """The h-fold sums of values, {0} for h = 0, by o_combine one fold at a
+    time: o_iterate's |A|^h tuples are too many at h = 20."""
+    return reduce(lambda sums, _: oracles.o_combine(sums, values, "sum"), range(h), {Fraction(0)})
+
+
+def box_oracle(values, h):
+    """Sums of c_i * v_i with every c_i in 0..h, by o_combine over one set
+    {0, v, ..., hv} per v: o_box's (h + 1)^|A| tuples are too many at h = 20."""
+    factors = [{c * v for c in range(h + 1)} for v in values]
+    return reduce(lambda sums, f: oracles.o_combine(sums, f, "sum"), factors, {Fraction(0)})
+
+
+@given(
+    st.sets(mixed_values, max_size=3),
+    st.sets(mixed_values, max_size=4),
+    st.integers(min_value=0, max_value=20),
+    st.integers(min_value=0, max_value=2),
+    st.sampled_from([1, 2, 7, 60, 500, 10**7]),
+)
+# 12 values at h = 20: the count bound 12^19 is past 2^64, which 8-byte count
+# slots, the widest that sum sets once took, cannot hold
+@example(set(range(12)), {-1, Fraction(1, 2)}, 20, 2, 10**7)
+@example(set(range(-6, 6)), set(), 13, 1, 150)
+@example({0, 1}, set(), 20, 2, 10**7)
+@example({-(10**12), 0, Fraction(7, 3)}, {1}, 20, 2, 60)
+@settings(max_examples=150, deadline=None)
+def test_sum_kernels_match_the_oracles_or_refuse_past_the_cap(values, other, h, l, cap):
+    """combine, iterate, sum_diff, simple_closure and box_sum against the
+    oracles, with h up to 20, negatives, 0, rationals and wide spans, under
+    caps from 1 up.  Adding a nonempty set never shrinks a sum set, so a
+    kernel refuses exactly when the oracle's set passes the cap; a sum with
+    an empty set is empty, and never refused."""
+    a, b = FinSet(values), FinSet(other)
+    e, f, negated = a.elements, b.elements, [-x for x in a]
+    fold = max(h, 2)  # one fold returns the set itself, never checked
+    kernels = [
+        (lambda: combine(a, b, "sum"), oracles.o_combine(e, f, "sum")),
+        (lambda: iterate(a, fold, "sum"), folded(e, fold)),
+        (lambda: sum_diff(a, h, l), oracles.o_combine(folded(e, h), folded(negated, l), "sum")),
+        (lambda: simple_closure(a, "sum"), oracles.o_simple(e, "sum")),
+        (lambda: box_sum(a, h), box_oracle(e, h)),
+    ]
+    set_size_cap_override(cap)
+    try:
+        for kernel, want in kernels:
+            if len(want) > cap:
+                with pytest.raises(CapExceeded):
+                    kernel()
+            else:
+                assert_canonical(kernel(), want)
+    finally:
+        set_size_cap_override(None)
+
+
+class _RowsCalled(Exception):
+    pass
+
+
+def _takes_the_mask(monkeypatch, factors) -> bool:
+    """Whether exactset._sums builds the sums of factors as a bitmask; the
+    rows are never built, since _rows is replaced by a stub that raises."""
+
+    def rows(*args):
+        raise _RowsCalled
+
+    monkeypatch.setattr(exactset, "_rows", rows)
+    try:
+        return isinstance(exactset._sums(factors, "test")[1], int)
+    except _RowsCalled:
+        return False
+
+
+def test_sum_kernel_takes_the_mask_for_dense_sets(monkeypatch):
+    rng = random.Random(30)
+    assert _takes_the_mask(monkeypatch, [tuple(range(1, 501))] * 2)
+    assert _takes_the_mask(monkeypatch, [tuple(sorted(rng.sample(range(1000), 50)))] * 100)
+    assert _takes_the_mask(monkeypatch, [(0, 1)] * 10**4)
+    assert _takes_the_mask(monkeypatch, exactset._box_factors(range(-40, 41), 3))
+    # 20,000 values below 10^6 make 4 * 10^8 row inserts, past the cap, but at
+    # most 2 * 10^6 + 1 sums, so _rows could not stop early at the cap
+    assert _takes_the_mask(monkeypatch, [tuple(sorted(rng.sample(range(10**6), 20000)))] * 2)
+
+
+def test_sum_kernel_takes_the_rows_for_sparse_sets(monkeypatch):
+    rng = random.Random(31)
+    # 30 equal factors of 2 values have 31 sums, not a 3 * 10^8-bit span
+    assert not _takes_the_mask(monkeypatch, [(1, 10**7)] * 30)
+    assert not _takes_the_mask(monkeypatch, [tuple(sorted(rng.sample(range(10**7), 2000)))] * 2)
+    assert not _takes_the_mask(monkeypatch, exactset._box_factors((1, 10**12), 10**8))
+    # 30 halvings of a 10^9-bit mask pass no row count, but the mask would
+    # span more than 64 bits per value the cap allows
+    assert not _takes_the_mask(monkeypatch, exactset._box_factors((1,), 10**9))
+
+
+def test_iterate_of_50_ints_at_h_100_is_fast():
+    a = FinSet(random.Random(32).sample(range(1000), 50))
+    start = time.perf_counter()
+    got = iterate(a, 100, "sum")
+    assert time.perf_counter() - start < 3
+    assert got == combine(iterate(a, 60, "sum"), iterate(a, 40, "sum"), "sum")
+    assert got.min() == 100 * a.min() and got.max() == 100 * a.max()
+
+
+def test_iterate_of_0_and_1_at_h_10000_is_fast():
+    start = time.perf_counter()
+    got = iterate(fs(0, 1), 10**4, "sum")
+    assert time.perf_counter() - start < 3
+    assert got == FinSet(range(10**4 + 1))
+
+
+def test_sparse_box_sum_with_a_huge_h_refuses_at_once():
+    start = time.perf_counter()
+    with pytest.raises(CapExceeded, match="^box sum needs 100000001 values, cap is 10000000$"):
+        box_sum(FinSet([1, 10**12]), 10**8)
+    # 0's factor {0} is the shortest, and the rows start from the longest
+    with pytest.raises(CapExceeded, match="^box sum needs 100000001 values, cap is 10000000$"):
+        box_sum(FinSet([0, 1, 10**12]), 10**8)
+    assert time.perf_counter() - start < 3
