@@ -37,7 +37,7 @@ from itertools import compress, repeat
 from math import gcd, isqrt, prod
 from typing import Iterable
 
-from .exactset import FinSet, _box_size
+from .exactset import FinSet, _box_size, _require_nonempty, _require_positive
 from .limits import FactorizationBudgetExceeded
 
 _TRIAL_BOUND = 10**6
@@ -250,8 +250,7 @@ class MultDim:
 def _reduced(a: FinSet) -> list[tuple[int, int]]:
     """Each element of a positive set as its (numerator, denominator) in
     lowest terms."""
-    if not a.is_positive:
-        raise ValueError("exponent vectors need strictly positive elements")
+    _require_positive(a, "prime factorization")
     if a._scale == 1:
         return list(zip(a._ints, repeat(1)))
     return [(v // g, a._scale // g) for v in a._ints for g in (gcd(v, a._scale),)]
@@ -418,8 +417,7 @@ def mult_dim(a: FinSet) -> MultDim:
     c * A costs what A does.  The projection onto the pivots is injective
     on the set.
     """
-    if a.size == 0:
-        raise ValueError("multiplicative dimension needs a nonempty set")
+    _require_nonempty(a, "multiplicative dimension")
     primes, factored = _factored(a)
     base = factored[0]
     common = base.keys()

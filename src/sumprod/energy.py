@@ -19,7 +19,7 @@ from itertools import compress
 from math import fsum, lcm
 from operator import mul
 
-from .exactset import FinSet, _convolve, _require_fold
+from .exactset import FinSet, _convolve, _require_fold, _require_positive_integers
 from .limits import check_size
 from .arith import _valuation, is_prime
 from .verdicts import Verdict, power_of, verdict_from_compare
@@ -109,8 +109,7 @@ def quadrature_energy(a: FinSet, h: int, d: WeightVector | None = None) -> float
     against the size cap before any node is built.
     """
     _require_fold(h)
-    if not (a.is_integer and a.is_positive):
-        raise ValueError("quadrature path needs positive integer elements")
+    _require_positive_integers(a, "quadrature energy")
     if a.size == 0:
         return 0.0
     if d is None:
@@ -146,8 +145,7 @@ class LayerDecomposition:
 
 def layer_partition(a: FinSet, primes: tuple[int, ...] | list[int]) -> LayerDecomposition:
     """Split a positive-integer set by valuation vectors at the given primes."""
-    if not (a.is_integer and a.is_positive):
-        raise ValueError("layer partition needs positive integer elements")
+    _require_positive_integers(a, "layer partition")
     primes = tuple(primes)
     if len(set(primes)) != len(primes):
         raise ValueError("primes must be distinct")
@@ -195,13 +193,11 @@ def layer_inequality_check(
 
 def tail_monotonicity_check(a: FinSet, p: int, j: int, h: int) -> Verdict:
     """Check E_h(a) >= E_h of the subset divisible by p^j.  Exact."""
-    _require_fold(h)
     if j < 0:
         raise ValueError(f"valuation threshold must be >= 0, got {j}")
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
-    if not (a.is_integer and a.is_positive):
-        raise ValueError("tail check needs positive integer elements")
+    _require_positive_integers(a, "tail monotonicity check")
     q = p**j
     tail = FinSet(e for e in a if int(e) % q == 0)
     lhs = energy(a, h)

@@ -219,6 +219,16 @@ def _require_nonzero(*sets: FinSet) -> None:
             raise ValueError("product operation needs every element nonzero")
 
 
+def _require_nonempty(a: FinSet, who: str) -> None:
+    if a.size == 0:
+        raise ValueError(f"{who} needs a nonempty set")
+
+
+def _require_positive(a: FinSet, who: str) -> None:
+    if not a.is_positive:
+        raise ValueError(f"{who} needs a set of strictly positive elements")
+
+
 def _require_positive_integers(a: FinSet, who: str) -> None:
     if not (a.is_integer and a.is_positive):
         raise ValueError(f"{who} needs a set of positive integers")

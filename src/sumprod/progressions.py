@@ -123,8 +123,6 @@ def contains(p: ProgressionDesc, a: FinSet) -> ContainsResult:
     in-range integer exponent; with dependent ratios a capped enumeration
     of the exponent grid finds the lexicographically first witness.
     """
-    if not a.is_positive:
-        raise ValueError("membership needs strictly positive elements")
     if a.size == 0:
         return ContainsResult(True, ())
     primes, factored = _factored(a)
@@ -169,18 +167,17 @@ def dim_chain_check(p: ProgressionDesc, a: FinSet) -> Verdict:
     """Check dim(a) <= dim(progression values) <= rank, given containment.
 
     Containment of a in the progression is the hypothesis; without it the
-    verdict is 'hypothesis-not-met'.  The progression's dimension is the
-    rank of the exponent rows of its ratios with length >= 2, so no value
-    is enumerated.
+    verdict is 'hypothesis-not-met'.  The progression's dimension is
+    mult_dim of 1 and its ratios with length >= 2: the affine rank of
+    {0, v_i} is the rank of their exponent rows v_i, so no value is
+    enumerated.
     """
     return _dim_chain(p, a, contains(p, a))
 
 
 def _dim_chain(p: ProgressionDesc, a: FinSet, inside: ContainsResult) -> Verdict:
     """dim_chain_check on the result of contains(p, a), already at hand."""
-    echelon = Echelon()
-    rows = [factor_fraction(r) for r, j in zip(p.ratios, p.lengths) if j >= 2]
-    m_p = sum(echelon.add(row) is not None for row in rows)
+    m_p = mult_dim(FinSet([1, *(r for r, j in zip(p.ratios, p.lengths) if j >= 2)])).dimension
     s = p.rank
     if not inside.contained:
         missing = tuple(

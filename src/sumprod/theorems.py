@@ -19,6 +19,8 @@ from .exactset import (
     PairGraph,
     _box_hits,
     _require_fold,
+    _require_nonempty,
+    _require_positive,
     _require_positive_integers,
     combine,
     iterate,
@@ -34,9 +36,7 @@ from .verdicts import Verdict, compare, log_of, power_of, unmet, verdict_from_co
 
 def verify_lemma3(a: FinSet, h: int) -> Verdict:
     """|hA| * E_h(A) >= |A|^(2h): the Cauchy-Schwarz lower bound, exact."""
-    _require_fold(h)
-    if a.size == 0:
-        raise ValueError("need a nonempty set")
+    _require_nonempty(a, "lemma3")
     hsum = iterate(a, h, "sum")
     e = energy(a, h)
     lhs = hsum.size * e
@@ -51,9 +51,8 @@ def verify_theorem1(a: FinSet, h: int) -> list[Verdict]:
     Two verdicts: |2A| > 36^(-alpha) |A|^2 and
     |hA| > (2h^2-h)^(-h*alpha) |A|^h.
     """
-    _require_positive_integers(a, "this check")
-    if a.size == 0:
-        raise ValueError("need a nonempty set")
+    _require_positive_integers(a, "theorem1")
+    _require_nonempty(a, "theorem1")
     if h < 2:
         raise ValueError(f"fold count must be >= 2, got {h}")
     k = a.size
@@ -81,10 +80,6 @@ def verify_prop10(a: FinSet, h: int) -> Verdict:
     Exact integers; the strict inequality fails (by design) exactly at
     singletons, where both sides are 1.
     """
-    if not a.is_positive:
-        raise ValueError("this check needs strictly positive elements")
-    if a.size == 0:
-        raise ValueError("need a nonempty set")
     _require_fold(h)
     m = mult_dim(a).dimension
     c = fold_constant(h)
@@ -96,10 +91,6 @@ def verify_prop10(a: FinSet, h: int) -> Verdict:
 
 def verify_prop9(a: FinSet, d: WeightVector, h: int) -> Verdict:
     """Weighted energy against (2h^2-h)^(m*h) (sum of d^2)^h, exact."""
-    if not a.is_positive:
-        raise ValueError("this check needs strictly positive elements")
-    if a.size == 0:
-        raise ValueError("need a nonempty set")
     _require_fold(h)
     if len(d) != a.size:
         raise ValueError(f"{len(d)} weights for a set of size {a.size}")
@@ -124,10 +115,8 @@ def verify_prop11(a: FinSet) -> Verdict:
     the exact rational comparison alpha^2 < |A|.  The hypothesis is read
     on the product set size; the witness records that reading.
     """
-    if not a.is_positive:
-        raise ValueError("this check needs strictly positive elements")
-    if a.size == 0:
-        raise ValueError("need a nonempty set")
+    _require_positive(a, "prop11")
+    _require_nonempty(a, "prop11")
     prod_size = combine(a, a, "product").size
     alpha = Fraction(prod_size, a.size)
     witness = {
@@ -150,9 +139,7 @@ def verify_prop13(b: FinSet, h1: int) -> Verdict:
     intersection|.  The witness also carries the variant bound with
     denominator (2h1^2-h1)^m * h1^2.
     """
-    if not b.is_positive:
-        raise ValueError("this check needs strictly positive elements")
-    _require_fold(h1)
+    _require_positive(b, "prop13")
     if h1 > b.size:
         raise ValueError(f"fold count {h1} exceeds the set size {b.size}")
     hsum = iterate(b, h1, "sum")

@@ -88,6 +88,21 @@ def test_factor_int_budget_exhaustion(monkeypatch):
         factor_int.cache_clear()
 
 
+@pytest.mark.parametrize("n, factor", [(77, 7), (6, None)])
+def test_brent_step_backtracks_when_a_block_overshoots(monkeypatch, n, factor):
+    """A block of products can reach gcd n; the step then walks back one
+    iteration at a time, which splits 77 and degenerates on 6."""
+    seen = []
+
+    def spy(a, b):
+        seen.append(g := math.gcd(a, b))
+        return g
+
+    monkeypatch.setattr(arith, "gcd", spy)
+    assert arith._brent_step(n, 1, 10**6)[0] == factor
+    assert n in seen  # a block's gcd was n itself, so the step walked back
+
+
 def test_factor_int_splits_composites_beyond_deterministic_range():
     # the product, near 2^92 > 3.3e24, is shown composite by a Miller-Rabin
     # witness and split by rho

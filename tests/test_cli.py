@@ -9,6 +9,7 @@ import sys
 import tempfile
 import time
 from contextlib import redirect_stdout
+from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -19,6 +20,7 @@ from hypothesis import strategies as st
 from sumprod import cli, progressions
 from sumprod.arith import mult_dim
 from sumprod.exactset import FinSet, parse_set
+from sumprod.extremal import search_min
 
 
 def write_set(path, values):
@@ -467,17 +469,37 @@ def test_usage_error_exit_1(capsys):
 # --- search ------------------------------------------------------------------------------
 
 
-def test_search_command_with_oracle(capsys):
+@pytest.mark.parametrize(
+    "objective, k, universe, minimum, certificates",
+    [
+        ("f", 3, 12, 7, [(1, 2, 3)]),
+        # eight tied certificates, so the oracle's tie branch runs
+        ("g", 3, 10, 11, [(1, i, i + 1) for i in range(2, 10)]),
+    ],
+)
+def test_search_command_with_oracle(capsys, objective, k, universe, minimum, certificates):
     rc, out, _ = run(
-        capsys, "search", "--objective", "f", "--k", "3", "--max", "12",
+        capsys, "search", "--objective", objective, "--k", str(k), "--max", str(universe),
         "--assert-oracle",
     )
     assert rc == 0
     lines = out.splitlines()
-    assert lines[0].startswith("# search objective=f")
+    assert lines[0].startswith(f"# search objective={objective}")
     assert "complete=true" in lines[0]
-    assert lines[1] == "minimum 7"
-    assert lines[2] == "certificate 1 2 3"
+    assert lines[1] == f"minimum {minimum}"
+    assert lines[2:] == ["certificate " + " ".join(map(str, c)) for c in certificates]
+
+
+def test_search_oracle_mismatch_exits_2(monkeypatch, capsys):
+    def wrong(*args, **kwargs):
+        return replace(search_min(*args, **kwargs), minimum=6)
+
+    monkeypatch.setattr(cli, "search_min", wrong)
+    rc, _, err = run(
+        capsys, "search", "--objective", "f", "--k", "3", "--max", "12", "--assert-oracle"
+    )
+    assert rc == 2
+    assert err.startswith("oracle mismatch: min 6 vs 7, 1 vs 1 certificates")
 
 
 def test_search_budget_incomplete_exit_3(capsys):
