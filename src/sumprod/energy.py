@@ -72,6 +72,11 @@ class WeightVector:
         return len(self.weights)
 
 
+def _require_weights(a: FinSet, d: WeightVector) -> None:
+    if len(d) != a.size:
+        raise ValueError(f"{len(d)} weights for a set of size {a.size}")
+
+
 def rep_counts(a: FinSet, h: int) -> RepCounts:
     """Exact h-fold representation counts by polynomial self-convolution."""
     _require_fold(h)
@@ -91,8 +96,7 @@ def energy(a: FinSet, h: int) -> int:
 def weighted_energy(a: FinSet, d: WeightVector, h: int) -> Fraction:
     """Energy with elementwise weights: sum over n of (weighted count)^2."""
     _require_fold(h)
-    if len(d) != a.size:
-        raise ValueError(f"{len(d)} weights for a set of size {a.size}")
+    _require_weights(a, d)
     den = lcm(*(w.denominator for w in d.weights))
     scaled = {v: w.numerator * (den // w.denominator) for v, w in zip(a._ints, d.weights) if w}
     _, counts = _convolve([scaled] * h, "weighted energy")
@@ -114,8 +118,7 @@ def quadrature_energy(a: FinSet, h: int, d: WeightVector | None = None) -> float
         return 0.0
     if d is None:
         d = WeightVector.ones(a.size)
-    if len(d) != a.size:
-        raise ValueError(f"{len(d)} weights for a set of size {a.size}")
+    _require_weights(a, d)
     values = a._ints
     weights = [float(w) for w in d.weights]
     m = 2 * h * max(values) + 1

@@ -13,21 +13,29 @@ coprime-base exponent codes) and shares no code with the walk's states; it
 scores the starting incumbent, each certificate of a resumed checkpoint, and
 the CLI's plain-loop oracle.  The walk keeps one incumbent for the whole
 search, starting at the value of (1,...,k), which no minimizer exceeds, and
-lowered to each better leaf.  Every child of a prefix is scored from its
-parent's state, without a set of its own: by its completion bound, a lower
-bound on the value of every k-subset that extends it, or at a leaf by its
-value.  A child scored strictly above the incumbent is dropped, so every tied
-minimizer is kept, and only a child that survives gets a state, its parent's
-sums and products extended by its one new element.  Each child scored is one
-node, and a node budget caps the nodes, so it bounds the work.
+lowered to each better leaf.  The children of a prefix are scored in one call
+from their parent's state, without a set of their own: by their completion
+bounds, lower bounds on the value of every k-subset that extends them, or at a
+leaf by their values.  A child scored strictly above the incumbent is
+dropped, so every tied minimizer is kept; a scorer may drop one without its
+exact score, and the walk counts the dropped ones in bulk.  Only a child
+that survives gets a state, its parent's sums and products extended by its
+one new element.  Each child of a scored prefix is one node, and a node
+budget caps the nodes, so it bounds the work.  When the budget runs out,
+at most the rest of one range per open level was scored beyond it; `nodes`,
+the cursor and the checkpoint are those of a walk that scores one child at a
+time.
 """
 
 from __future__ import annotations
 
 import os
 import sys
+from bisect import bisect_right
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import islice
 from itertools import product as iproduct
 from math import prod
 from typing import TYPE_CHECKING, Callable, NamedTuple
@@ -80,8 +88,9 @@ def g_value(a: FinSet) -> int:
 
 # Incremental states for the search walk, extended one element x at a time,
 # each x above every element already in.  An f state is the prefix P and the
-# frozenset 2P u P*P; a g state is the subset-sum bitmask and the frozenset of
-# subset products.  bound(state, x, missing) is read off the parent's state.
+# frozenset u = 2P u P*P; a g state is the subset-sum bitmask and the subset
+# products, as a frozenset and as a sorted tuple.  scores(state, xs, missing,
+# best) is read off the parent's state.
 
 
 def _f_grow(state, x: int):
@@ -90,56 +99,96 @@ def _f_grow(state, x: int):
     return prefix, u.union([x + p for p in prefix], [x * p for p in prefix])
 
 
-def _f_bound(state, x: int, missing: int) -> int:
-    # the sums x+q and the products x*q (q in P or x) are distinct but for
-    # x+x = x*2, so the product with q = 2 is skipped; each later element y
-    # adds y*y and y*x (y + 1 when x = 1), both above every value so far
+def _f_scores(state, xs: range, missing: int, best: int) -> list[tuple[int, int]]:
+    # x adds the sums x+q and the products x*q (q in P or x), distinct but for
+    # x+x = x*2, so the product with q = 2 is not counted; x*x, and for each
+    # later element y, y*y and y*x (y + 1 when x = 1), lie above every value so
+    # far.  A child's values are looked up in u one by one; for a range long
+    # next to u, its hits, the values it shares with u, are found from u's
+    # side instead, as w - q, w / q and w / 2 for w in u, and x scores `full`
+    # less its hits (x = 2 one less, as its x*x is its x+x).
     prefix, u = state
-    count = len(u) + 2 * missing + (x + x not in u) + (x != 2 and x * x not in u)
-    for q in prefix:
-        count += (x + q not in u) + (q != 2 and x * q not in u)
-    return count
+    if len(xs) <= 8 * len(u):
+        base = len(u) + 2 * missing
+        out = []
+        for x in xs:
+            count = base + (x + x not in u) + (x != 2)
+            for q in prefix:
+                count += (x + q not in u) + (q != 2 and x * q not in u)
+            if count <= best:
+                out.append((x, count))
+        return out
+    full = len(u) + 2 * missing + 2 + 2 * len(prefix) - (2 in prefix)
+    hits = Counter([w - q for w in u for q in prefix])
+    hits.update([w // q for w in u for q in prefix if q != 2 and w % q == 0])
+    hits.update([w // 2 for w in u if w % 2 == 0])
+    hits[2] += 1
+    if full <= best:
+        return [(x, full - hits[x]) for x in xs]
+    return sorted((x, full - h) for x, h in hits.items() if full - h <= best and x in xs)
 
 
 def _g_grow(state, x: int):
-    bits, prods = state
-    return bits | bits << x, prods.union([v * x for v in prods])
+    bits, prods, ordered = state
+    new = [w for v in ordered if (w := v * x) not in prods]
+    return bits | bits << x, prods.union(new), tuple(sorted([*ordered, *new]))
 
 
-def _g_bound(state, x: int, missing: int) -> int:
+def _g_scores(state, xs: range, missing: int, best: int) -> list[tuple[int, int]]:
     # subset sums pair up as s <-> total - s, so a later y adds at least
     # #{s < y} sums above the old largest; subset products pair up as
     # w <-> product / w, so y adds at least #{w < y} products likewise.  Below
     # y lie the sums and products at most x of the prefix plus x (the product
     # x is new unless x is in prods) and, for the i-th y added, the i - 1
     # added before it, each both a sum and a product.
-    bits, prods = state
-    bits |= bits << x
-    count = bits.bit_count() + len(prods)
-    small = (bits & ((2 << x) - 1)).bit_count() + (x not in prods)
-    for v in prods:  # the products v*x are distinct, so count each one not yet in
-        count += v * x not in prods
-        small += v <= x
-    return count + missing * (small + missing - 1)
+    #
+    # x adds the sums s + x and the products v*x that are not yet in.  At most
+    # #{s >= x} of the sums can be old (an old s + x is a sum at least x), and
+    # only the products with v <= top // x, as the rest exceed every product
+    # so far.  Counting all of these as old gives a score that never decreases
+    # with x, so once it exceeds the incumbent every later child is dropped;
+    # otherwise the old sums are counted by one mask, then the old products
+    # looked up, each only while the score stays at or below the incumbent.
+    bits, prods, ordered = state
+    top = ordered[-1]
+    nsums = bits.bit_count()
+    base = nsums + 2 * len(ordered) + missing * missing
+    out = []
+    for x in xs:
+        below = (bits & ((1 << x) - 1)).bit_count()  # #{s < x}
+        j = bisect_right(ordered, top // x)
+        count = base + below - j + missing * (below + bisect_right(ordered, x))
+        if count > best:
+            break
+        count += nsums - below - (bits & bits >> x).bit_count() + missing * (x not in prods)
+        if count <= best:
+            count += j - len(prods.intersection(map(x.__mul__, islice(ordered, j))))
+            if count <= best:
+                out.append((x, count))
+    return out
 
 
 class _Objective(NamedTuple):
     """A search objective.  value(a) is its value on a whole set; the rest is
     its walk state: `empty` is the state of the empty prefix, grow(state, x)
-    the state of the prefix plus x, and bound(state, x, missing) a lower bound
-    on the value of every set made by adding x and then `missing` elements
-    above x to the prefix, computed from the prefix's state without building
-    the child's.  With missing = 0 it is the value of the prefix plus x."""
+    the state of the prefix plus x, and scores(state, xs, missing, best)
+    scores all the children of the prefix in the range xs in one call.  A
+    child's bound is a lower bound on the value of every set made by adding x
+    and then `missing` elements above x to the prefix, read off the prefix's
+    state without building the child's; with missing = 0 it is the value of
+    the prefix plus x.  scores returns, in ascending order, (x, bound) for
+    each child whose bound is at most `best`, and drops the others, possibly
+    without computing their bound exactly."""
 
     value: Callable[[FinSet], int]
     empty: tuple
     grow: Callable
-    bound: Callable
+    scores: Callable
 
 
 OBJECTIVES = {
-    "f": _Objective(f_value, ((), frozenset()), _f_grow, _f_bound),
-    "g": _Objective(g_value, (1, frozenset({1})), _g_grow, _g_bound),
+    "f": _Objective(f_value, ((), frozenset()), _f_grow, _f_scores),
+    "g": _Objective(g_value, (1, frozenset({1}), (1,)), _g_grow, _g_scores),
 }
 
 
@@ -148,9 +197,9 @@ class SearchResult:
     """Outcome of an exhaustive k-subset minimization over [1, universe].
 
     minimum/certificates describe the explored region only when complete is
-    False; nodes counts the children scored, each by its completion bound or,
-    at a leaf, its value; cursor is the last smallest element whose subtree
-    was finished (resume point).
+    False; nodes counts the children of the prefixes scored, one each, whether
+    scored exactly or dropped in bulk; cursor is the last smallest element
+    whose subtree was finished (resume point).
     """
 
     objective: str
@@ -247,15 +296,18 @@ def search_min(
     Finds every minimizing set by one depth-first walk in ascending order,
     with one incumbent for the whole search: the value of (1,...,k), which no
     minimizer exceeds, or a resumed checkpoint's minimum, lowered to each
-    better leaf.  Each child of a prefix is one node: it is scored from its
-    parent's state by its completion bound or, at a leaf, its value, and it is
-    dropped when the score exceeds the incumbent, so every tied minimizer is
-    kept.  The node budget caps nodes, checked before each child; without one
-    the size cap is the budget.  A spent budget yields complete=False with the
-    partial minimum, never a silent answer.  The cursor and the checkpoint
-    advance after each smallest element's subtree, so a resumed run walks
-    exactly as an uninterrupted one.  threads must be >= 1 and does not change
-    the walk or its result.
+    better leaf.  Each child of a prefix is one node.  The children are scored
+    from their parent's state in one call, by their completion bounds or, at a
+    leaf, their values, and a child is dropped when its score exceeds the
+    incumbent, so every tied minimizer is kept.  The node budget caps nodes,
+    as if checked before each child: the dropped children between two
+    survivors are counted at once, and a budget that runs out among them
+    stops the walk with nodes equal to the budget.  Without a budget the size
+    cap is the budget.  A spent budget yields complete=False with the partial
+    minimum, never a silent answer.  The root's children are stepped one at
+    a time, and the cursor and the checkpoint advance after each, so a resumed
+    run walks exactly as an uninterrupted one.  threads must be >= 1 and does
+    not change the walk or its result.
     """
     if objective not in OBJECTIVES:
         raise ValueError(f"objective must be 'f' or 'g', got {objective!r}")
@@ -268,7 +320,7 @@ def search_min(
     if node_budget is not None and node_budget < 0:
         raise ValueError("node budget must be >= 0")
 
-    value, empty, grow, bound = OBJECTIVES[objective]
+    value, empty, grow, scores = OBJECTIVES[objective]
     cap = size_cap() if node_budget is None else node_budget
     cursor = nodes = 0
     best = value(FinSet(range(1, k + 1)))
@@ -276,33 +328,58 @@ def search_min(
     if checkpoint_path and os.path.exists(checkpoint_path):
         cursor, nodes, best, certs = _load_checkpoint(checkpoint_path, objective, k, universe)
 
+    def visit(state, prefix: tuple[int, ...], x: int, score: int) -> bool:
+        """Grow or record the child prefix + (x,) if its score is still at or
+        below the incumbent; False once the budget stops the walk."""
+        nonlocal best, certs
+        if score > best:
+            return True
+        if len(prefix) + 1 < k:
+            stop = universe - k + len(prefix) + 3  # each grandchild leaves room for the rest
+            return walk(grow(state, x), prefix + (x,), range(x + 1, stop))
+        if score < best:
+            best, certs = score, [prefix + (x,)]
+        else:
+            certs.append(prefix + (x,))
+        return True
+
     def walk(state, prefix: tuple[int, ...], xs: range) -> bool:
-        """Score each child prefix + (x,), x in xs, and grow or record the ones
-        at or below the incumbent; False once the budget stops the walk."""
-        nonlocal best, certs, nodes, cursor
-        depth = len(prefix) + 1  # the length of prefix + (x,)
+        """Score the children prefix + (x,), x in xs, in one call and visit the
+        survivors; the dropped children are counted in bulk, up to the budget."""
+        nonlocal nodes
+        done = xs.start  # the children before it are counted
+        for x, score in scores(state, xs, k - len(prefix) - 1, best):
+            nodes += x + 1 - done  # the dropped children before x, then x
+            if nodes > cap:
+                nodes = cap
+                return False
+            done = x + 1
+            if not visit(state, prefix, x, score):
+                return False
+        nodes += xs.stop - done
+        if nodes > cap:
+            nodes = cap
+            return False
+        return True
+
+    def walk_root(xs: range) -> bool:
+        """walk for the empty prefix, one child at a time: the cursor and the
+        checkpoint advance after each."""
+        nonlocal nodes, cursor
+        survivors = dict(scores(empty, xs, k - 1, best))
         for x in xs:
             if nodes >= cap:
                 return False
             nodes += 1
-            score = bound(state, x, k - depth)
-            if score <= best:
-                if depth < k:
-                    stop = universe - k + depth + 2  # each grandchild leaves room for the rest
-                    if not walk(grow(state, x), prefix + (x,), range(x + 1, stop)):
-                        return False
-                elif score < best:
-                    best, certs = score, [prefix + (x,)]
-                else:
-                    certs.append(prefix + (x,))
-            if depth == 1:
-                cursor = x
-                if checkpoint_path:
-                    _write_checkpoint(checkpoint_path, certs, objective=objective, k=k,
-                                      universe=universe, cursor=cursor, nodes=nodes, minimum=best)
+            if x in survivors and not visit(empty, (), x, survivors[x]):
+                return False
+            cursor = x
+            if checkpoint_path:
+                _write_checkpoint(checkpoint_path, certs, objective=objective, k=k,
+                                  universe=universe, cursor=cursor, nodes=nodes, minimum=best)
         return True
 
-    complete = walk(empty, (), range(cursor + 1, universe - k + 2))
+    complete = walk_root(range(cursor + 1, universe - k + 2))
     return SearchResult(
         objective=objective,
         k=k,

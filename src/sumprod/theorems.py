@@ -29,7 +29,7 @@ from .exactset import (
 )
 from .limits import check_size
 from .arith import mult_dim
-from .energy import WeightVector, energy, fold_constant, weighted_energy
+from .energy import WeightVector, _require_weights, energy, fold_constant, weighted_energy
 from .extremal import f_value
 from .verdicts import Verdict, compare, log_of, power_of, unmet, verdict_from_compare
 
@@ -92,8 +92,7 @@ def verify_prop10(a: FinSet, h: int) -> Verdict:
 def verify_prop9(a: FinSet, d: WeightVector, h: int) -> Verdict:
     """Weighted energy against (2h^2-h)^(m*h) (sum of d^2)^h, exact."""
     _require_fold(h)
-    if len(d) != a.size:
-        raise ValueError(f"{len(d)} weights for a set of size {a.size}")
+    _require_weights(a, d)
     m = mult_dim(a).dimension
     c = fold_constant(h)
     lhs = weighted_energy(a, d, h)

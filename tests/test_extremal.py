@@ -3,9 +3,11 @@
 import os
 import subprocess
 import sys
+from collections import Counter
 from fractions import Fraction
 from functools import cache
 from itertools import combinations
+from math import inf, prod
 from pathlib import Path
 
 import pytest
@@ -333,6 +335,13 @@ ORACLE_OBJECTIVES = {"f": oracles.o_f, "g": oracles.o_g}
 ORACLE_LOWER = {"f": oracles.o_f_lower, "g": oracles.o_g_lower}
 
 
+def _score(inc, state, x: int, missing: int) -> int:
+    """The bound of the one child x, scored alone against an incumbent no score exceeds."""
+    ((child, score),) = inc.scores(state, range(x, x + 1), missing, inf)
+    assert child == x
+    return score
+
+
 @pytest.mark.parametrize("objective", ["f", "g"])
 @given(
     tup=st.lists(st.integers(1, 30), max_size=6, unique=True).map(sorted).map(tuple),
@@ -351,11 +360,11 @@ def test_incremental_state_matches_whole_tuple_objective(objective, tup, far):
     state = inc.empty
     for i, x in enumerate(tup):
         child = tup[: i + 1]
-        assert inc.bound(state, x, 0) == inc.value(FinSet(child)) == oracle(child), child
+        assert _score(inc, state, x, 0) == inc.value(FinSet(child)) == oracle(child), child
         state = inc.grow(state, x)
     top = tup[-1] if tup else 0
     for x in [*range(top + 1, top * top + 2), top + far]:
-        assert inc.bound(state, x, 0) == inc.value(FinSet(tup + (x,))), x
+        assert _score(inc, state, x, 0) == inc.value(FinSet(tup + (x,))), x
     far_child = tup + (top + far,)
     assert inc.value(FinSet(far_child)) == oracle(far_child)
 
@@ -383,10 +392,49 @@ def test_completion_bounds_never_exceed_a_completion(objective):
         for tup in combinations(range(1, 14), k):
             state = inc.empty
             for d, x in enumerate(tup[:-1], start=1):
-                bound = inc.bound(state, x, k - d)  # from the parent's state
+                bound = _score(inc, state, x, k - d)  # from the parent's state
                 assert bound == lower(tup[:d], k - d), (tup, d)
                 assert bound <= obj(tup), (tup, d)
                 state = inc.grow(state, x)
+
+
+@pytest.mark.parametrize("objective", ["f", "g"])
+@given(
+    prefix=st.lists(st.integers(1, 12), max_size=4, unique=True).map(sorted).map(tuple),
+    missing=st.integers(0, 3),
+    edge=st.integers(0, 4),
+    offset=st.integers(-8, 8),
+    length=st.integers(0, 60),
+    incumbent=st.sampled_from(["on", "below", "any"]),
+    pick=st.integers(0, 10**6),
+)
+# x = 2, whose product x*x is its sum x+x, in a range short and long next to u
+@example(prefix=(1,), missing=0, edge=0, offset=0, length=3, incumbent="any", pick=10)
+@example(prefix=(), missing=1, edge=0, offset=0, length=3, incumbent="on", pick=1)
+@example(prefix=(1,), missing=2, edge=0, offset=0, length=40, incumbent="below", pick=0)
+# x = 8, whose sum x+x is the product 4*4 of its parent (4,), in a long range
+@example(prefix=(4,), missing=0, edge=0, offset=0, length=20, incumbent="on", pick=3)
+@settings(max_examples=150, deadline=None)
+def test_scores_keep_exactly_the_children_at_or_below_the_incumbent(
+    objective, prefix, missing, edge, offset, length, incumbent, pick
+):
+    """scores against the oracle bounds, child by child: on random prefixes,
+    on ranges next to the prefix and around its largest sums and products
+    (past them a child adds only new values), and at incumbents equal to a
+    child's bound and just below it."""
+    inc = extremal.OBJECTIVES[objective]
+    obj, lower = ORACLE_OBJECTIVES[objective], ORACLE_LOWER[objective]
+    state = inc.empty
+    for x in prefix:
+        state = inc.grow(state, x)
+    low = prefix[-1] + 1 if prefix else 1
+    start = max(low, [low, 2 * low, low * low, sum(prefix), prod(prefix)][edge] + offset)
+    xs = range(start, start + length)
+    want = [(x, lower(prefix + (x,), missing) if missing else obj(prefix + (x,))) for x in xs]
+    bounds = [b for _, b in want] or [0]
+    on = bounds[pick % len(bounds)]
+    best = {"on": on, "below": on - 1, "any": pick % (2 * max(bounds) + 1)}[incumbent]
+    assert inc.scores(state, xs, missing, best) == [(x, b) for x, b in want if b <= best]
 
 
 @pytest.mark.parametrize("objective", ["f", "g"])
@@ -400,12 +448,15 @@ def test_pruned_search_matches_plain_loop(objective):
         assert {search_min(objective, k, 16, threads=t) for t in (2, 8)} == {res}
 
 
-# The benchmark's four search points; a walk that drifts changes nodes first.
+# The benchmark's four search points, then two past the oracle walk's n < 15;
+# a walk that drifts changes nodes first.
 SEARCH_POINTS = {
     ("g", 4, 32): (19, ((1, 2, 3, 4),), 928),
     ("g", 5, 24): (30, ((1, 2, 3, 4, 6),), 2100),
     ("f", 5, 28): (15, ((1, 2, 3, 4, 5), (1, 2, 3, 4, 6)), 9099),
     ("f", 4, 40): (11, ((1, 2, 3, 4),), 19105),
+    ("g", 6, 30): (47, ((1, 2, 3, 4, 6, 8),), 24123),
+    ("f", 5, 40): (15, ((1, 2, 3, 4, 5), (1, 2, 3, 4, 6)), 28246),
 }
 
 
@@ -480,21 +531,22 @@ def test_search_resumed_at_every_budget_equals_a_fresh_run(objective, tmp_path):
 
 
 def test_search_in_process_walks_each_subtree_once(monkeypatch):
-    """Each node is one bound call, and a budget stops the walk at exactly its count."""
-    calls = 0
+    """Each prefix's children are scored in one call, and a budget stops the
+    walk at exactly its count."""
+    scored = Counter()
     inc = extremal.OBJECTIVES["f"]
 
-    def counted(*args):
-        nonlocal calls
-        calls += 1
-        return inc.bound(*args)
+    def counted(state, *args):
+        scored[state[0]] += 1  # an f state starts with its prefix
+        return inc.scores(state, *args)
 
-    monkeypatch.setitem(extremal.OBJECTIVES, "f", inc._replace(bound=counted))
+    monkeypatch.setitem(extremal.OBJECTIVES, "f", inc._replace(scores=counted))
     for budget in (0, 60, 5000):
-        calls = 0
+        scored.clear()
         res = search_min("f", 4, 40, node_budget=budget)
-        assert calls == res.nodes == budget
+        assert res.nodes == budget
         assert not res.complete
+        assert () in scored and set(scored.values()) == {1}
 
 
 # --- log-scale identity battery ----------------------------------------------------------
