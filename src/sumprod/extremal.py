@@ -32,7 +32,6 @@ from __future__ import annotations
 import os
 import sys
 from bisect import bisect_right
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice
@@ -103,29 +102,17 @@ def _f_scores(state, xs: range, missing: int, best: int) -> list[tuple[int, int]
     # x adds the sums x+q and the products x*q (q in P or x), distinct but for
     # x+x = x*2, so the product with q = 2 is not counted; x*x, and for each
     # later element y, y*y and y*x (y + 1 when x = 1), lie above every value so
-    # far.  A child's values are looked up in u one by one; for a range long
-    # next to u, its hits, the values it shares with u, are found from u's
-    # side instead, as w - q, w / q and w / 2 for w in u, and x scores `full`
-    # less its hits (x = 2 one less, as its x*x is its x+x).
+    # far.
     prefix, u = state
-    if len(xs) <= 8 * len(u):
-        base = len(u) + 2 * missing
-        out = []
-        for x in xs:
-            count = base + (x + x not in u) + (x != 2)
-            for q in prefix:
-                count += (x + q not in u) + (q != 2 and x * q not in u)
-            if count <= best:
-                out.append((x, count))
-        return out
-    full = len(u) + 2 * missing + 2 + 2 * len(prefix) - (2 in prefix)
-    hits = Counter([w - q for w in u for q in prefix])
-    hits.update([w // q for w in u for q in prefix if q != 2 and w % q == 0])
-    hits.update([w // 2 for w in u if w % 2 == 0])
-    hits[2] += 1
-    if full <= best:
-        return [(x, full - hits[x]) for x in xs]
-    return sorted((x, full - h) for x, h in hits.items() if full - h <= best and x in xs)
+    base = len(u) + 2 * missing
+    out = []
+    for x in xs:
+        count = base + (x + x not in u) + (x != 2)
+        for q in prefix:
+            count += (x + q not in u) + (q != 2 and x * q not in u)
+        if count <= best:
+            out.append((x, count))
+    return out
 
 
 def _g_grow(state, x: int):
@@ -328,58 +315,46 @@ def search_min(
     if checkpoint_path and os.path.exists(checkpoint_path):
         cursor, nodes, best, certs = _load_checkpoint(checkpoint_path, objective, k, universe)
 
-    def visit(state, prefix: tuple[int, ...], x: int, score: int) -> bool:
-        """Grow or record the child prefix + (x,) if its score is still at or
-        below the incumbent; False once the budget stops the walk."""
-        nonlocal best, certs
-        if score > best:
-            return True
-        if len(prefix) + 1 < k:
-            stop = universe - k + len(prefix) + 3  # each grandchild leaves room for the rest
-            return walk(grow(state, x), prefix + (x,), range(x + 1, stop))
-        if score < best:
-            best, certs = score, [prefix + (x,)]
-        else:
-            certs.append(prefix + (x,))
-        return True
-
     def walk(state, prefix: tuple[int, ...], xs: range) -> bool:
-        """Score the children prefix + (x,), x in xs, in one call and visit the
-        survivors; the dropped children are counted in bulk, up to the budget."""
-        nonlocal nodes
+        """Score the children prefix + (x,), x in xs, in one call, then grow or
+        record each survivor still at or below the incumbent.  The dropped
+        children are counted in bulk, as if the budget were checked before
+        each child; False once it stops the walk."""
+        nonlocal best, certs, nodes
+        missing = k - len(prefix) - 1
         done = xs.start  # the children before it are counted
-        for x, score in scores(state, xs, k - len(prefix) - 1, best):
+        for x, score in scores(state, xs, missing, best):
+            if nodes + x + 1 - done > cap:  # the budget runs out at or before x
+                nodes = max(nodes, cap)  # a resumed count may be past it already
+                return False
             nodes += x + 1 - done  # the dropped children before x, then x
-            if nodes > cap:
-                nodes = cap
-                return False
             done = x + 1
-            if not visit(state, prefix, x, score):
-                return False
-        nodes += xs.stop - done
-        if nodes > cap:
-            nodes = cap
+            if score > best:  # the incumbent fell since the call
+                continue
+            if missing:
+                # each grandchild leaves room for the rest
+                if not walk(grow(state, x), prefix + (x,), range(x + 1, universe - missing + 2)):
+                    return False
+            elif score < best:
+                best, certs = score, [prefix + (x,)]
+            else:
+                certs.append(prefix + (x,))
+        if nodes + xs.stop - done > cap:
+            nodes = max(nodes, cap)
             return False
+        nodes += xs.stop - done
         return True
 
-    def walk_root(xs: range) -> bool:
-        """walk for the empty prefix, one child at a time: the cursor and the
-        checkpoint advance after each."""
-        nonlocal nodes, cursor
-        survivors = dict(scores(empty, xs, k - 1, best))
-        for x in xs:
-            if nodes >= cap:
-                return False
-            nodes += 1
-            if x in survivors and not visit(empty, (), x, survivors[x]):
-                return False
-            cursor = x
-            if checkpoint_path:
-                _write_checkpoint(checkpoint_path, certs, objective=objective, k=k,
-                                  universe=universe, cursor=cursor, nodes=nodes, minimum=best)
-        return True
-
-    complete = walk_root(range(cursor + 1, universe - k + 2))
+    # the root's children one at a time: the cursor and the checkpoint advance after each
+    complete = True
+    for x in range(cursor + 1, universe - k + 2):
+        if not walk(empty, (), range(x, x + 1)):
+            complete = False
+            break
+        cursor = x
+        if checkpoint_path:
+            _write_checkpoint(checkpoint_path, certs, objective=objective, k=k,
+                              universe=universe, cursor=cursor, nodes=nodes, minimum=best)
     return SearchResult(
         objective=objective,
         k=k,

@@ -3,6 +3,7 @@
 import os
 import subprocess
 import sys
+from bisect import bisect_right
 from collections import Counter
 from fractions import Fraction
 from functools import cache
@@ -408,11 +409,11 @@ def test_completion_bounds_never_exceed_a_completion(objective):
     incumbent=st.sampled_from(["on", "below", "any"]),
     pick=st.integers(0, 10**6),
 )
-# x = 2, whose product x*x is its sum x+x, in a range short and long next to u
+# x = 2, whose product x*x is its sum x+x
 @example(prefix=(1,), missing=0, edge=0, offset=0, length=3, incumbent="any", pick=10)
 @example(prefix=(), missing=1, edge=0, offset=0, length=3, incumbent="on", pick=1)
 @example(prefix=(1,), missing=2, edge=0, offset=0, length=40, incumbent="below", pick=0)
-# x = 8, whose sum x+x is the product 4*4 of its parent (4,), in a long range
+# x = 8, whose sum x+x is the product 4*4 of its parent (4,)
 @example(prefix=(4,), missing=0, edge=0, offset=0, length=20, incumbent="on", pick=3)
 @settings(max_examples=150, deadline=None)
 def test_scores_keep_exactly_the_children_at_or_below_the_incumbent(
@@ -508,8 +509,9 @@ def test_search_spent_budget_builds_no_pool(tmp_path):
     assert (res.complete, res.nodes, res.minimum, res.cursor) == (False, 0, None, None)
     cp = tmp_path / "state.txt"
     cp.write_text(CHECKPOINT_F_3_12)  # nodes 21
-    res = search_min("f", 3, 12, threads=4, node_budget=21, checkpoint_path=str(cp))
-    assert (res.complete, res.nodes, res.cursor) == (False, 21, 1)
+    for budget in (21, 5):  # a resumed count at or past the budget is kept
+        res = search_min("f", 3, 12, threads=4, node_budget=budget, checkpoint_path=str(cp))
+        assert (res.complete, res.nodes, res.cursor) == (False, 21, 1), budget
 
 
 def test_search_budget_caps_nodes_for_every_worker_count():
@@ -531,22 +533,31 @@ def test_search_resumed_at_every_budget_equals_a_fresh_run(objective, tmp_path):
 
 
 def test_search_in_process_walks_each_subtree_once(monkeypatch):
-    """Each prefix's children are scored in one call, and a budget stops the
-    walk at exactly its count."""
-    scored = Counter()
+    """Each prefix's children are scored in one call, the root's one at a
+    time, and a budget stops the walk at exactly its count, with at most one
+    call made once the count reached it."""
+    calls = []
     inc = extremal.OBJECTIVES["f"]
 
-    def counted(state, *args):
-        scored[state[0]] += 1  # an f state starts with its prefix
-        return inc.scores(state, *args)
+    def counted(state, xs, *args):
+        calls.append((state[0], xs))  # an f state starts with its prefix
+        return inc.scores(state, xs, *args)
 
     monkeypatch.setitem(extremal.OBJECTIVES, "f", inc._replace(scores=counted))
     for budget in (0, 60, 5000):
-        scored.clear()
+        calls.clear()
         res = search_min("f", 4, 40, node_budget=budget)
         assert res.nodes == budget
         assert not res.complete
-        assert () in scored and set(scored.values()) == {1}
+        roots = [xs for prefix, xs in calls if not prefix]
+        assert roots == [range(x, x + 1) for x in range(1, len(roots) + 1)]
+        scored = Counter(prefix for prefix, _ in calls if prefix)
+        assert set(scored.values()) <= {1}
+        # children are counted depth first, so when a prefix is scored the
+        # count is that of the children scored at or before it in tuple order
+        children = sorted(prefix + (x,) for prefix, xs in calls for x in xs)
+        late = [prefix for prefix, _ in calls if bisect_right(children, prefix) >= budget]
+        assert late in ([], [calls[-1][0]]), budget
 
 
 # --- log-scale identity battery ----------------------------------------------------------
