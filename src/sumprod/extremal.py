@@ -102,16 +102,20 @@ def _f_scores(state, xs: range, missing: int, best: int) -> list[tuple[int, int]
     # x adds the sums x+q and the products x*q (q in P or x), distinct but for
     # x+x = x*2, so the product with q = 2 is not counted; x*x, and for each
     # later element y, y*y and y*x (y + 1 when x = 1), lie above every value so
-    # far.
+    # far.  The new values only add up, so a child stops counting, and is
+    # dropped, as soon as they pass the room the incumbent leaves.
     prefix, u = state
     base = len(u) + 2 * missing
+    room = best - base
     out = []
     for x in xs:
-        count = base + (x + x not in u) + (x != 2)
+        new = (x + x not in u) + (x != 2)
         for q in prefix:
-            count += (x + q not in u) + (q != 2 and x * q not in u)
-        if count <= best:
-            out.append((x, count))
+            new += (x + q not in u) + (q != 2 and x * q not in u)
+            if new > room:
+                break
+        if new <= room:
+            out.append((x, base + new))
     return out
 
 

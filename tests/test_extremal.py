@@ -438,6 +438,31 @@ def test_scores_keep_exactly_the_children_at_or_below_the_incumbent(
     assert inc.scores(state, xs, missing, best) == [(x, b) for x, b in want if b <= best]
 
 
+# (prefix, xs, missing, best, scores): the f count skips the product x*2,
+# which is the sum x+x, and a child stops counting once it passes the room
+# best leaves, so these pin x = 2, prefixes holding 2, an unbounded
+# incumbent, an incumbent below the base len(u) + 2*missing, and children
+# kept with a score equal to the incumbent.
+F_SCORES = [
+    ((), range(1, 4), 0, 1, [(2, 1)]),
+    ((1,), range(2, 6), 0, inf, [(2, 4), (3, 6), (4, 6), (5, 6)]),
+    ((1, 2), range(3, 8), 0, inf, [(3, 7), (4, 8), (5, 9), (6, 9), (7, 9)]),
+    ((2, 3), range(4, 9), 0, 9, [(4, 8), (5, 9), (6, 8), (7, 8), (8, 9)]),
+    ((2, 3), range(4, 9), 0, 8, [(4, 8), (6, 8), (7, 8)]),
+    ((1, 2, 3), range(4, 12), 1, 8, []),
+    ((1, 2, 3), range(4, 12), 0, 11, [(4, 11)]),
+]
+
+
+@pytest.mark.parametrize("prefix, xs, missing, best, want", F_SCORES)
+def test_f_scores_pinned(prefix, xs, missing, best, want):
+    inc = extremal.OBJECTIVES["f"]
+    state = inc.empty
+    for x in prefix:
+        state = inc.grow(state, x)
+    assert inc.scores(state, xs, missing, best) == want
+
+
 @pytest.mark.parametrize("objective", ["f", "g"])
 def test_pruned_search_matches_plain_loop(objective):
     obj = cache(ORACLE_OBJECTIVES[objective])
@@ -558,6 +583,30 @@ def test_search_in_process_walks_each_subtree_once(monkeypatch):
         children = sorted(prefix + (x,) for prefix, xs in calls for x in xs)
         late = [prefix for prefix, _ in calls if bisect_right(children, prefix) >= budget]
         assert late in ([], [calls[-1][0]]), budget
+
+
+def test_f_scores_stop_counting_a_child_once_it_cannot_survive(monkeypatch):
+    """A timing-free pin on the f scorer's work: the membership tests in the
+    prefix's sums and products over whole searches, against 102,545 and
+    54,671 when every child was counted in full."""
+    lookups = [0]
+
+    class Counted(frozenset):
+        def __contains__(self, value):
+            lookups[0] += 1
+            return frozenset.__contains__(self, value)
+
+    inc = extremal.OBJECTIVES["f"]
+
+    def counted(state, *args):
+        prefix, u = state
+        return inc.scores((prefix, Counted(u)), *args)
+
+    monkeypatch.setitem(extremal.OBJECTIVES, "f", inc._replace(scores=counted))
+    for point, full, want in [((4, 40), 102_545, 53_738), ((5, 28), 54_671, 36_907)]:
+        lookups[0] = 0
+        assert search_min("f", *point).nodes == SEARCH_POINTS[("f", *point)][2]
+        assert lookups[0] == want < full, point
 
 
 # --- log-scale identity battery ----------------------------------------------------------

@@ -304,6 +304,12 @@ def test_theorem3_empty_graph_unmet():
     assert v.holds == "hypothesis-not-met"
 
 
+def test_theorem3_empty_graph_on_another_ground_refused():
+    g = PairGraph(ground=fs(1, 3), pairs=frozenset())
+    with pytest.raises(ValueError, match="^graph ground set differs from the operand set$"):
+        verify_theorem3_chain(fs(1, 2), g)
+
+
 def test_theorem3_zero_in_set_skips_product_witness():
     a = fs(0, 1, 2)
     v = verify_theorem3_chain(a, PairGraph.full(a))
